@@ -32,11 +32,15 @@ race-hammer:
 	$(GO) test -race -cpu 1,2,8 -run TestRegistryRaceHammer -count=1 ./internal/serve/
 
 # The zero-cost-when-off gate: the chase with instrumentation and
-# provenance disabled must stay under its pinned allocation ceiling.
+# provenance disabled must stay under its pinned allocation ceiling, and
+# the warm pooled chase must allocate nothing. The second line runs the
+# chase package's own pins without -race (the pool pin skips itself
+# under the race detector, so `make race` never runs it).
 # -count=1 defeats the test cache — an allocation regression must fail
 # here even when no _test.go file changed.
 zeroalloc:
 	$(GO) test -run TestZeroAlloc -count=1 .
+	$(GO) test -run 'TestPoolWarmRunAllocFree|TestDisabledObsAllocsPinned' -count=1 ./internal/chase/
 
 bench:
 	$(GO) test -bench . -benchmem ./...

@@ -887,7 +887,7 @@ func BenchmarkChaseObs(b *testing.B) {
 // contract of BenchmarkChaseObs: with instrumentation and provenance
 // both disabled (the Options zero value — what every caller gets unless
 // it opts in), the Proposition 4.1 chase must stay under its pinned
-// allocation ceiling. Both features hide behind predictable nil-checks,
+// allocation ceiling. Both features hide behind predictable branches,
 // so turning either one ON must be the only way to pay for it; a new
 // allocation on the disabled path fails this test before it fails a
 // benchmark diff.
@@ -918,8 +918,13 @@ func TestZeroAlloc(t *testing.T) {
 		t.Fatal(err) // prime: the first request builds the engine the rest reuse
 	}
 	pooled := run(pooledOpt)
-	t.Logf("allocs/run: disabled %.1f, provenance %.1f, profile %.1f, warm pooled %.1f",
-		disabled, withProv, withProf, pooled)
+	footprintOpt := chase.Options{Pool: pool, Footprint: true}
+	if _, err := chase.ImpliesFD(db, sigma, goal, footprintOpt); err != nil {
+		t.Fatal(err) // prime the capture's aggregates on the pooled engine
+	}
+	pooledFootprint := run(footprintOpt)
+	t.Logf("allocs/run: disabled %.1f, provenance %.1f, profile %.1f, warm pooled %.1f, warm pooled footprint %.1f",
+		disabled, withProv, withProf, pooled, pooledFootprint)
 	// Measured 96 allocs/run (85 before the engine pool's pointer-entry
 	// interner: a few extra cold-compile allocations bought an exactly-
 	// zero warm pooled path); the ceiling leaves slack for toolchain
@@ -945,6 +950,12 @@ func TestZeroAlloc(t *testing.T) {
 	// there and the instrumentation itself allocates.)
 	if !raceDetectorEnabled && pooled != 0 {
 		t.Errorf("warm pooled chase path allocates %.1f/run, want exactly 0", pooled)
+	}
+	// The serve layer's cacheable misses run with Footprint on: the
+	// capture reuses the pooled engine's aggregates, so the one
+	// allocation left is the returned Result.Used slice of positions.
+	if !raceDetectorEnabled && pooledFootprint > 1 {
+		t.Errorf("warm pooled footprint path allocates %.1f/run, want at most 1 (the Used slice)", pooledFootprint)
 	}
 
 	// Telemetry history and alerting off (-ts-resolution 0) must be
@@ -973,8 +984,8 @@ func TestZeroAlloc(t *testing.T) {
 
 // BenchmarkChaseProfile is the per-dependency profiler's ablation: the
 // Lemma 7.2 chase with attribution off (the default) and on. The off
-// column must match the uninstrumented engine — the profiler hides
-// behind the same single-nil-check pattern as provenance — and the on
+// column must match the uninstrumented engine — the profiler is one
+// channel of the chase's capture path, like provenance — and the on
 // column prices the two time.Now calls per member scan.
 func BenchmarkChaseProfile(b *testing.B) {
 	s, err := counterex.NewSection7(4)

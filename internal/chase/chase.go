@@ -37,13 +37,16 @@
 //
 // Verdicts, traces, counterexamples, and the chase.* counters are exactly
 // those of the reference engine; differential tests pin all four.
+//
+// What a run records beyond its verdict — trace lines, provenance,
+// per-member aggregates, per-round spans — is opt-in and goes through
+// one capture path (capture.go), which never changes the verdict.
 package chase
 
 import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"indfd/internal/data"
 	"indfd/internal/deps"
@@ -91,6 +94,12 @@ type Options struct {
 	// the paper proves must exist — a deadline, not just a tuple budget.
 	// A nil Ctx never cancels and costs one predictable branch per round.
 	Ctx context.Context
+	// Trace, Provenance, Profile and Footprint switch on the capture
+	// channels (capture.go). All four are opt-in, are recorded through
+	// one capture call per firing, insert and scan region, and never
+	// change verdicts, traces or counters (differential-tested); with
+	// all of them off a warm pooled run allocates nothing.
+	//
 	// Trace records every rule application into Result.Trace — the
 	// machine-generated analogue of the step-by-step derivation in the
 	// proof of Lemma 7.2.
@@ -98,26 +107,19 @@ type Options struct {
 	// Provenance records, per tuple, the IND firing that created it and,
 	// per union, the FD/RD firing that caused it; on an Implied verdict
 	// the goal is walked backwards through this log into
-	// Result.Derivation, a minimal proof DAG (see provenance.go).
-	// Capture is opt-in and free when disabled: every capture site is a
-	// single nil check, and verdicts, traces and counters are identical
-	// either way (differential-tested).
+	// Result.Derivation, a minimal proof DAG (see provenance.go), whose
+	// members become Result.Used.
 	Provenance bool
 	// Profile attributes the chase's work — firings, tuples produced,
 	// tuples scanned, scan wall time, rounds active — to each member of
-	// sigma, into Result.Profile (see profile.go). Like Provenance it is
-	// opt-in and free when disabled (single nil check per capture site,
-	// allocation-identical off path) and never changes verdicts, traces
-	// or counters.
+	// sigma, into Result.Profile.
 	Profile bool
-	// Footprint records which members of sigma the run actually touched —
-	// fired at least once or scanned at least one tuple — into
-	// Result.Used, rendered in each member's String() form. It is the
-	// cheap sibling of Profile: the same per-member capture sites flip a
-	// counter, but no scan timers run (no time.Now calls), so the serve
-	// layer can afford it on every cacheable request. Footprints feed the
-	// answer cache's per-member invalidation index; like Provenance and
-	// Profile, capture never changes verdicts, traces or counters.
+	// Footprint records which members of sigma the run touched — fired
+	// at least once or scanned at least one tuple — into Result.Used, as
+	// positions in sigma. It keeps Profile's per-member counts without
+	// the scan timers, so the serve layer can afford it on every
+	// cacheable request; footprints feed the answer cache's per-member
+	// invalidation index.
 	Footprint bool
 	// Workers bounds the worker pool the delta passes shard their scans
 	// across. 0 or 1 runs the classic sequential engine; N > 1 runs the
@@ -193,11 +195,9 @@ var errBudget = fmt.Errorf("chase: tuple budget exhausted")
 // key, and the incremental witness indexes of the INDs targeting the
 // relation.
 type engine struct {
-	db      *schema.Database
-	max     int
-	doTrace bool
-	ctx     context.Context // nil = never cancelled
-	trace   []string
+	db  *schema.Database
+	max int
+	ctx context.Context // nil = never cancelled
 
 	// Union-find over value IDs. label[r] (valid at structural roots) is
 	// the representative the reference engine would use — the ID that
@@ -237,12 +237,8 @@ type engine struct {
 	tmp       []int32
 	tmpStarts []int32 // per-IND delta starts, reused by the sharded pass
 
-	// prov is the opt-in provenance log (nil = capture off, the
-	// default); goalDesc and goalProv are set by the entry points so
-	// extraction knows which equalities and tuples constitute the goal.
-	prov     *prov
-	goalDesc string
-	goalProv func() (pairs [][2]int32, goalTuples []int32, err error)
+	// cap holds the opt-in capture channels (capture.go).
+	cap capture
 
 	// Goal state, set by the Implies entry points and read by
 	// goalDerived once per round. Kept as plain engine fields (not a
@@ -266,17 +262,10 @@ type engine struct {
 	// pool bookkeeping: the pool this engine is released to (nil =
 	// unpooled) and the sigma it was compiled from, retained so a pool
 	// hit can verify the cached compilation matches the request without
-	// allocating.
+	// allocating. Positions in sigma identify members to the capture.
 	pool    *EnginePool
 	poolKey uint64
 	sigma   []deps.Dependency
-
-	// prof is the opt-in per-dependency cost profiler (nil = off, the
-	// default); round is the current chase round, maintained
-	// unconditionally (one integer increment) for rounds-active
-	// attribution.
-	prof  *engineProfile
-	round int64
 
 	// Possibly-nil instruments, fetched once per chase call; the hot
 	// loops touch them unconditionally (a nil receiver is a no-op).
@@ -295,14 +284,15 @@ type engine struct {
 	gTuples   *obs.Gauge   // high-water mark of live tableau tuples
 }
 
-// fdState is an FD of sigma compiled for repeated firing: resolved
-// positions, a persistent intern table for X-projection group keys, and
-// generation-stamped member lists (reset lazily per pass, so steady-state
-// passes allocate nothing). cleanAt is rels[ri].version+1 as of the last
+// fdState is an FD of sigma compiled for repeated firing: its position
+// at in sigma, resolved attribute positions, a persistent intern table
+// for X-projection group keys, and generation-stamped member lists
+// (reset lazily per pass, so steady-state passes allocate nothing). cleanAt is rels[ri].version+1 as of the last
 // scan that fired nothing, or 0; the scan is skipped while the version
 // matches.
 type fdState struct {
 	d       deps.FD
+	at      int32
 	ri      int32
 	xs, ys  []int
 	keys    *intern.Table
@@ -315,6 +305,7 @@ type fdState struct {
 // rdState is an RD of sigma compiled for repeated firing.
 type rdState struct {
 	d       deps.RD
+	at      int32
 	ri      int32
 	xs, ys  []int
 	cleanAt uint64
@@ -326,6 +317,7 @@ type rdState struct {
 // tuple is known to have a witness.
 type indState struct {
 	d       deps.IND
+	at      int32
 	lri     int32
 	rri     int32
 	xs, ys  []int
@@ -363,7 +355,8 @@ func newEngine(db *schema.Database, sigma []deps.Dependency) (*engine, error) {
 	// and a wide sigma (many INDs into one relation, as in the wide-FD
 	// workload) would otherwise pay one index update per IND per insert.
 	witnessIdx := make(map[string]*projIndex)
-	for _, d := range sigma {
+	for i, d := range sigma {
+		at := int32(i)
 		if err := d.Validate(db); err != nil {
 			return nil, err
 		}
@@ -379,7 +372,7 @@ func newEngine(db *schema.Database, sigma []deps.Dependency) (*engine, error) {
 				return nil, err
 			}
 			e.fds = append(e.fds, fdState{
-				d: dd, ri: e.relIdx[dd.Rel], xs: xs, ys: ys, keys: intern.New(16),
+				d: dd, at: at, ri: e.relIdx[dd.Rel], xs: xs, ys: ys, keys: intern.New(16),
 			})
 		case deps.IND:
 			ls, _ := db.Scheme(dd.LRel)
@@ -401,7 +394,7 @@ func newEngine(db *schema.Database, sigma []deps.Dependency) (*engine, error) {
 				witnessIdx[wkey] = pi
 			}
 			e.inds = append(e.inds, indState{
-				d: dd, lri: e.relIdx[dd.LRel], rri: rri, xs: xs, ys: ys, pi: pi, maxSeen: -1,
+				d: dd, at: at, lri: e.relIdx[dd.LRel], rri: rri, xs: xs, ys: ys, pi: pi, maxSeen: -1,
 			})
 		case deps.RD:
 			sch, _ := db.Scheme(dd.Rel)
@@ -413,7 +406,7 @@ func newEngine(db *schema.Database, sigma []deps.Dependency) (*engine, error) {
 			if err != nil {
 				return nil, err
 			}
-			e.rds = append(e.rds, rdState{d: dd, ri: e.relIdx[dd.Rel], xs: xs, ys: ys})
+			e.rds = append(e.rds, rdState{d: dd, at: at, ri: e.relIdx[dd.Rel], xs: xs, ys: ys})
 		default:
 			return nil, fmt.Errorf("chase: only FDs, INDs and RDs may appear in sigma, got %v", d.Kind())
 		}
@@ -427,7 +420,6 @@ func newEngine(db *schema.Database, sigma []deps.Dependency) (*engine, error) {
 // witness indexes) is untouched.
 func (e *engine) arm(opt Options) {
 	e.max = opt.maxTuples()
-	e.doTrace = opt.Trace
 	e.ctx = opt.Ctx
 
 	e.cRounds = opt.Obs.Counter("chase.rounds")
@@ -444,21 +436,7 @@ func (e *engine) arm(opt Options) {
 	e.cConflict = opt.Obs.Counter("chase.worker_merge_conflicts")
 	e.gTuples = opt.Obs.Gauge("chase.tuples_peak")
 
-	if opt.Provenance {
-		e.prov = newProv()
-	} else {
-		e.prov = nil
-	}
-	if opt.Profile || opt.Footprint {
-		// Footprint-only capture reuses the profiler's aggregates but skips
-		// the scan timers (timed == false): the firings/scanned counts are
-		// all a footprint needs, and clock calls are the profiler's only
-		// real cost.
-		e.prof = newEngineProfile(len(e.fds), len(e.rds), len(e.inds))
-		e.prof.timed = opt.Profile
-	} else {
-		e.prof = nil
-	}
+	e.cap.arm(opt, len(e.sigma))
 	if w := opt.workers(); w > 1 {
 		if e.par == nil || e.par.workers != w {
 			e.par = newParRunner(w)
@@ -539,14 +517,7 @@ func (e *engine) reset() {
 	e.tuples = 0
 	e.dirty = e.dirty[:0]
 
-	// Result.Trace aliases e.trace: the returned slice belongs to the
-	// caller now, so drop the reference instead of truncating.
-	e.trace = nil
-	e.round = 0
-	e.prov = nil
-	e.prof = nil
-	e.goalDesc = ""
-	e.goalProv = nil
+	e.cap.reset()
 	e.goalKind = goalNone
 	e.parUsed = false
 
@@ -662,10 +633,7 @@ func (e *engine) fdPassSeq() (fired bool, err error) {
 func (e *engine) scanRD(i int) (fired bool, err error) {
 	ds := &e.rds[i]
 	rel := &e.rels[ds.ri]
-	var scanStart time.Time
-	if e.profTimed() {
-		scanStart = time.Now()
-	}
+	start := e.cap.clock()
 	for _, tid := range rel.order {
 		t := e.tupleVals(tid)
 		for j := range ds.xs {
@@ -676,25 +644,14 @@ func (e *engine) scanRD(i int) (fired bool, err error) {
 			if ch {
 				fired = true
 				e.cRDFires.Inc()
-				if e.prov != nil {
-					e.prov.noteUnion(evRD, int32(i), tid, -1, t[ds.xs[j]], t[ds.ys[j]])
-				}
-				if e.prof != nil {
-					e.prof.rd[i].fire(e.round)
-				}
-				if e.doTrace {
-					e.tracef("RD %v equates %v and %v within %v",
-						ds.d, e.describe(t[ds.xs[j]]), e.describe(t[ds.ys[j]]), e.describeTuple(t))
+				if e.cap.on {
+					e.noteRD(i, tid, t[ds.xs[j]], t[ds.ys[j]])
 				}
 			}
 		}
 	}
-	if e.prof != nil {
-		a := &e.prof.rd[i]
-		a.scanned += int64(len(rel.order))
-		if e.prof.timed {
-			a.scanNS += time.Since(scanStart).Nanoseconds()
-		}
+	if e.cap.on {
+		e.cap.region(ds.at, len(rel.order), e.cap.since(start))
 	}
 	if fired {
 		ds.cleanAt = 0
@@ -709,10 +666,7 @@ func (e *engine) scanRD(i int) (fired bool, err error) {
 func (e *engine) scanFD(i int) (fired bool, err error) {
 	fs := &e.fds[i]
 	rel := &e.rels[fs.ri]
-	var scanStart time.Time
-	if e.profTimed() {
-		scanStart = time.Now()
-	}
+	start := e.cap.clock()
 	fs.gen++
 	for _, tid := range rel.order {
 		t := e.tupleVals(tid)
@@ -740,27 +694,16 @@ func (e *engine) scanFD(i int) (fired bool, err error) {
 				if ch {
 					fired = true
 					e.cFDFires.Inc()
-					if e.prov != nil {
-						e.prov.noteUnion(evFD, int32(i), tid, uid, t[y], u[y])
-					}
-					if e.prof != nil {
-						e.prof.fd[i].fire(e.round)
-					}
-					if e.doTrace {
-						e.tracef("FD %v equates %v and %v (tuples %v, %v agree on %s)",
-							fs.d, e.describe(t[y]), e.describe(u[y]), e.describeTuple(t), e.describeTuple(u), schema.JoinAttrs(fs.d.X))
+					if e.cap.on {
+						e.noteFD(i, tid, uid, t[y], u[y])
 					}
 				}
 			}
 		}
 		fs.members[kid] = append(fs.members[kid], tid)
 	}
-	if e.prof != nil {
-		a := &e.prof.fd[i]
-		a.scanned += int64(len(rel.order))
-		if e.prof.timed {
-			a.scanNS += time.Since(scanStart).Nanoseconds()
-		}
+	if e.cap.on {
+		e.cap.region(fs.at, len(rel.order), e.cap.since(start))
 	}
 	if fired {
 		fs.cleanAt = 0
@@ -810,7 +753,7 @@ func (e *engine) run() (done bool, err error) {
 			return false, err
 		}
 		e.cRounds.Inc()
-		e.round++
+		e.cap.beginRound()
 		fdChanged, err := e.applyFDs()
 		if err != nil {
 			return false, err
@@ -869,12 +812,6 @@ func (e *engine) export() *data.Database {
 		}
 	}
 	return out
-}
-
-// tracef appends a formatted trace line; callers guard with doTrace so
-// the disabled path never boxes the arguments.
-func (e *engine) tracef(format string, args ...any) {
-	e.trace = append(e.trace, fmt.Sprintf(format, args...))
 }
 
 // describe renders a value id: its constant name, or _<label> for nulls

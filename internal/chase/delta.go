@@ -6,10 +6,7 @@
 
 package chase
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
 // processDirty re-keys every tuple queued by unions since the last drain:
 // its canonical tuple key moves to the interned key of its current roots
@@ -121,10 +118,7 @@ func (e *engine) indPassSeq() (changed bool, err error) {
 		// LRel == RRel) are handled in the next round, as in the reference.
 		order := lrel.order
 		start := indDeltaStart(order, is.maxSeen)
-		var scanStart time.Time
-		if e.profTimed() {
-			scanStart = time.Now()
-		}
+		clock := e.cap.clock()
 		for k := start; k < len(order); k++ {
 			tid := order[k]
 			t := e.tupleVals(tid)
@@ -140,12 +134,8 @@ func (e *engine) indPassSeq() (changed bool, err error) {
 				changed = true
 			}
 		}
-		if e.prof != nil {
-			a := &e.prof.ind[i]
-			a.scanned += int64(len(order) - start)
-			if e.prof.timed {
-				a.scanNS += time.Since(scanStart).Nanoseconds()
-			}
+		if e.cap.on {
+			e.cap.region(is.at, len(order)-start, e.cap.since(clock))
 		}
 		if len(order) > start {
 			is.maxSeen = order[len(order)-1]
@@ -156,9 +146,9 @@ func (e *engine) indPassSeq() (changed bool, err error) {
 
 // fireIND applies IND i to the unwitnessed left tuple tid (values t):
 // it builds the new right tuple with fresh nulls outside the target
-// columns and inserts it, attributing provenance, profile, trace and
-// counters exactly as the reference engine would. The caller has
-// already established that tid has no witness.
+// columns and inserts it, capturing the firing and counting it exactly
+// as the reference engine would. The caller has already established
+// that tid has no witness.
 func (e *engine) fireIND(i int, tid int32, t []int32) (added bool, err error) {
 	is := &e.inds[i]
 	width := e.rels[is.rri].width
@@ -179,27 +169,14 @@ func (e *engine) fireIND(i int, tid int32, t []int32) (added bool, err error) {
 			u[j] = e.newNull()
 		}
 	}
-	if e.prov != nil {
-		// Identify the pending insert as this IND firing on this
-		// witness tuple; insert's noteTuple consumes it.
-		e.prov.pendRule, e.prov.pendSrc = int32(i), tid
-	}
 	added, err = e.insert(is.rri, u)
-	if e.prov != nil {
-		e.prov.pendRule, e.prov.pendSrc = -1, -1
-	}
 	if err != nil {
 		return false, err
 	}
 	if added {
 		e.cINDAdds.Inc()
-		if e.prof != nil {
-			a := &e.prof.ind[i]
-			a.fire(e.round)
-			a.produced++
-		}
-		if e.doTrace {
-			e.tracef("IND %v adds %v to %s for %v", is.d, e.describeTuple(u), is.d.RRel, e.describeTuple(t))
+		if e.cap.on {
+			e.noteIND(i, tid, t, u)
 		}
 	}
 	return added, nil

@@ -18,9 +18,7 @@ const spanRoundCap = 32
 
 // startSpan opens the chase's span for one entry point: a child of
 // opt.Span when a parent was provided, else a root span on opt.Obs (nil
-// when instrumentation is off). Callers attach the goal themselves,
-// guarded by a nil check, so the uninstrumented path never boxes the
-// goal into an interface or renders it.
+// when instrumentation is off).
 func (opt Options) startSpan(name string) *obs.Span {
 	if opt.Span != nil {
 		return opt.Span.StartSpan(name)
@@ -49,12 +47,14 @@ type Result struct {
 	// Options.Profile was set (including on cancellation, so partial
 	// work is still attributable). Entries are hottest-first.
 	Profile *obs.DepProfile
-	// Used is the run's footprint: the Σ members that fired at least
-	// once or scanned at least one tuple, in their String() form, in
-	// compile order. Set when Options.Footprint or Options.Profile was
-	// set. Members the run never touched are absent — the answer cache
-	// uses that to invalidate per-member instead of per-Σ.
-	Used []string
+	// Used is the run's footprint, as ascending positions in the sigma
+	// the chase was given: the members of Derivation when one was
+	// extracted, else the members that fired at least once or scanned
+	// at least one tuple (set when Options.Footprint or Options.Profile
+	// was). Nil means nothing was captured; empty means the answer
+	// depends on no member. Members the run never touched are absent —
+	// the answer cache uses that to invalidate per member, not per Σ.
+	Used []int
 }
 
 // goalDerived reports whether the entry point's goal now holds — the
@@ -83,90 +83,54 @@ func (e *engine) goalDerived() bool {
 	return false
 }
 
-// runToGoal chases until the goal holds, a fixpoint is reached, or the
-// budget runs out, checking the goal after every FD pass. The span (nil
-// when instrumentation is off) gets one child per round up to
-// spanRoundCap, and verdict/rounds/tuples attributes at the end.
-func (e *engine) runToGoal(sp *obs.Span) (Result, error) {
+// runToGoal chases the seeded tableau until the goal holds, a fixpoint
+// is reached, or the budget runs out, checking the goal after every FD
+// pass.
+func (e *engine) runToGoal() (Result, error) {
 	res := Result{}
 	for {
 		// The cancellation probe runs once per round, so a cancelled
 		// context stops even a divergent chase within one round — with the
 		// partial rounds/tuples counts preserved in the Result.
 		if err := e.cancelled(); err != nil {
-			res.Tuples = e.tuples
-			res.Trace = e.trace
-			res.Profile = e.buildProfile()
-			res.Used = e.buildUsed()
-			if sp != nil {
-				sp.SetAttr("cancelled", err.Error())
-				sp.SetInt("rounds", int64(res.Rounds))
-				sp.SetInt("tuples", int64(res.Tuples))
-				sp.End()
-			}
-			return res, err
+			return e.seal(res, err)
 		}
 		res.Rounds++
 		e.cRounds.Inc()
-		e.round++
-		var round *obs.Span
-		if res.Rounds <= spanRoundCap {
-			round = sp.StartSpan("round")
-		}
+		e.cap.beginRound()
 		if _, err := e.applyFDs(); err != nil {
-			sp.End()
+			e.cap.span.End()
 			return res, err
 		}
 		e.dedup()
 		if e.goalDerived() {
-			round.SetInt("tuples", int64(e.tuples))
-			round.End()
-			return e.finish(res, Implied, sp)
+			e.cap.endRound(e.tuples)
+			return e.finish(res, Implied)
 		}
 		indChanged, err := e.applyINDs()
-		round.SetInt("tuples", int64(e.tuples))
-		round.End()
+		e.cap.endRound(e.tuples)
 		e.endRound()
 		if err == errBudget {
-			return e.finish(res, Unknown, sp)
+			return e.finish(res, Unknown)
 		}
 		if err != nil {
-			sp.End()
+			e.cap.span.End()
 			return res, err
 		}
 		if !indChanged {
 			// One more FD pass cannot change anything either (applyFDs ran
 			// to its own fixpoint above), so this is a model of sigma.
 			res.Counterexample = e.export()
-			return e.finish(res, NotImplied, sp)
+			return e.finish(res, NotImplied)
 		}
 	}
 }
 
-// finish seals the result with the verdict and final tableau size, and
-// closes the span with verdict/rounds/tuples attributes.
-func (e *engine) finish(res Result, v Verdict, sp *obs.Span) (Result, error) {
+// finish seals the result with the verdict.
+func (e *engine) finish(res Result, v Verdict) (Result, error) {
 	e.endRound()
 	res.Verdict = v
-	res.Tuples = e.tuples
-	res.Trace = e.trace
-	res.Profile = e.buildProfile()
-	res.Used = e.buildUsed()
-	if v == Implied && e.prov != nil && e.goalProv != nil {
-		d, err := e.extractDerivation()
-		if err != nil {
-			sp.End()
-			return res, err
-		}
-		res.Derivation = d
-	}
-	if sp != nil {
-		sp.SetAttr("verdict", v.String())
-		sp.SetInt("rounds", int64(res.Rounds))
-		sp.SetInt("tuples", int64(res.Tuples))
-		sp.End()
-	}
-	return res, nil
+	return e.seal(res, nil)
 }
 
 // resizeI32 returns s with length n, reusing its backing array when the
@@ -191,9 +155,13 @@ func positionsInto(dst []int, s *schema.Scheme, attrs []schema.Attribute) ([]int
 	return dst, nil
 }
 
-// ImpliesFD tests sigma ⊨ goal for an FD goal R: X -> Y by chasing the
-// two-tuple tableau that agrees exactly on X.
-func ImpliesFD(db *schema.Database, sigma []deps.Dependency, goal deps.FD, opt Options) (Result, error) {
+// implies is the one run of an implication goal: validate it, arm an
+// engine, open the span named span, seed the goal's tableau, chase it,
+// and release the engine.
+func implies[G interface {
+	Validate(*schema.Database) error
+	String() string
+}](db *schema.Database, sigma []deps.Dependency, goal G, opt Options, span string, seed func(*engine, G) error) (Result, error) {
 	if err := goal.Validate(db); err != nil {
 		return Result{}, err
 	}
@@ -201,99 +169,69 @@ func ImpliesFD(db *schema.Database, sigma []deps.Dependency, goal deps.FD, opt O
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := e.impliesFD(goal, opt)
+	// The goal is rendered only for the span or a derivation's header.
+	if e.cap.span = opt.startSpan(span); e.cap.span != nil || e.cap.prov {
+		e.cap.goalDesc = goal.String()
+		e.cap.span.SetAttr("goal", e.cap.goalDesc)
+	}
+	var res Result
+	if err = seed(e, goal); err == nil {
+		res, err = e.runToGoal()
+	} else {
+		e.cap.span.End()
+	}
 	e.release(err)
 	return res, err
 }
 
-func (e *engine) impliesFD(goal deps.FD, opt Options) (Result, error) {
-	sp := opt.startSpan("chase.fd")
-	if sp != nil {
-		sp.SetAttr("goal", goal.String())
-	}
+// ImpliesFD tests sigma ⊨ goal for an FD goal R: X -> Y by chasing the
+// two-tuple tableau that agrees exactly on X.
+func ImpliesFD(db *schema.Database, sigma []deps.Dependency, goal deps.FD, opt Options) (Result, error) {
+	return implies(db, sigma, goal, opt, "chase.fd", (*engine).seedFD)
+}
+
+func (e *engine) seedFD(goal deps.FD) (err error) {
 	sch, _ := e.db.Scheme(goal.Rel)
+	e.goalKind = goalFD
+	if e.goalXs, err = positionsInto(e.goalXs, sch, goal.X); err != nil {
+		return err
+	}
+	if e.goalYs, err = positionsInto(e.goalYs, sch, goal.Y); err != nil {
+		return err
+	}
 	e.goalT1 = resizeI32(e.goalT1, sch.Width())
 	e.goalT2 = resizeI32(e.goalT2, sch.Width())
 	t1, t2 := e.goalT1, e.goalT2
 	for i := range t1 {
-		t1[i] = e.newNull()
-		t2[i] = e.newNull()
-	}
-	var err error
-	e.goalXs, err = positionsInto(e.goalXs, sch, goal.X)
-	if err != nil {
-		sp.End()
-		return Result{}, err
+		t1[i], t2[i] = e.newNull(), e.newNull()
 	}
 	for _, p := range e.goalXs {
 		t2[p] = t1[p]
 	}
 	ri := e.relIdx[goal.Rel]
-	if _, err := e.insert(ri, t1); err != nil {
-		sp.End()
-		return Result{}, err
+	if _, err = e.insert(ri, t1); err == nil {
+		_, err = e.insert(ri, t2)
 	}
-	if _, err := e.insert(ri, t2); err != nil {
-		sp.End()
-		return Result{}, err
-	}
-	e.goalYs, err = positionsInto(e.goalYs, sch, goal.Y)
-	if err != nil {
-		sp.End()
-		return Result{}, err
-	}
-	e.goalKind = goalFD
-	if e.prov != nil {
-		// The goal holds when the two seed tuples (IDs 0 and 1) agree on
-		// Y; t1/t2 hold the arena's structural value IDs.
-		ys := e.goalYs
-		e.goalDesc = goal.String()
-		e.goalProv = func() ([][2]int32, []int32, error) {
-			pairs := make([][2]int32, len(ys))
-			for i, y := range ys {
-				pairs[i] = [2]int32{t1[y], t2[y]}
-			}
-			return pairs, []int32{0, 1}, nil
-		}
-	}
-	return e.runToGoal(sp)
+	return err
 }
 
 // ImpliesIND tests sigma ⊨ goal for an IND goal R[X] ⊆ S[Y] by chasing the
 // one-tuple tableau over R. The goal test is a probe of a witness index
 // registered on S before the seed is inserted.
 func ImpliesIND(db *schema.Database, sigma []deps.Dependency, goal deps.IND, opt Options) (Result, error) {
-	if err := goal.Validate(db); err != nil {
-		return Result{}, err
-	}
-	e, err := acquireEngine(db, sigma, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := e.impliesIND(goal, opt)
-	e.release(err)
-	return res, err
+	return implies(db, sigma, goal, opt, "chase.ind", (*engine).seedIND)
 }
 
-func (e *engine) impliesIND(goal deps.IND, opt Options) (Result, error) {
-	sp := opt.startSpan("chase.ind")
-	if sp != nil {
-		sp.SetAttr("goal", goal.String())
-	}
+func (e *engine) seedIND(goal deps.IND) (err error) {
 	ls, _ := e.db.Scheme(goal.LRel)
 	rs, _ := e.db.Scheme(goal.RRel)
-	var err error
-	e.goalXs, err = positionsInto(e.goalXs, ls, goal.X)
-	if err != nil {
-		sp.End()
-		return Result{}, err
+	e.goalKind = goalIND
+	if e.goalXs, err = positionsInto(e.goalXs, ls, goal.X); err != nil {
+		return err
 	}
-	e.goalYs, err = positionsInto(e.goalYs, rs, goal.Y)
-	if err != nil {
-		sp.End()
-		return Result{}, err
+	if e.goalYs, err = positionsInto(e.goalYs, rs, goal.Y); err != nil {
+		return err
 	}
-	xs, ys := e.goalXs, e.goalYs
 	// The goal's own witness index, registered before any tuple exists so
 	// it sees every insert (including the seed itself when LRel == RRel).
 	// The index object is part of the engine's pooled scratch; reset
@@ -305,103 +243,38 @@ func (e *engine) impliesIND(goal deps.IND, opt Options) (Result, error) {
 	} else {
 		e.gpi.reset()
 	}
-	e.gpi.pos = ys
+	e.gpi.pos = e.goalYs
 	e.rels[rri].watchers = append(e.rels[rri].watchers, e.gpi)
 	e.gpiRel = rri
 	e.goalT1 = resizeI32(e.goalT1, ls.Width())
-	t := e.goalT1
-	for i := range t {
-		t[i] = e.newNull()
+	for i := range e.goalT1 {
+		e.goalT1[i] = e.newNull()
 	}
-	if _, err := e.insert(e.relIdx[goal.LRel], t); err != nil {
-		sp.End()
-		return Result{}, err
-	}
-	e.goalKind = goalIND
-	if e.prov != nil {
-		// The goal holds when some tuple of RRel canonically matches the
-		// seed's X projection; identify a concrete witness at extraction
-		// time (the index answers "exists", not "which").
-		e.goalDesc = goal.String()
-		e.goalProv = func() ([][2]int32, []int32, error) {
-			rs := &e.rels[rri]
-			for _, uid := range rs.order {
-				u := e.tupleVals(uid)
-				match := true
-				for j := range ys {
-					if !e.equal(t[xs[j]], u[ys[j]]) {
-						match = false
-						break
-					}
-				}
-				if match {
-					pairs := make([][2]int32, len(ys))
-					for j := range ys {
-						pairs[j] = [2]int32{t[xs[j]], u[ys[j]]}
-					}
-					return pairs, []int32{0, uid}, nil
-				}
-			}
-			return nil, nil, fmt.Errorf("chase: provenance found no witness tuple for %v", goal)
-		}
-	}
-	return e.runToGoal(sp)
+	_, err = e.insert(e.relIdx[goal.LRel], e.goalT1)
+	return err
 }
 
 // ImpliesRD tests sigma ⊨ goal for an RD goal R[X = Y] by chasing the
 // one-tuple tableau over R (Proposition 4.3 is an instance).
 func ImpliesRD(db *schema.Database, sigma []deps.Dependency, goal deps.RD, opt Options) (Result, error) {
-	if err := goal.Validate(db); err != nil {
-		return Result{}, err
-	}
-	e, err := acquireEngine(db, sigma, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := e.impliesRD(goal, opt)
-	e.release(err)
-	return res, err
+	return implies(db, sigma, goal, opt, "chase.rd", (*engine).seedRD)
 }
 
-func (e *engine) impliesRD(goal deps.RD, opt Options) (Result, error) {
-	sp := opt.startSpan("chase.rd")
-	if sp != nil {
-		sp.SetAttr("goal", goal.String())
-	}
+func (e *engine) seedRD(goal deps.RD) (err error) {
 	sch, _ := e.db.Scheme(goal.Rel)
-	e.goalT1 = resizeI32(e.goalT1, sch.Width())
-	t := e.goalT1
-	for i := range t {
-		t[i] = e.newNull()
-	}
-	if _, err := e.insert(e.relIdx[goal.Rel], t); err != nil {
-		sp.End()
-		return Result{}, err
-	}
-	var err error
-	e.goalXs, err = positionsInto(e.goalXs, sch, goal.X)
-	if err != nil {
-		sp.End()
-		return Result{}, err
-	}
-	e.goalYs, err = positionsInto(e.goalYs, sch, goal.Y)
-	if err != nil {
-		sp.End()
-		return Result{}, err
-	}
 	e.goalKind = goalRD
-	if e.prov != nil {
-		xs, ys := e.goalXs, e.goalYs
-		e.goalDesc = goal.String()
-		e.goalProv = func() ([][2]int32, []int32, error) {
-			pairs := make([][2]int32, len(xs))
-			for i := range xs {
-				pairs[i] = [2]int32{t[xs[i]], t[ys[i]]}
-			}
-			return pairs, []int32{0}, nil
-		}
+	if e.goalXs, err = positionsInto(e.goalXs, sch, goal.X); err != nil {
+		return err
 	}
-	return e.runToGoal(sp)
+	if e.goalYs, err = positionsInto(e.goalYs, sch, goal.Y); err != nil {
+		return err
+	}
+	e.goalT1 = resizeI32(e.goalT1, sch.Width())
+	for i := range e.goalT1 {
+		e.goalT1[i] = e.newNull()
+	}
+	_, err = e.insert(e.relIdx[goal.Rel], e.goalT1)
+	return err
 }
 
 // Implies dispatches on the kind of the goal dependency.

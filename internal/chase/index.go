@@ -294,8 +294,8 @@ func (e *engine) insert(ri int32, t []int32) (added bool, err error) {
 	for _, pi := range rs.watchers {
 		pi.add(e, tid, tv)
 	}
-	if e.prov != nil {
-		e.prov.noteTuple(tid)
+	if e.cap.on {
+		e.cap.inserted(tid)
 	}
 	return true, nil
 }

@@ -37,7 +37,6 @@ package chase
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 const (
@@ -61,7 +60,7 @@ type parTask struct {
 	lo, hi  int32   // chunk bounds into order (IND)
 
 	wouldFire bool    // RD/FD probe: a live scan would fire
-	scanned   int64   // RD/FD probe: tuples scanned (profile)
+	scanned   int     // RD/FD probe: tuples scanned (profile)
 	cand      []int32 // IND probe: unwitnessed tuple IDs, in scan order
 	ns        int64   // probe wall time (profile; nondeterministic)
 }
@@ -162,10 +161,7 @@ func (p *parRunner) runBatch(e *engine) {
 }
 
 func (e *engine) runProbeTask(t *parTask, w int) {
-	var start time.Time
-	if e.profTimed() {
-		start = time.Now()
-	}
+	start := e.cap.clock()
 	switch t.kind {
 	case taskRD:
 		e.probeRD(t)
@@ -174,9 +170,7 @@ func (e *engine) runProbeTask(t *parTask, w int) {
 	case taskIND:
 		e.probeIND(t, w)
 	}
-	if e.profTimed() {
-		t.ns = time.Since(start).Nanoseconds()
-	}
+	t.ns = e.cap.since(start)
 }
 
 // appendLabelProjKeyRO is appendLabelProjKey with the read-only find.
@@ -199,7 +193,7 @@ func (e *engine) appendProjKeyRO(b []byte, t []int32, pos []int) []byte {
 func (e *engine) probeRD(t *parTask) {
 	ds := &e.rds[t.dep]
 	rel := &e.rels[ds.ri]
-	t.scanned = int64(len(rel.order))
+	t.scanned = len(rel.order)
 	for _, tid := range rel.order {
 		tv := e.tupleVals(tid)
 		for j := range ds.xs {
@@ -220,7 +214,7 @@ func (e *engine) probeRD(t *parTask) {
 func (e *engine) probeFD(t *parTask, w int) {
 	fs := &e.fds[t.dep]
 	rel := &e.rels[fs.ri]
-	t.scanned = int64(len(rel.order))
+	t.scanned = len(rel.order)
 	fs.gen++
 	buf := e.par.bufs[w]
 	for _, tid := range rel.order {
@@ -319,10 +313,8 @@ func (e *engine) fdPassPar() (fired bool, err error) {
 			continue
 		}
 		if t != nil && !t.wouldFire && t.version == rel.version {
-			if e.prof != nil {
-				a := &e.prof.rd[i]
-				a.scanned += t.scanned
-				a.scanNS += t.ns
+			if e.cap.on {
+				e.cap.region(ds.at, t.scanned, t.ns)
 			}
 			ds.cleanAt = rel.version + 1
 			continue
@@ -349,10 +341,8 @@ func (e *engine) fdPassPar() (fired bool, err error) {
 			continue
 		}
 		if t != nil && !t.wouldFire && t.version == rel.version {
-			if e.prof != nil {
-				a := &e.prof.fd[i]
-				a.scanned += t.scanned
-				a.scanNS += t.ns
+			if e.cap.on {
+				e.cap.region(fs.at, t.scanned, t.ns)
 			}
 			fs.cleanAt = rel.version + 1
 			continue
@@ -421,16 +411,11 @@ func (e *engine) indPassPar() (ran bool, changed bool, err error) {
 		order := lrel.order
 		start := int(starts[i])
 		frozenLen := 0
-		var scanStart time.Time
-		if e.profTimed() {
-			scanStart = time.Now()
-		}
+		clock, probeNS := e.cap.clock(), int64(0)
 		for ; ti < len(p.tasks) && p.tasks[ti].dep == int32(i); ti++ {
 			t := &p.tasks[ti]
 			frozenLen = int(t.hi)
-			if e.prof != nil {
-				e.prof.ind[i].scanNS += t.ns
-			}
+			probeNS += t.ns
 			for _, tid := range t.cand {
 				tv := e.tupleVals(tid)
 				if is.pi.witnessed(e, tv, is.xs) {
@@ -472,12 +457,8 @@ func (e *engine) indPassPar() (ran bool, changed bool, err error) {
 			}
 		}
 		e.cDelta.Add(int64(len(order) - start))
-		if e.prof != nil {
-			a := &e.prof.ind[i]
-			a.scanned += int64(len(order) - start)
-			if e.prof.timed {
-				a.scanNS += time.Since(scanStart).Nanoseconds()
-			}
+		if e.cap.on {
+			e.cap.region(is.at, len(order)-start, probeNS+e.cap.since(clock))
 		}
 		if len(order) > start {
 			is.maxSeen = order[len(order)-1]

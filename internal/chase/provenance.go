@@ -11,7 +11,8 @@
 //   - per union: which FD or RD firing on which tuple(s) equated which
 //     two value IDs.
 //
-// Capture sites are guarded by a single `e.prov != nil` branch, so the
+// The log is one channel of the engine's capture (capture.go): its
+// sites are the capture calls every firing and insert makes, so the
 // disabled path stays allocation-identical to the uninstrumented engine
 // (TestZeroAlloc and BenchmarkChaseObs pin this), and capture never
 // changes verdicts, traces, or counters (differential tests pin that).
@@ -54,24 +55,26 @@ type provEvent struct {
 	a, b  int32 // the equated value IDs (arena values, never rewritten)
 }
 
-// prov is the capture state, allocated only when Options.Provenance is
-// set. pendRule/pendSrc carry an IND firing's identity into the insert
-// that materializes its tuple.
+// prov is the provenance log, recorded while Options.Provenance is set
+// and truncated in place between pooled runs.
 type prov struct {
 	clock    int64
 	tupStamp []int64 // per tuple ID: creation time
 	tupRule  []int32 // per tuple ID: index into e.inds, or -1 for a seed
 	tupSrc   []int32 // per tuple ID: the IND's witness tuple, or -1
 	events   []provEvent
-
-	pendRule int32
-	pendSrc  int32
 }
 
-func newProv() *prov { return &prov{pendRule: -1, pendSrc: -1} }
+func (p *prov) reset() {
+	p.clock = 0
+	p.tupStamp = p.tupStamp[:0]
+	p.tupRule = p.tupRule[:0]
+	p.tupSrc = p.tupSrc[:0]
+	p.events = p.events[:0]
+}
 
-// noteTuple records a tuple's origin at insert time, consuming the
-// pending IND identity (seeds insert with none pending).
+// noteTuple stamps a tuple at insert time, as a seed until origin names
+// the IND firing that created it.
 func (p *prov) noteTuple(tid int32) {
 	for int32(len(p.tupStamp)) <= tid {
 		p.tupStamp = append(p.tupStamp, 0)
@@ -80,8 +83,14 @@ func (p *prov) noteTuple(tid int32) {
 	}
 	p.clock++
 	p.tupStamp[tid] = p.clock
-	p.tupRule[tid] = p.pendRule
-	p.tupSrc[tid] = p.pendSrc
+	p.tupRule[tid] = -1
+	p.tupSrc[tid] = -1
+}
+
+// origin records that IND rule created tuple tid for witness tuple src.
+func (p *prov) origin(tid, rule, src int32) {
+	p.tupRule[tid] = rule
+	p.tupSrc[tid] = src
 }
 
 // noteUnion records one FD/RD union event.
@@ -234,7 +243,7 @@ func (e *engine) explainEq(a, b int32, before int64) ([]int, error) {
 	if a == b {
 		return nil, nil
 	}
-	p := e.prov
+	p := &e.cap.log
 	// Adjacency over the (small, bounded-by-budget) event log. Built per
 	// call: extraction runs once per Implied verdict, never on hot paths.
 	type edge struct {
@@ -274,15 +283,51 @@ func (e *engine) explainEq(a, b int32, before int64) ([]int, error) {
 	return nil, fmt.Errorf("chase: provenance cannot explain v%d = v%d (incomplete event log)", a, b)
 }
 
-// extractDerivation walks provenance backwards from the goal and builds
-// the minimal derivation DAG. Called only on an Implied verdict with
-// provenance enabled.
-func (e *engine) extractDerivation() (*Derivation, error) {
-	pairs, goalTids, err := e.goalProv()
-	if err != nil {
-		return nil, err
+// goalEvidence names what the goal needs, for extraction: the value-ID
+// pairs that must be equal and the seed (and witness) tuples involved.
+// The goal holds, so an IND goal has a witness; it is found here because
+// the goal's index answers "exists", not "which".
+func (e *engine) goalEvidence() (pairs [][2]int32, goalTids []int32, err error) {
+	t1, xs, ys := e.goalT1, e.goalXs, e.goalYs
+	switch e.goalKind {
+	case goalFD:
+		for _, y := range ys {
+			pairs = append(pairs, [2]int32{t1[y], e.goalT2[y]})
+		}
+		return pairs, []int32{0, 1}, nil
+	case goalRD:
+		for i := range xs {
+			pairs = append(pairs, [2]int32{t1[xs[i]], t1[ys[i]]})
+		}
+		return pairs, []int32{0}, nil
+	case goalIND:
+	witness:
+		for _, uid := range e.rels[e.gpiRel].order {
+			u := e.tupleVals(uid)
+			for j := range ys {
+				if !e.equal(t1[xs[j]], u[ys[j]]) {
+					continue witness
+				}
+			}
+			for j := range ys {
+				pairs = append(pairs, [2]int32{t1[xs[j]], u[ys[j]]})
+			}
+			return pairs, []int32{0, uid}, nil
+		}
 	}
-	p := e.prov
+	return nil, nil, fmt.Errorf("chase: provenance found no witness tuple for %s", e.cap.goalDesc)
+}
+
+// extractDerivation walks provenance backwards from the goal and builds
+// the minimal derivation DAG, together with its members: the ascending
+// positions in sigma of the rules its nodes fire. Called only on an
+// Implied verdict with provenance enabled.
+func (e *engine) extractDerivation() (*Derivation, []int, error) {
+	pairs, goalTids, err := e.goalEvidence()
+	if err != nil {
+		return nil, nil, err
+	}
+	p := &e.cap.log
 
 	needT := make(map[int32]bool)
 	needE := make(map[int]bool)
@@ -303,7 +348,7 @@ func (e *engine) extractDerivation() (*Derivation, error) {
 	for _, pr := range pairs {
 		path, err := e.explainEq(pr[0], pr[1], math.MaxInt64)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, idx := range path {
 			addE(idx)
@@ -328,7 +373,7 @@ func (e *engine) extractDerivation() (*Derivation, error) {
 				for _, x := range fs.xs {
 					path, err := e.explainEq(t[x], u[x], ev.stamp)
 					if err != nil {
-						return nil, err
+						return nil, nil, err
 					}
 					for _, pidx := range path {
 						premises[idx] = append(premises[idx], pidx)
@@ -365,7 +410,8 @@ func (e *engine) extractDerivation() (*Derivation, error) {
 		}
 	}
 
-	d := &Derivation{Goal: e.goalDesc}
+	d := &Derivation{Goal: e.cap.goalDesc}
+	member := make([]bool, len(e.sigma))
 	for _, pr := range pairs {
 		d.Checks = append(d.Checks, [2]int{int(pr[0]), int(pr[1])})
 	}
@@ -386,6 +432,7 @@ func (e *engine) extractDerivation() (*Derivation, error) {
 			if rule := p.tupRule[tid]; rule >= 0 {
 				n.Kind = "ind"
 				n.Rule = e.inds[rule].d.String()
+				member[e.inds[rule].at] = true
 				n.Inputs = []int{tupNode[p.tupSrc[tid]]}
 			} else {
 				n.Kind = "seed"
@@ -397,6 +444,7 @@ func (e *engine) extractDerivation() (*Derivation, error) {
 			if ev.kind == evFD {
 				n.Kind = "fd"
 				n.Rule = e.fds[ev.rule].d.String()
+				member[e.fds[ev.rule].at] = true
 				n.Inputs = []int{tupNode[ev.t], tupNode[ev.u]}
 				for _, pidx := range dedupInts(premises[it.evIdx]) {
 					n.Inputs = append(n.Inputs, evNode[pidx])
@@ -404,13 +452,20 @@ func (e *engine) extractDerivation() (*Derivation, error) {
 			} else {
 				n.Kind = "rd"
 				n.Rule = e.rds[ev.rule].d.String()
+				member[e.rds[ev.rule].at] = true
 				n.Inputs = []int{tupNode[ev.t]}
 			}
 			evNode[it.evIdx] = n.ID
 		}
 		d.Nodes = append(d.Nodes, n)
 	}
-	return d, nil
+	used := []int{}
+	for at, ok := range member {
+		if ok {
+			used = append(used, at)
+		}
+	}
+	return d, used, nil
 }
 
 // Verify replays the derivation against the scheme and Σ it claims to

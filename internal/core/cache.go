@@ -236,7 +236,7 @@ func (c *AnswerCache) Put(key string, val CachedAnswer) {
 }
 
 // PutTagged is Put plus footprint registration: tags are the canonical
-// Key()s of the Σ members the answer depended on (AnswerFootprint), and
+// Key()s of the Σ members the answer depended on (System.AnswerTags), and
 // InvalidateMembers on any of them later drops the entry. Nil tags
 // stores an entry no member edit can target.
 func (c *AnswerCache) PutTagged(key string, val CachedAnswer, tags []string) {

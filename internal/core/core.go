@@ -101,12 +101,15 @@ type Answer struct {
 	// closures do not iterate per member and report none). It is set on
 	// deadline errors too, attributing the partial work.
 	DepProfile *obs.DepProfile
-	// Footprint lists the Σ members the chase actually touched (fired or
-	// scanned), in their String() form, when Options.Footprint or
-	// Options.Profile was on and the chase ran. The answer cache derives
-	// per-member invalidation tags from it (see AnswerFootprint); it is
-	// deterministic for a given query, unlike Metrics/Trace/DepProfile.
-	Footprint []string
+	// Footprint lists the Σ members the chase's answer depends on, as
+	// ascending positions in Relevant(goal): the derivation's members
+	// when provenance extracted one, else the members the chase fired or
+	// scanned (Options.Footprint or Options.Profile). Nil means the chase
+	// captured nothing (or did not run); empty means the answer depends
+	// on no member. AnswerTags maps it to the cache's per-member
+	// invalidation tags; it is deterministic for a given query, unlike
+	// Metrics/Trace/DepProfile.
+	Footprint []int
 }
 
 // Options configures a query.
@@ -167,15 +170,15 @@ type Options struct {
 
 // compIndex is one IND-connected component of Σ with everything a query
 // over it needs precomputed: the members (Σ insertion order), their
-// kind projections, their sorted canonical keys (the fingerprint body),
-// and the String()→Key() map the footprint tagger walks. Built once per
-// Add, read by every query.
+// kind projections, and their canonical keys — in member order, which
+// answer footprints index, and sorted, the fingerprint body. Built once
+// per Add, read by every query.
 type compIndex struct {
-	members []deps.Dependency
-	fds     []deps.FD
-	inds    []deps.IND
-	keys    []string          // member Key()s, sorted
-	strKey  map[string]string // member String() → Key()
+	members   []deps.Dependency
+	fds       []deps.FD
+	inds      []deps.IND
+	memberKey []string // member Key()s, in member order
+	keys      []string // member Key()s, sorted
 	// provers holds the compiled FD closure per relation (see
 	// fd.Prover), present on the indexes Add precomputes; the throwaway
 	// indexes built per bridging-IND query skip the compile because an
@@ -188,15 +191,12 @@ type compIndex struct {
 
 func buildCompIndex(members []deps.Dependency) *compIndex {
 	ci := &compIndex{
-		members: slices.Clip(members),
-		keys:    make([]string, 0, len(members)),
-		strKey:  make(map[string]string, len(members)),
-		allINDs: true, allFDs: true, allUnary: true,
+		members:   slices.Clip(members),
+		memberKey: make([]string, 0, len(members)),
+		allINDs:   true, allFDs: true, allUnary: true,
 	}
 	for _, d := range members {
-		k := d.Key()
-		ci.keys = append(ci.keys, k)
-		ci.strKey[d.String()] = k
+		ci.memberKey = append(ci.memberKey, d.Key())
 		switch dd := d.(type) {
 		case deps.FD:
 			ci.fds = append(ci.fds, dd)
@@ -211,6 +211,7 @@ func buildCompIndex(members []deps.Dependency) *compIndex {
 			ci.allINDs, ci.allFDs, ci.allUnary = false, false, false
 		}
 	}
+	ci.keys = slices.Clone(ci.memberKey)
 	slices.Sort(ci.keys)
 	return ci
 }
@@ -416,75 +417,24 @@ func (s *System) Relevant(goal deps.Dependency) []deps.Dependency {
 	return s.relevant(goal)
 }
 
-// AnswerFootprint maps an answer to the canonical Key()s of the scope
-// members it depended on, for the cache's per-member invalidation
-// index. Precision ladder: the provenance derivation's rule set (Yes
-// verdicts with Provenance on) ⊆ the chase footprint (members that
-// fired or scanned) ⊆ the profiler's fired/scanned set ⊆ all of scope.
-// Coarser is always sound — tagging an answer with extra members only
-// means an edit to them invalidates an entry it didn't need to — so the
-// fallback for engines that report nothing (fd/unary closures) is the
-// whole scope.
-func AnswerFootprint(a *Answer, scope []deps.Dependency) []string {
-	byString := make(map[string]string, len(scope))
-	for _, d := range scope {
-		byString[d.String()] = d.Key()
-	}
-	allKeys := make([]string, 0, len(scope))
-	for _, d := range scope {
-		allKeys = append(allKeys, d.Key())
-	}
-	return footprintKeys(a, byString, allKeys)
-}
-
-// AnswerTags is AnswerFootprint over the goal's precompiled component
-// index: the same member keys, computed without re-rendering the scope
-// (the String()→Key() map and key list were built once at Add). The
-// returned slice may alias the index and must not be mutated.
+// AnswerTags maps an answer to the canonical Key()s of the members of
+// Relevant(goal) it depended on, for the cache's per-member invalidation
+// index: the members its Footprint names (a chase derivation's rules, or
+// the members the chase touched), else — the closed-form engines report
+// none — the whole component. Coarser is always sound: tagging an
+// answer with extra members only means an edit to them invalidates an
+// entry it didn't need to. The returned slice may alias the index and
+// must not be mutated.
 func (s *System) AnswerTags(a *Answer, goal deps.Dependency) []string {
 	ci := s.relevantIndex(goal)
-	return footprintKeys(a, ci.strKey, ci.keys)
-}
-
-// footprintKeys walks the precision ladder shared by AnswerFootprint and
-// AnswerTags: strKey maps member String()→Key(), allKeys is the whole
-// scope's key set (the coarse fallback).
-func footprintKeys(a *Answer, strKey map[string]string, allKeys []string) []string {
-	pick := func(names []string) []string {
-		keys := make([]string, 0, len(names))
-		seen := make(map[string]bool, len(names))
-		for _, n := range names {
-			k, ok := strKey[n]
-			if !ok || seen[k] {
-				continue
-			}
-			seen[k] = true
-			keys = append(keys, k)
-		}
-		return keys
+	if a.Footprint == nil {
+		return ci.keys
 	}
-	if a.Derivation != nil {
-		names := make([]string, 0, len(a.Derivation.Nodes))
-		for _, n := range a.Derivation.Nodes {
-			if n.Rule != "" {
-				names = append(names, n.Rule)
-			}
-		}
-		return pick(names)
+	tags := make([]string, len(a.Footprint))
+	for i, at := range a.Footprint {
+		tags[i] = ci.memberKey[at]
 	}
-	if a.Footprint != nil {
-		return pick(a.Footprint)
-	}
-	if a.DepProfile != nil {
-		names := make([]string, 0, len(a.DepProfile.Deps))
-		for _, c := range a.DepProfile.Deps {
-			if c.Firings > 0 || c.Scanned > 0 {
-				names = append(names, c.Dep)
-			}
-		}
-		return pick(names)
-	}
-	return allKeys
+	return tags
 }
 
 // classify folds the goal's kind into the component's precomputed
@@ -558,7 +508,7 @@ func (s *System) query(goal deps.Dependency, opt Options, finite bool) (Answer, 
 	case "unary":
 		a, err = s.queryUnary(relevant, goal, opt, finite, sp)
 	default:
-		a, err = s.queryChase(ci, goal, opt, finite, sp)
+		a, err = s.queryChase(ci, goal, opt, sp)
 	}
 	if err != nil {
 		// a may carry partial work counters (a cancelled chase or IND
@@ -657,7 +607,7 @@ func (s *System) queryUnary(relevant []deps.Dependency, goal deps.Dependency, op
 	return Answer{Verdict: No, Engine: "unary"}, nil
 }
 
-func (s *System) queryChase(ci *compIndex, goal deps.Dependency, opt Options, finite bool, sp *obs.Span) (Answer, error) {
+func (s *System) queryChase(ci *compIndex, goal deps.Dependency, opt Options, sp *obs.Span) (Answer, error) {
 	relevant := ci.members
 	// Fast path: a goal already provable from the same-class fragment of
 	// Σ is implied a fortiori, and those engines produce formal proofs.
@@ -711,7 +661,6 @@ func (s *System) queryChase(ci *compIndex, goal deps.Dependency, opt Options, fi
 		cost.Verdict, cost.Engine, cost.Counterexample = No, "chase", res.Counterexample
 		return cost, nil
 	default:
-		_ = finite
 		if opt.SearchFallback {
 			ce, found, err := search.Counterexample(s.db, relevant, goal, search.Options{
 				Domain: 3, MaxTuples: 3, RandomTrials: 300,

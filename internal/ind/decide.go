@@ -139,9 +139,8 @@ func DecideProfile(ctx context.Context, db *schema.Database, sigma []deps.IND, g
 }
 
 // indAgg accumulates one sigma member's search work (see Result.Profile
-// for the field semantics). The profiled path mirrors the chase
-// engine's single-nil-check pattern: prof stays nil unless profiling
-// was requested, so the plain DecideCtx path is allocation-identical.
+// for the field semantics). prof stays nil unless profiling was
+// requested, so the plain DecideCtx path is allocation-identical.
 type indAgg struct {
 	scanned  int64
 	firings  int64
