@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test race race-hammer zeroalloc bench benchjson bench-json bench-diff serve slo-gate watchdog-test
+.PHONY: check build vet lint test race race-hammer zeroalloc fuzz-smoke bench benchjson bench-json bench-diff serve slo-gate watchdog-test
 
 check: build vet lint race zeroalloc
 
@@ -41,6 +41,17 @@ race-hammer:
 zeroalloc:
 	$(GO) test -run TestZeroAlloc -count=1 .
 	$(GO) test -run 'TestPoolWarmRunAllocFree|TestDisabledObsAllocsPinned' -count=1 ./internal/chase/
+
+# A short native-fuzzing run per input surface (plain `go test` only
+# replays the seed corpora): FuzzParse checks the .dep reader and its
+# single-entry parsers line by line; FuzzImplies and FuzzBatch drive
+# depserve's handlers with arbitrary schema, sigma and goal strings and
+# accept only 200, 400 or 503. A failing input lands in the package's
+# testdata/fuzz directory for `go test` to replay.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/parser/
+	$(GO) test -run '^$$' -fuzz '^FuzzImplies$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzBatch$$' -fuzztime 10s ./internal/serve/
 
 bench:
 	$(GO) test -bench . -benchmem ./...

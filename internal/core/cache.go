@@ -75,9 +75,12 @@ func fingerprintHash(canon string, sortedKeys []string, goalKey, mode string, ex
 
 // QueryKey is the footprint-aware fingerprint computed from the
 // precompiled component index: byte-identical to
-// FootprintFingerprint(DB(), Relevant(goal), goal, mode, extras...) —
-// both feed fingerprintHash the same sorted member keys — but without
-// re-rendering or re-sorting Σ per query.
+// QueryFingerprint(DB(), Relevant(goal), goal, mode, extras...) — both
+// feed fingerprintHash the same sorted member keys — but without
+// re-rendering or re-sorting Σ per query. Keying on the goal's component
+// rather than all of Σ is exact (core restricts Σ to that component
+// before dispatching) and keeps every such key, and hence the hit rate,
+// unchanged when a member outside the component is added or edited.
 func (s *System) QueryKey(goal deps.Dependency, mode string, extras ...string) string {
 	return fingerprintHash(s.db.Canonical(), s.relevantIndex(goal).keys, goal.Key(), mode, extras)
 }
@@ -93,17 +96,6 @@ func FingerprintOptions(opt Options) []string {
 		"search=" + strconv.FormatBool(opt.SearchFallback),
 		"provenance=" + strconv.FormatBool(opt.Provenance),
 	}
-}
-
-// FootprintFingerprint is the footprint-aware cache key: QueryFingerprint
-// computed over scope = Relevant(goal) instead of all of Σ. The Answer is
-// a pure function of (scheme, Relevant(goal), goal, mode, options) — core
-// restricts Σ to the goal's IND-connected component before dispatching —
-// so keying on the component is exact: adding or editing a member outside
-// the component leaves every such key, and hence the hit-rate, unchanged,
-// where the whole-Σ QueryFingerprint would miss on all of them.
-func FootprintFingerprint(db *schema.Database, scope []deps.Dependency, goal deps.Dependency, mode string, extras ...string) string {
-	return QueryFingerprint(db, scope, goal, mode, extras...)
 }
 
 // CachedAnswer is the unit an AnswerCache stores: a complete Answer plus

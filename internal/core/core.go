@@ -18,9 +18,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"indfd/internal/chase"
 	"indfd/internal/data"
@@ -724,41 +722,4 @@ func (s *System) Explain(goal deps.Dependency, opt Options, finite bool) (Answer
 	default:
 		return a, "", nil
 	}
-}
-
-// ImpliesAll answers many goals concurrently (the System is read-only
-// during queries, so goals can be decided in parallel). Results are
-// returned in the goals' order; the first error aborts the batch.
-func (s *System) ImpliesAll(goals []deps.Dependency, opt Options, finite bool) ([]Answer, error) {
-	answers := make([]Answer, len(goals))
-	errs := make([]error, len(goals))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(goals) {
-		workers = len(goals)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				answers[i], errs[i] = s.query(goals[i], opt, finite)
-			}
-		}()
-	}
-	for i := range goals {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return answers, nil
 }

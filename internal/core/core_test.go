@@ -306,37 +306,6 @@ func TestSearchFallback(t *testing.T) {
 	}
 }
 
-func TestImpliesAll(t *testing.T) {
-	s := NewSystem(managerDB())
-	if err := s.Add(deps.NewIND("MGR", deps.Attrs("NAME", "DEPT"), "EMP", deps.Attrs("NAME", "DEPT"))); err != nil {
-		t.Fatal(err)
-	}
-	goals := []deps.Dependency{
-		deps.NewIND("MGR", deps.Attrs("NAME"), "EMP", deps.Attrs("NAME")),
-		deps.NewIND("MGR", deps.Attrs("DEPT"), "EMP", deps.Attrs("DEPT")),
-		deps.NewIND("EMP", deps.Attrs("NAME"), "MGR", deps.Attrs("NAME")),
-		deps.NewIND("MGR", deps.Attrs("NAME"), "EMP", deps.Attrs("DEPT")),
-	}
-	answers, err := s.ImpliesAll(goals, Options{}, false)
-	if err != nil {
-		t.Fatalf("ImpliesAll: %v", err)
-	}
-	want := []Verdict{Yes, Yes, No, No}
-	for i, a := range answers {
-		if a.Verdict != want[i] {
-			t.Errorf("goal %d: verdict %v, want %v", i, a.Verdict, want[i])
-		}
-	}
-	// Errors abort the batch.
-	if _, err := s.ImpliesAll([]deps.Dependency{deps.NewFD("NOPE", deps.Attrs("A"), deps.Attrs("B"))}, Options{}, false); err == nil {
-		t.Errorf("invalid goal should error")
-	}
-	// Empty batch.
-	if out, err := s.ImpliesAll(nil, Options{}, true); err != nil || len(out) != 0 {
-		t.Errorf("empty batch: %v %v", out, err)
-	}
-}
-
 // TestInstrumentedQuery exercises the Options.Obs surface: the answer
 // carries a metrics snapshot, a span tree rooted at core.query, and the
 // engine cost fields (INDStats / ChaseRounds) the facade used to drop.

@@ -19,7 +19,8 @@ import (
 // snapshotting the registry (a registered span is visible to
 // Registry.Snapshot while still running), so every mutable field — end
 // time, attributes, children — is guarded by the mutex. Sibling spans
-// may be created from concurrent goroutines (core.ImpliesAll does).
+// may be created from concurrent goroutines (depserve's batch workers
+// each open one per goal).
 type Span struct {
 	name  string
 	start time.Time

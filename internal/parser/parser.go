@@ -22,10 +22,16 @@
 //
 // Blank lines and #-comments are ignored. The Unicode forms ⊆ and → are
 // accepted as synonyms for <= and ->.
+//
+// Parse reads a whole document. ParseScheme and ParseDependency read one
+// entry — a scheme without its "schema " keyword, or one dependency —
+// through the same per-line normalization and the same grammar, for
+// callers whose input already arrives one entry at a time.
 package parser
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -75,11 +81,7 @@ func Parse(r io.Reader) (*File, error) {
 	lineNo := 0
 	for scanner.Scan() {
 		lineNo++
-		line := scanner.Text()
-		if i := strings.Index(line, "#"); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
+		line := normalize(scanner.Text())
 		if line == "" {
 			continue
 		}
@@ -103,11 +105,57 @@ func Parse(r io.Reader) (*File, error) {
 // ParseString is Parse over a string.
 func ParseString(s string) (*File, error) { return Parse(strings.NewReader(s)) }
 
-func parseLine(f *File, schemes *[]*schema.Scheme, line string) error {
-	// Normalize the Unicode operators.
-	line = strings.ReplaceAll(line, "⊆", "<=")
-	line = strings.ReplaceAll(line, "→", "->")
+// ParseScheme parses one scheme entry, "R(A, B, C)": a document's schema
+// line without its "schema " keyword. A blank entry (nothing left after
+// comment stripping) yields a nil scheme and no error.
+func ParseScheme(line string) (*schema.Scheme, error) {
+	line, err := entry(line)
+	if err != nil || line == "" {
+		return nil, err
+	}
+	return parseScheme(line)
+}
 
+// ParseDependency parses one dependency entry in the forms of a
+// document's Σ lines: an FD, IND, RD or EMVD. It does not validate the
+// dependency against a schema; that is the caller's (Validate). Template
+// dependencies are rejected — they are not deps.Dependency values (a
+// document keeps them apart, in File.TDs). A blank entry yields a nil
+// dependency and no error.
+func ParseDependency(line string) (deps.Dependency, error) {
+	line, err := entry(line)
+	if err != nil || line == "" {
+		return nil, err
+	}
+	if strings.Contains(line, "::") {
+		return nil, fmt.Errorf("parser: template dependency %q is not accepted here", line)
+	}
+	return parseDep(line)
+}
+
+// normalize is the per-line normalization every entry point shares: a
+// '#' starts a comment running to the end of the line, surrounding space
+// is trimmed, and the Unicode operators ⊆ and → become <= and ->.
+func normalize(line string) string {
+	if i := strings.IndexByte(line, '#'); i >= 0 {
+		line = line[:i]
+	}
+	line = strings.TrimSpace(line)
+	line = strings.ReplaceAll(line, "⊆", "<=")
+	return strings.ReplaceAll(line, "→", "->")
+}
+
+// entry normalizes a single entry. A line break inside it is an error,
+// checked before comment stripping: in a document it would start the
+// next line, and a comment must not swallow it.
+func entry(line string) (string, error) {
+	if strings.Contains(line, "\n") {
+		return "", errors.New("parser: line break inside one entry")
+	}
+	return normalize(line), nil
+}
+
+func parseLine(f *File, schemes *[]*schema.Scheme, line string) error {
 	switch {
 	case strings.HasPrefix(line, "schema "):
 		s, err := parseScheme(strings.TrimSpace(strings.TrimPrefix(line, "schema ")))

@@ -202,3 +202,43 @@ func TestParseTDErrors(t *testing.T) {
 		}
 	}
 }
+
+func TestParseEntries(t *testing.T) {
+	s, err := ParseScheme("  R(A, B) # the relation")
+	if err != nil || s == nil || s.String() != "R(A,B)" {
+		t.Errorf("ParseScheme = %v, %v", s, err)
+	}
+	for in, want := range map[string]string{
+		"R[A] ⊆ S[B] # an IND": "R[A] <= S[B]",
+		"R: A → B":             "R: A -> B",
+		"R[A == B]":            "R[A == B]",
+		"R: A ->> B | C":       "R: A ->> B | C",
+	} {
+		d, err := ParseDependency(in)
+		if err != nil || d == nil || d.String() != want {
+			t.Errorf("ParseDependency(%q) = %v, %v; want %s", in, d, err, want)
+		}
+	}
+	// Blank entries parse to nothing, without an error.
+	for _, in := range []string{"", "   ", "# a comment alone"} {
+		if s, err := ParseScheme(in); s != nil || err != nil {
+			t.Errorf("ParseScheme(%q) = %v, %v; want nil, nil", in, s, err)
+		}
+		if d, err := ParseDependency(in); d != nil || err != nil {
+			t.Errorf("ParseDependency(%q) = %v, %v; want nil, nil", in, d, err)
+		}
+	}
+	for _, in := range []string{
+		"R: A -> B\nR: B -> C",        // a second line
+		"R: A -> B # note\nR: B -> C", // hidden behind a comment
+		"R :: (x, y) / (x, y)",        // a template dependency
+		"schema S(D)",                 // a scheme declaration
+	} {
+		if d, err := ParseDependency(in); err == nil {
+			t.Errorf("ParseDependency(%q) = %v, want an error", in, d)
+		}
+	}
+	if s, err := ParseScheme("R(A, B)\nR: A -> B"); err == nil {
+		t.Errorf("ParseScheme accepted a second line: %v", s)
+	}
+}

@@ -4,22 +4,24 @@
 // an optimizer validating rewrites, a discovery pipeline checking
 // candidate dependencies — register the (schema, Σ) pair once and
 // reference it by name afterwards, so the per-request cost drops to a
-// map lookup: parsing, validation, canonicalization, per-member
-// fingerprinting and chase-engine compilation are all paid at
-// registration time.
+// map lookup plus the goals' own parse: parsing, validation,
+// canonicalization, per-member fingerprinting and chase-engine
+// compilation are all paid at registration time. Register takes an
+// already-parsed schema and Σ (depserve parses its request fields entry
+// by entry); Put takes a .dep document.
 //
-// Entries are immutable after publication. A Put builds a complete new
-// Entry — parsed schema, canonical Σ, member keys, a warm
+// Entries are immutable after publication. A registration builds a
+// complete new Entry — parsed schema, canonical Σ, member keys, a warm
 // chase.EnginePool — and swaps it in under the write lock; readers that
 // already hold the old Entry keep using it unharmed (its pool and
 // system are self-contained), and readers that look up after the swap
 // see the new one. No request can ever observe a torn Σ: the version
 // and the dependency set travel together inside one pointer.
 //
-// Versions are per name, start at 1, bump on every Put, and survive
-// Delete (the counter lives outside the entry map), so a version number
-// uniquely identifies one Σ that existed — the property the concurrency
-// hammer asserts.
+// Versions are per name, start at 1, bump on every registration, and
+// survive Delete (the counter lives outside the entry map), so a version
+// number uniquely identifies one Σ that existed — the property the
+// concurrency hammer asserts.
 package registry
 
 import (
@@ -40,19 +42,17 @@ import (
 // request needs, pre-computed. Treat it as read-only.
 type Entry struct {
 	// Name and Version identify the publication; Version bumps on every
-	// Put of the same name and survives Delete/re-Put.
+	// registration of the same name and survives Delete/re-registration.
 	Name    string
 	Version int64
-	// Source is the registered dependency document, verbatim.
-	Source string
 	// DB and Sigma are the parsed schema and the canonicalized Σ
 	// (deduplicated, insertion order), shared with Sys.
 	DB    *schema.Database
 	Sigma []deps.Dependency
-	// Members maps each Σ member's canonical Key to its String form —
-	// the per-member fingerprints the answer cache's invalidation index
-	// and the algebra endpoint work with.
-	Members map[string]string
+	// Members is the set of Σ members' canonical Keys — the per-member
+	// fingerprints the answer cache's invalidation index and the algebra
+	// endpoint work with.
+	Members map[string]struct{}
 	// Sys is the ready implication system over DB and Sigma.
 	Sys *core.System
 	// Pool is a chase engine pool warmed for this version's (DB, Sigma)
@@ -90,64 +90,53 @@ func New(reg *obs.Registry) *Registry {
 	}
 }
 
-// Compile parses and validates a dependency document into the pieces an
-// Entry carries, without touching the store: the schema, the canonical
-// Σ, the member key map, a ready System, and a pool pre-warmed for the
-// full-Σ shape. Query lines are rejected — a registered schema is a
-// declaration, goals arrive per request.
-func Compile(source string, reg *obs.Registry) (*core.System, map[string]string, *chase.EnginePool, error) {
-	f, err := parser.ParseString(source)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if len(f.Queries) > 0 || len(f.TDQueries) > 0 {
-		return nil, nil, nil, fmt.Errorf("registry: schema document must not contain query lines (goals are per request)")
-	}
-	if len(f.TDs) > 0 {
-		return nil, nil, nil, fmt.Errorf("registry: template dependencies are not supported in registered schemas")
-	}
-	sys := core.NewSystem(f.DB)
-	if err := sys.Add(f.Sigma...); err != nil {
-		return nil, nil, nil, err
-	}
-	sigma := sys.Sigma()
-	members := make(map[string]string, len(sigma))
-	for _, d := range sigma {
-		members[d.Key()] = d.String()
-	}
-	pool := chase.NewEnginePool(reg)
-	// Best-effort warm-up for the full-Σ shape; goals whose relevant
-	// component is a strict subset compile (and then pool) their own
-	// shape on first use.
-	if err := pool.Warm(f.DB, sigma); err != nil {
-		return nil, nil, nil, err
-	}
-	return sys, members, pool, nil
-}
-
-// Put registers source under name, bumping the name's version. It
-// returns the published entry plus the canonical keys of the members
-// that CHANGED relative to the previous version (symmetric difference;
-// everything on a fresh name, everything removed plus everything added
-// on an edit) — exactly the set whose cached answers the caller must
-// invalidate.
+// Put registers a .dep document — scheme declarations and Σ, no query
+// lines — under name: a document parse in front of Register. Query
+// lines are rejected (a registered schema is a declaration, goals
+// arrive per request), and so are template dependencies.
 func (r *Registry) Put(name, source string) (*Entry, []string, error) {
-	if name == "" {
-		return nil, nil, fmt.Errorf("registry: empty schema name")
-	}
-	sys, members, pool, err := Compile(source, r.obs)
+	f, err := parser.ParseString(source)
 	if err != nil {
 		return nil, nil, err
 	}
-	e := &Entry{
-		Name:    name,
-		Source:  source,
-		DB:      sys.DB(),
-		Sigma:   sys.Sigma(),
-		Members: members,
-		Sys:     sys,
-		Pool:    pool,
+	if len(f.Queries) > 0 || len(f.TDQueries) > 0 {
+		return nil, nil, fmt.Errorf("registry: schema document must not contain query lines (goals are per request)")
 	}
+	if len(f.TDs) > 0 {
+		return nil, nil, fmt.Errorf("registry: template dependencies are not supported in registered schemas")
+	}
+	return r.Register(name, f.DB, f.Sigma)
+}
+
+// Register publishes a parsed schema and Σ under name, bumping the
+// name's version. It validates and canonicalizes Σ into a ready System
+// and warms a chase engine pool for the full-Σ shape before taking the
+// lock. It returns the published entry plus the canonical keys of the
+// members that CHANGED relative to the previous version (symmetric
+// difference; everything on a fresh name, everything removed plus
+// everything added on an edit) — exactly the set whose cached answers
+// the caller must invalidate.
+func (r *Registry) Register(name string, db *schema.Database, sigma []deps.Dependency) (*Entry, []string, error) {
+	if name == "" {
+		return nil, nil, fmt.Errorf("registry: empty schema name")
+	}
+	sys := core.NewSystem(db)
+	if err := sys.Add(sigma...); err != nil {
+		return nil, nil, err
+	}
+	canon := sys.Sigma()
+	members := make(map[string]struct{}, len(canon))
+	for _, d := range canon {
+		members[d.Key()] = struct{}{}
+	}
+	pool := chase.NewEnginePool(r.obs)
+	// Best-effort warm-up for the full-Σ shape; goals whose relevant
+	// component is a strict subset compile (and then pool) their own
+	// shape on first use.
+	if err := pool.Warm(db, canon); err != nil {
+		return nil, nil, err
+	}
+	e := &Entry{Name: name, DB: db, Sigma: canon, Members: members, Sys: sys, Pool: pool}
 	r.mu.Lock()
 	prev := r.entries[name]
 	r.versions[name]++

@@ -84,7 +84,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	p, err := s.prepare(req.SchemaName, req.Schema, req.Sigma, req.Goals, req.Finite)
+	p, err := s.prepare(req.SchemaName, req.Schema, req.Sigma, "goals", req.Goals)
 	if err != nil {
 		bad(err.Error())
 		return

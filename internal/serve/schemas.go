@@ -91,7 +91,12 @@ func (s *Server) handleSchemaPut(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	e, changed, err := s.schemas.Put(name, depDocument(req.Schema, req.Sigma, nil, false))
+	db, sigma, err := parseSchemaSigma(req.Schema, req.Sigma)
+	var e *registry.Entry
+	var changed []string
+	if err == nil {
+		e, changed, err = s.schemas.Register(name, db, sigma)
+	}
 	if err != nil {
 		resp.Error = err.Error()
 		s.writeJSON(w, http.StatusBadRequest, resp)
@@ -199,12 +204,7 @@ func (s *Server) handleSchemaAlgebra(w http.ResponseWriter, r *http.Request) {
 		resp.Sigma = append(resp.Sigma, d.String())
 	}
 	if req.RegisterAs != "" {
-		schemaLines := make([]string, 0, len(a.DB.Names()))
-		for _, n := range a.DB.Names() {
-			sch, _ := a.DB.Scheme(n)
-			schemaLines = append(schemaLines, sch.String())
-		}
-		e, changed, err := s.schemas.Put(req.RegisterAs, depDocument(schemaLines, resp.Sigma, nil, false))
+		e, changed, err := s.schemas.Register(req.RegisterAs, a.DB, result)
 		if err != nil {
 			bad(http.StatusBadRequest, err.Error())
 			return

@@ -9,9 +9,10 @@
 //
 // Endpoints:
 //
-//	POST /v1/implies    implication query (schema + Σ + goal in the .dep
-//	                    text forms), answered by the strongest exact
-//	                    engine; 503 with partial stats on deadline
+//	POST /v1/implies    implication query (schema + Σ + goal, one .dep
+//	                    scheme or dependency per entry), answered by
+//	                    the strongest exact engine; 503 with partial
+//	                    stats on deadline
 //	POST /v1/explain    implication query answered with its evidence: a
 //	                    formal ind/fd proof, the chase's provenance
 //	                    derivation DAG, or a counterexample
@@ -54,6 +55,11 @@
 //	                    bounded fire/resolve event log
 //	GET  /debug/pprof/  net/http/pprof profiles and execution traces
 //
+// Request fields are parsed in place, entry by entry, with
+// parser.ParseScheme and parser.ParseDependency (the .dep grammar's
+// per-line forms); no handler builds a .dep document, and errors name
+// their entry ("sigma[1]: …").
+//
 // Every request is stamped with W3C trace context: a valid incoming
 // traceparent's trace ID is honored (so depserve's spans land in the
 // caller's trace), otherwise one is minted; the response carries
@@ -74,7 +80,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -326,7 +331,7 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 // ImpliesRequest is the POST /v1/implies body. Schema entries use the
 // .dep scheme form without the "schema " keyword ("R(A, B)"); sigma and
 // goal use the .dep dependency forms ("R[A] <= S[B]", "R: A -> B",
-// "R[A == B]").
+// "R[A == B]"), one per entry.
 type ImpliesRequest struct {
 	Schema []string `json:"schema"`
 	Sigma  []string `json:"sigma"`
@@ -458,16 +463,14 @@ type prepared struct {
 }
 
 // prepare resolves a request's schema into a ready system and parses
-// its goals. With schemaName set the registry supplies the pre-compiled
-// entry (schema, canonical Σ, warm pool) and only the goals are parsed,
-// against the entry's schema; otherwise the inline schema+Σ+goals
-// document is parsed and validated in one pass.
-func (s *Server) prepare(schemaName string, schemaLines, sigma, goals []string, finite bool) (*prepared, error) {
-	for _, g := range goals {
-		if g == "" {
-			return nil, errors.New("missing goal")
-		}
-	}
+// its goals, each validated against that system's schema. With
+// schemaName set the registry supplies the pre-compiled entry (schema,
+// canonical Σ, warm pool) and only the goals are parsed; otherwise the
+// inline schema and Σ are parsed entry by entry and compiled. goalField
+// names the goals in errors: "goal" for a lone goal, "goals" (indexed,
+// "goals[2]") for a batch.
+func (s *Server) prepare(schemaName string, schemaLines, sigma []string, goalField string, goals []string) (*prepared, error) {
+	var p *prepared
 	if schemaName != "" {
 		if len(schemaLines) > 0 || len(sigma) > 0 {
 			return nil, errors.New("schema_name and inline schema/sigma are mutually exclusive")
@@ -476,33 +479,39 @@ func (s *Server) prepare(schemaName string, schemaLines, sigma, goals []string, 
 		if !ok {
 			return nil, fmt.Errorf("schema %q is not registered", schemaName)
 		}
-		file, err := parser.ParseString(goalDocument(e.DB, goals, finite))
+		p = &prepared{sys: e.Sys, pool: e.Pool, schemaName: e.Name, version: e.Version}
+	} else {
+		db, members, err := parseSchemaSigma(schemaLines, sigma)
 		if err != nil {
 			return nil, err
 		}
-		if len(file.Queries) != len(goals) || len(file.TDQueries) != 0 {
-			return nil, errors.New("every goal must be a single FD, IND or RD")
+		sys := core.NewSystem(db)
+		if err := sys.Add(members...); err != nil {
+			return nil, fmt.Errorf("sigma: %w", err)
 		}
-		p := &prepared{sys: e.Sys, pool: e.Pool, schemaName: e.Name, version: e.Version}
-		for _, q := range file.Queries {
-			p.goals = append(p.goals, q.Goal)
+		p = &prepared{sys: sys, pool: s.pool}
+	}
+	p.goals = make([]deps.Dependency, len(goals))
+	for i, g := range goals {
+		// A goal must be a single FD, IND or RD over the schema it is
+		// asked of: the kinds the implication engines decide.
+		d, err := parser.ParseDependency(g)
+		switch {
+		case err != nil:
+		case d == nil:
+			err = errors.New("missing goal")
+		case d.Kind() == deps.KindEMVD:
+			err = errors.New("a goal must be a single FD, IND or RD, not an EMVD")
+		default:
+			err = d.Validate(p.sys.DB())
 		}
-		return p, nil
-	}
-	file, err := parser.ParseString(depDocument(schemaLines, sigma, goals, finite))
-	if err != nil {
-		return nil, err
-	}
-	if len(file.Queries) != len(goals) || len(file.TDQueries) != 0 {
-		return nil, errors.New("every goal must be a single FD, IND or RD")
-	}
-	sys := core.NewSystem(file.DB)
-	if err := sys.Add(file.Sigma...); err != nil {
-		return nil, err
-	}
-	p := &prepared{sys: sys, pool: s.pool}
-	for _, q := range file.Queries {
-		p.goals = append(p.goals, q.Goal)
+		if err != nil {
+			if goalField == "goals" {
+				goalField += "[" + strconv.Itoa(i) + "]"
+			}
+			return nil, fmt.Errorf("%s: %w", goalField, err)
+		}
+		p.goals[i] = d
 	}
 	return p, nil
 }
@@ -671,11 +680,7 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 
 func (s *Server) answerImplies(w http.ResponseWriter, r *http.Request, req ImpliesRequest) {
 	resp := ImpliesResponse{RequestID: RequestID(r.Context())}
-	if req.Goal == "" {
-		s.badRequest(w, r, resp, "missing goal")
-		return
-	}
-	p, err := s.prepare(req.SchemaName, req.Schema, req.Sigma, []string{req.Goal}, req.Finite)
+	p, err := s.prepare(req.SchemaName, req.Schema, req.Sigma, "goal", []string{req.Goal})
 	if err != nil {
 		s.badRequest(w, r, resp, err.Error())
 		return
@@ -703,12 +708,12 @@ func (s *Server) handleSatisfies(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := SatisfiesResponse{RequestID: RequestID(r.Context())}
-	file, err := parser.ParseString(depDocument(req.Schema, req.Sigma, nil, false))
+	scheme, sigma, err := parseSchemaSigma(req.Schema, req.Sigma)
 	if err != nil {
 		s.badRequestSat(w, resp, err.Error())
 		return
 	}
-	db := data.NewDatabase(file.DB)
+	db := data.NewDatabase(scheme)
 	for rel, rows := range req.Data {
 		for _, row := range rows {
 			t := make(data.Tuple, len(row))
@@ -722,7 +727,7 @@ func (s *Server) handleSatisfies(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	start := time.Now()
-	ok, bad, err := db.SatisfiesAll(file.Sigma)
+	ok, bad, err := db.SatisfiesAll(sigma)
 	resp.ElapsedUS = time.Since(start).Microseconds()
 	if err != nil {
 		resp.Error = err.Error()
@@ -896,52 +901,36 @@ GET  /debug/pprof/   profiles
 
 // --- helpers ----------------------------------------------------------------
 
-// depDocument assembles a .dep text document from the request's parts;
-// nil goals omit the query lines (the satisfies path).
-func depDocument(schemaLines, sigma, goals []string, finite bool) string {
-	var b strings.Builder
-	for _, s := range schemaLines {
-		b.WriteString("schema ")
-		b.WriteString(s)
-		b.WriteByte('\n')
-	}
-	for _, d := range sigma {
-		b.WriteString(d)
-		b.WriteByte('\n')
-	}
-	writeGoals(&b, goals, finite)
-	return b.String()
-}
-
-// goalDocument renders a goals-only .dep document against a registered
-// schema: its scheme declarations (for validation) plus the query
-// lines, no Σ — the registry entry already holds the canonical Σ, so a
-// batch against a registered schema re-parses nothing but the goals.
-func goalDocument(db *schema.Database, goals []string, finite bool) string {
-	var b strings.Builder
-	for _, n := range db.Names() {
-		sch, _ := db.Scheme(n)
-		b.WriteString("schema ")
-		b.WriteString(sch.String())
-		b.WriteByte('\n')
-	}
-	writeGoals(&b, goals, finite)
-	return b.String()
-}
-
-func writeGoals(b *strings.Builder, goals []string, finite bool) {
-	for _, g := range goals {
-		if g == "" {
-			continue
+// parseSchemaSigma parses a request's schema and sigma fields, one
+// scheme or dependency per entry (parser.ParseScheme/ParseDependency),
+// each dependency validated against the schema. Blank entries are
+// skipped, as the .dep reader skips blank lines; an error names its
+// entry ("sigma[1]: …").
+func parseSchemaSigma(schemaLines, sigma []string) (*schema.Database, []deps.Dependency, error) {
+	db := schema.MustDatabase() // empty: cannot fail
+	for i, line := range schemaLines {
+		sch, err := parser.ParseScheme(line)
+		if err == nil && sch != nil {
+			err = db.Add(sch)
 		}
-		if finite {
-			b.WriteString("?fin ")
-		} else {
-			b.WriteString("? ")
+		if err != nil {
+			return nil, nil, fmt.Errorf("schema[%d]: %w", i, err)
 		}
-		b.WriteString(g)
-		b.WriteByte('\n')
 	}
+	members := make([]deps.Dependency, 0, len(sigma))
+	for i, line := range sigma {
+		d, err := parser.ParseDependency(line)
+		if err == nil && d != nil {
+			err = d.Validate(db)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("sigma[%d]: %w", i, err)
+		}
+		if d != nil {
+			members = append(members, d)
+		}
+	}
+	return db, members, nil
 }
 
 // fillAnswer copies a core.Answer (possibly partial, on the deadline

@@ -58,6 +58,8 @@ func (e Explanation) String() string {
 
 // Explain reproduces the finite-implication derivation of the goal (a
 // unary FD or IND), reporting the cycle-rule applications it rests on.
+// An FD goal of any other shape gets the verdicts and the cycle-rule
+// applications, without a column path.
 func (s *System) Explain(goal deps.Dependency) (Explanation, error) {
 	var ex Explanation
 	fin, err := s.ImpliesFinite(goal)
@@ -169,6 +171,13 @@ func (s *System) Explain(goal deps.Dependency) (Explanation, error) {
 		if !changed {
 			break
 		}
+	}
+
+	// A composite FD goal (or one with an empty left-hand side) follows
+	// from the closed FD set by Armstrong's axioms, not along one column
+	// path: the cycle-rule applications are the whole explanation.
+	if g, ok := goal.(deps.FD); ok && (len(g.X) != 1 || len(g.Y) != 1) {
+		return ex, nil
 	}
 
 	// Final derivation path for the goal over the closed graphs.

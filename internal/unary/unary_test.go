@@ -385,6 +385,34 @@ func TestExplainUnrestrictedAndNegative(t *testing.T) {
 	}
 }
 
+// TestExplainNonUnaryFDGoals: FD goals with a composite or empty side
+// are decided through the closed FD set; Explain reports their verdicts
+// and the cycle-rule applications instead of failing on the column path.
+func TestExplainNonUnaryFDGoals(t *testing.T) {
+	s := theorem44(t)
+	ex, err := s.Explain(deps.NewFD("R", deps.Attrs("B"), deps.Attrs("A", "B")))
+	if err != nil {
+		t.Fatalf("Explain composite goal: %v", err)
+	}
+	if !ex.Finite || ex.Unrestricted || len(ex.Reversals) == 0 || len(ex.Path) != 0 {
+		t.Errorf("composite goal R: B -> A,B: %+v, want finite only, with reversals and no path", ex)
+	}
+	s2, err := New(rab(), []deps.Dependency{
+		deps.NewFD("R", nil, deps.Attrs("B")),
+		deps.NewIND("R", deps.Attrs("A"), "R", deps.Attrs("B")),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err = s2.Explain(deps.NewFD("R", nil, deps.Attrs("B")))
+	if err != nil {
+		t.Fatalf("Explain empty left-hand side: %v", err)
+	}
+	if !ex.Finite || !ex.Unrestricted {
+		t.Errorf("R: -> B: %+v, want implied both ways", ex)
+	}
+}
+
 func TestExplainSection6(t *testing.T) {
 	// The Section 6 cycle for k = 2: the explanation's reversals include
 	// the goal with a cardinality cycle touching every relation.
