@@ -25,11 +25,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The registry's concurrency pin, repeated across GOMAXPROCS settings:
-# 32 writers republishing a schema against 32 readers running batches,
-# every answer checked against the Σ its echoed version published.
+# The concurrency pins, repeated across GOMAXPROCS settings: 32 writers
+# republishing a schema against 32 readers running batches, every answer
+# checked against the Σ its echoed version published; and 32 clients
+# sending inline requests over shared Σ while the compiled-system memo
+# evicts under them, every verdict checked.
 race-hammer:
-	$(GO) test -race -cpu 1,2,8 -run TestRegistryRaceHammer -count=1 ./internal/serve/
+	$(GO) test -race -cpu 1,2,8 -run 'TestRegistryRaceHammer|TestCompileMemoRaceHammer' -count=1 ./internal/serve/
 
 # The zero-cost-when-off gate: the chase with instrumentation and
 # provenance disabled must stay under its pinned allocation ceiling, and

@@ -92,7 +92,7 @@ func main() {
 	budget := flag.Int("budget", 0, "default chase tuple budget (0 = the chase package's default)")
 	search := flag.Bool("search", false, "enable the counterexample-search fallback by default")
 	spanCap := flag.Int("span-cap", 64, "root query spans retained for /debug/obs (0 = unbounded)")
-	cacheSize := flag.Int("cache-size", 1024, "answer cache entries (0 disables caching)")
+	cacheSize := flag.Int("cache-size", 1024, "answer cache entries (0 disables caching, including the compiled-system memo)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "answer cache entry lifetime (0 = never expire)")
 	traceBuf := flag.Int("trace-buf", 128, "flight-recorder capacity for /debug/traces (negative disables)")
 	digestSize := flag.Int("digest-size", 256, "query digests retained for /debug/digests (negative disables)")

@@ -317,6 +317,7 @@ func buildFrame(ts timeseriesReply, alerts alertsReply, digests digestsReply, no
 	p50 := scale(values(m, "serve.http_latency:p50"), 1e-3) // µs → ms
 	p99 := scale(values(m, "serve.http_latency:p99"), 1e-3)
 	cacheHit := scale(ratio(m, "cache.hits", "cache.misses"), 100)
+	compileHit := scale(ratio(m, "compile.hits", "compile.misses"), 100)
 	poolHit := scale(ratio(m, "pool.hits", "pool.misses"), 100)
 	rounds := values(m, "chase.rounds")
 
@@ -327,6 +328,7 @@ func buildFrame(ts timeseriesReply, alerts alertsReply, digests digestsReply, no
 	panel("p50 ms", p50, "%.2f", "")
 	panel("p99 ms", p99, "%.2f", "")
 	panel("cache hit", cacheHit, "%.0f", "%")
+	panel("compile hit", compileHit, "%.0f", "%")
 	panel("pool hit", poolHit, "%.0f", "%")
 	panel("chase rnds", rounds, "%.0f", "")
 

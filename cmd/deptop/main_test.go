@@ -77,13 +77,15 @@ func sampleTimeseries() timeseriesReply {
 		Enabled:      true,
 		ResolutionMS: 2000,
 		RetentionMS:  900000,
-		SeriesCount:  6,
+		SeriesCount:  8,
 		Series: []tsSeries{
 			{Name: "serve.requests_total", Kind: "delta", Points: pts(100, 200, 150)},
 			{Name: "serve.http_latency:p50", Kind: "quantile", Points: pts(800, 900, 1000)},
 			{Name: "serve.http_latency:p99", Kind: "quantile", Points: pts(4000, 5000, 9000)},
 			{Name: "cache.hits", Kind: "delta", Points: pts(90, 90, 90)},
 			{Name: "cache.misses", Kind: "delta", Points: pts(10, 10, 10)},
+			{Name: "compile.hits", Kind: "delta", Points: pts(60, 60, 60)},
+			{Name: "compile.misses", Kind: "delta", Points: pts(20, 20, 20)},
 			{Name: "chase.rounds", Kind: "delta", Points: pts(40, 50, 60)},
 		},
 	}
@@ -106,10 +108,10 @@ func TestBuildFrame(t *testing.T) {
 	}, now, frameOptions{Width: 20, Window: 5 * time.Minute, Color: false})
 
 	for _, want := range []string{
-		"qps", "p50 ms", "p99 ms", "cache hit", "pool hit", "chase rnds",
+		"qps", "p50 ms", "p99 ms", "cache hit", "compile hit", "pool hit", "chase rnds",
 		"lat_burn", "firing", "critical", "warnish", "pending",
 		"hottest digests", "R: A -> D | sigma=3",
-		"6 series", "2s resolution",
+		"8 series", "2s resolution",
 	} {
 		if !strings.Contains(frame, want) {
 			t.Errorf("frame missing %q:\n%s", want, frame)
@@ -126,6 +128,10 @@ func TestBuildFrame(t *testing.T) {
 	// cache hit = 90/(90+10) = 90%
 	if !strings.Contains(frame, "90%") {
 		t.Errorf("cache hit %% not rendered:\n%s", frame)
+	}
+	// compile hit = 60/(60+20) = 75%
+	if !strings.Contains(frame, "75%") {
+		t.Errorf("compile hit %% not rendered:\n%s", frame)
 	}
 	// The digests table sorts by total time: "tiny" (9s) before the
 	// named query (2s).

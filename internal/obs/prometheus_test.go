@@ -53,6 +53,7 @@ func goldenRegistry() *Registry {
 	for i, name := range []string{
 		"batch.goal_errors", "batch.goals", "batch.requests",
 		"cache.evictions", "cache.footprint_invalidations", "cache.hits", "cache.misses",
+		"compile.evictions", "compile.hits", "compile.misses",
 		"chase.delta_tuples", "chase.fd_applications", "chase.fixpoint_passes",
 		"chase.ind_applications", "chase.rd_applications", "chase.rekeyed_tuples",
 		"chase.scans_skipped", "chase.tuples_created", "chase.unions",

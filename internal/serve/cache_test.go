@@ -11,16 +11,25 @@ import (
 )
 
 // stripVolatile drops the per-request fields (request_id, elapsed_us)
-// from a JSON response body so cached and fresh answers can be compared
-// byte-for-byte on everything that matters.
+// from a JSON response body, and from each of a batch's answers, so
+// cached and fresh answers can be compared byte-for-byte on everything
+// that matters.
 func stripVolatile(t *testing.T, body []byte) string {
 	t.Helper()
 	var m map[string]any
 	if err := json.Unmarshal(body, &m); err != nil {
 		t.Fatalf("unmarshal: %v\n%s", err, body)
 	}
-	delete(m, "request_id")
-	delete(m, "elapsed_us")
+	drop := func(m map[string]any) {
+		delete(m, "request_id")
+		delete(m, "elapsed_us")
+	}
+	drop(m)
+	if answers, ok := m["answers"].([]any); ok {
+		for _, a := range answers {
+			drop(a.(map[string]any))
+		}
+	}
 	out, err := json.Marshal(m)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)

@@ -60,6 +60,12 @@
 // per-line forms); no handler builds a .dep document, and errors name
 // their entry ("sigma[1]: …").
 //
+// While the answer cache is on, an inline schema and Σ are compiled
+// once: a bounded LRU memo (compile.go) maps the raw schema and sigma
+// fields to the compiled system, so a repeat inline request on
+// /v1/implies, /v1/explain or /v1/batch skips the parse and the compile.
+// Its goals are still parsed and validated on every request.
+//
 // Every request is stamped with W3C trace context: a valid incoming
 // traceparent's trace ID is honored (so depserve's spans land in the
 // caller's trace), otherwise one is minted; the response carries
@@ -121,7 +127,9 @@ type Config struct {
 	SearchFallback bool
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// CacheSize bounds the answer cache (entries); 0 disables caching.
+	// CacheSize bounds the answer cache (entries); 0 disables caching,
+	// including the compiled-system memo (compile.go), which is on
+	// exactly when the answer cache is.
 	// Implication answers are pure functions of the request, so a hit is
 	// exact, not stale — but only complete answers are stored (a
 	// deadline-killed 503 is never cached). Responses carry X-Cache:
@@ -191,6 +199,7 @@ type Server struct {
 	idBase  string
 	started time.Time
 	cache   *core.AnswerCache
+	memo    *compileMemo
 	rec     *obs.Recorder
 	exp     *obs.Exporter
 	dig     *obs.DigestStore
@@ -275,6 +284,9 @@ func New(cfg Config) *Server {
 		schemas:       registry.New(cfg.Reg),
 	}
 	s.idBase = fmt.Sprintf("%x", s.started.UnixNano()&0xfffffff)
+	if cfg.CacheSize > 0 {
+		s.memo = newCompileMemo(cfg.Reg)
+	}
 	if !cfg.PoolDisabled {
 		s.pool = chase.NewEnginePool(cfg.Reg)
 	}
@@ -466,11 +478,10 @@ type prepared struct {
 // its goals, each validated against that system's schema. With
 // schemaName set the registry supplies the pre-compiled entry (schema,
 // canonical Σ, warm pool) and only the goals are parsed; otherwise the
-// inline schema and Σ are parsed entry by entry and compiled. goalField
-// names the goals in errors: "goal" for a lone goal, "goals" (indexed,
-// "goals[2]") for a batch.
+// inline schema and Σ come from the compiled-system memo, or are parsed
+// entry by entry and compiled. Goals are parsed on every call (see
+// parseGoals for goalField).
 func (s *Server) prepare(schemaName string, schemaLines, sigma []string, goalField string, goals []string) (*prepared, error) {
-	var p *prepared
 	if schemaName != "" {
 		if len(schemaLines) > 0 || len(sigma) > 0 {
 			return nil, errors.New("schema_name and inline schema/sigma are mutually exclusive")
@@ -479,19 +490,37 @@ func (s *Server) prepare(schemaName string, schemaLines, sigma []string, goalFie
 		if !ok {
 			return nil, fmt.Errorf("schema %q is not registered", schemaName)
 		}
-		p = &prepared{sys: e.Sys, pool: e.Pool, schemaName: e.Name, version: e.Version}
-	} else {
-		db, members, err := parseSchemaSigma(schemaLines, sigma)
+		parsed, err := parseGoals(e.Sys.DB(), goalField, goals)
 		if err != nil {
 			return nil, err
 		}
-		sys := core.NewSystem(db)
-		if err := sys.Add(members...); err != nil {
-			return nil, fmt.Errorf("sigma: %w", err)
-		}
-		p = &prepared{sys: sys, pool: s.pool}
+		return &prepared{sys: e.Sys, pool: e.Pool, goals: parsed, schemaName: e.Name, version: e.Version}, nil
 	}
-	p.goals = make([]deps.Dependency, len(goals))
+	key, sys := s.memo.get(schemaLines, sigma)
+	fresh := sys == nil
+	if fresh {
+		var err error
+		if sys, err = compileInline(schemaLines, sigma); err != nil {
+			return nil, err
+		}
+	}
+	parsed, err := parseGoals(sys.DB(), goalField, goals)
+	if err != nil {
+		return nil, err
+	}
+	if fresh {
+		// Retained only now that the whole request proved valid: a body
+		// that gets a 400 never enters the memo.
+		s.memo.put(key, sys)
+	}
+	return &prepared{sys: sys, pool: s.pool, goals: parsed}, nil
+}
+
+// parseGoals parses a request's goals, each validated against the
+// scheme it is asked of. goalField names the goals in errors: "goal"
+// for a lone goal, "goals" (indexed, "goals[2]") for a batch.
+func parseGoals(db *schema.Database, goalField string, goals []string) ([]deps.Dependency, error) {
+	out := make([]deps.Dependency, len(goals))
 	for i, g := range goals {
 		// A goal must be a single FD, IND or RD over the schema it is
 		// asked of: the kinds the implication engines decide.
@@ -503,7 +532,7 @@ func (s *Server) prepare(schemaName string, schemaLines, sigma []string, goalFie
 		case d.Kind() == deps.KindEMVD:
 			err = errors.New("a goal must be a single FD, IND or RD, not an EMVD")
 		default:
-			err = d.Validate(p.sys.DB())
+			err = d.Validate(db)
 		}
 		if err != nil {
 			if goalField == "goals" {
@@ -511,9 +540,9 @@ func (s *Server) prepare(schemaName string, schemaLines, sigma []string, goalFie
 			}
 			return nil, fmt.Errorf("%s: %w", goalField, err)
 		}
-		p.goals[i] = d
+		out[i] = d
 	}
-	return p, nil
+	return out, nil
 }
 
 // requestDeadline resolves a request's timeout_ms against the server's
@@ -958,11 +987,19 @@ func fillAnswer(resp *ImpliesResponse, a core.Answer) {
 }
 
 // decodeBody reads a bounded JSON body, rejecting unknown fields so
-// typos surface as 400s instead of silently ignored options.
+// typos surface as 400s instead of silently ignored options. The body
+// is one JSON value: anything after it but whitespace is a 400 too, not
+// a second request ignored.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	err := dec.Decode(into)
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, map[string]string{
 			"request_id": RequestID(r.Context()),
 			"error":      "invalid request body: " + err.Error(),

@@ -176,6 +176,45 @@ func TestImpliesBadRequests(t *testing.T) {
 	}
 }
 
+// TestBodyTrailingData: a body is one JSON value. Whitespace may follow
+// it; anything else, garbage or a second object, is a 400 on every JSON
+// endpoint, and a rejected PUT registers nothing.
+func TestBodyTrailingData(t *testing.T) {
+	srv, _, ts := newTestServer(t, Config{CacheSize: 64})
+	const inline = `{"schema": ["R(A, B)"], "sigma": ["R: A -> B"]`
+	if r, b := putJSON(t, ts.URL+"/v1/schemas/app", inline+`}`); r.StatusCode != http.StatusOK {
+		t.Fatalf("PUT app = %d\n%s", r.StatusCode, b)
+	}
+	version := func() int64 {
+		e, _ := srv.schemas.Get("app")
+		return e.Version
+	}
+	for _, c := range []struct{ label, method, path, body string }{
+		{"implies", http.MethodPost, "/v1/implies", inline + `, "goal": "R: A -> B"}`},
+		{"explain", http.MethodPost, "/v1/explain", inline + `, "goal": "R: A -> B"}`},
+		{"batch", http.MethodPost, "/v1/batch", inline + `, "goals": ["R: A -> B"]}`},
+		{"satisfies", http.MethodPost, "/v1/satisfies", inline + `, "data": {"R": [["1", "2"]]}}`},
+		{"put", http.MethodPut, "/v1/schemas/app", inline + `}`},
+		{"algebra", http.MethodPost, "/v1/schemas/app/algebra", `{"op": "minimal-cover"}`},
+	} {
+		for _, tail := range []string{"", " \n\t\r\n"} {
+			if rec := serveInProcess(srv.Handler(), c.method, c.path, c.body+tail); rec.Code != http.StatusOK {
+				t.Errorf("%s with tail %q = %d, want 200\n%s", c.label, tail, rec.Code, rec.Body.String())
+			}
+		}
+		for _, tail := range []string{" trailing garbage", `{"goal": "R: B -> A"}`, "}"} {
+			v := version()
+			rec := serveInProcess(srv.Handler(), c.method, c.path, c.body+tail)
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "invalid request body") {
+				t.Errorf("%s with tail %q = %d, want 400 invalid request body\n%s", c.label, tail, rec.Code, rec.Body.String())
+			}
+			if got := version(); got != v {
+				t.Errorf("%s with tail %q: app version %d -> %d", c.label, tail, v, got)
+			}
+		}
+	}
+}
+
 func TestSatisfies(t *testing.T) {
 	_, _, ts := newTestServer(t, Config{})
 	good := `{
