@@ -64,7 +64,7 @@ bench:
 # (interned IND frontier, exhaustive search sharding) as a smoke check.
 # CI runs this to keep the baseline honest.
 bench-json:
-	$(GO) test -run TestMain -bench 'BenchmarkChaseObs$$|BenchmarkChaseProfile$$|BenchmarkChaseParallel$$|BenchmarkChasePool$$|BenchmarkINDDecide$$|BenchmarkSearchExhaustive$$|BenchmarkBatchImplies$$|BenchmarkFootprintCache$$' -benchjson BENCH_engines.json .
+	$(GO) test -run TestMain -bench 'BenchmarkChaseObs$$|BenchmarkChaseProfile$$|BenchmarkChasePool$$|BenchmarkINDDecide$$|BenchmarkSearchExhaustive$$|BenchmarkBatchImplies$$|BenchmarkFootprintCache$$' -benchjson BENCH_engines.json .
 
 benchjson: bench-json
 

@@ -734,31 +734,7 @@ func BenchmarkChaseEngines(b *testing.B) {
 	})
 }
 
-// --- parallel chase and engine-pool ablations --------------------------------
-
-// BenchmarkChaseParallel is the sharded-pass ablation: the scan-heavy
-// 8-relation spiral (each round re-scans every relation for eight FDs
-// that never fire) at 1, 2, 4 and 8 workers. Verdicts, traces and
-// counters are bit-identical across the columns (differential-tested in
-// internal/chase); only the wall clock may differ. Run with -cpu
-// 1,2,8 to also vary GOMAXPROCS. The wall-clock speedup tracks real
-// cores: on a single-core host the higher-worker columns instead pin
-// the sharding overhead (they must stay within noise of workers=1).
-func BenchmarkChaseParallel(b *testing.B) {
-	db, sigma, goal := benchws.SpiralScanInstance(8)
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			opt := chase.Options{MaxTuples: 4096, Workers: w}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := chase.ImpliesFD(db, sigma, goal, opt)
-				if err != nil || res.Verdict != chase.Unknown {
-					b.Fatal("spiral-scan chase wrong")
-				}
-			}
-		})
-	}
-}
+// --- engine-pool ablation ------------------------------------------------------
 
 // BenchmarkChasePool is the cross-request pooling ablation: the warm
 // repeat-request steady state of the Proposition 4.1 implication with

@@ -9,10 +9,9 @@
 // Usage:
 //
 //	depserve [-addr :8377] [-deadline 10s] [-max-deadline 60s]
-//	         [-slow 500ms] [-budget N] [-search] [-span-cap 64]
+//	         [-slow 500ms] [-budget N] [-search]
 //	         [-cache-size 1024] [-cache-ttl 0] [-trace-buf 128]
 //	         [-digest-size 256] [-otlp-file FILE] [-otlp-endpoint URL]
-//	         [-chase-workers N] [-pool=false]
 //	         [-max-batch 256] [-batch-fanout N]
 //	         [-ts-resolution 2s] [-ts-retention 15m] [-alert-rules FILE]
 //	         [-stats] [-trace-json FILE] [-pprof ADDR] [-memprofile FILE]
@@ -84,6 +83,11 @@ import (
 	"indfd/internal/serve"
 )
 
+// spanCap is how many root query spans the shared registry keeps for
+// /debug/obs: a sliding window of recent traces, bounded because the
+// server shares one registry across every request for its lifetime.
+const spanCap = 64
+
 func main() {
 	addr := flag.String("addr", ":8377", "listen address")
 	deadline := flag.Duration("deadline", 10*time.Second, "default per-request engine deadline")
@@ -91,15 +95,12 @@ func main() {
 	slow := flag.Duration("slow", 500*time.Millisecond, "latency above which a request is logged as slow")
 	budget := flag.Int("budget", 0, "default chase tuple budget (0 = the chase package's default)")
 	search := flag.Bool("search", false, "enable the counterexample-search fallback by default")
-	spanCap := flag.Int("span-cap", 64, "root query spans retained for /debug/obs (0 = unbounded)")
 	cacheSize := flag.Int("cache-size", 1024, "answer cache entries (0 disables caching, including the compiled-system memo)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "answer cache entry lifetime (0 = never expire)")
 	traceBuf := flag.Int("trace-buf", 128, "flight-recorder capacity for /debug/traces (negative disables)")
 	digestSize := flag.Int("digest-size", 256, "query digests retained for /debug/digests (negative disables)")
 	otlpFile := flag.String("otlp-file", "", "append OTLP/JSON telemetry batches to this file (JSONL)")
 	otlpEndpoint := flag.String("otlp-endpoint", "", "POST OTLP/JSON telemetry batches to this URL")
-	chaseWorkers := flag.Int("chase-workers", 0, "shard chase delta scans across this many workers (0 or 1 = sequential; verdicts are bit-identical either way)")
-	pool := flag.Bool("pool", true, "recycle chase engine state across requests keyed by (schema, sigma)")
 	maxBatch := flag.Int("max-batch", 256, "cap on the goals in one /v1/batch request")
 	batchFanout := flag.Int("batch-fanout", 0, "workers a batch's goals fan across (0 = GOMAXPROCS)")
 	tsResolution := flag.Duration("ts-resolution", 2*time.Second, "time-series sample interval for /debug/timeseries (0 disables history and alerting)")
@@ -109,9 +110,9 @@ func main() {
 	flag.Parse()
 
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	if err := run(logger, *addr, *deadline, *maxDeadline, *slow, *budget, *search, *spanCap,
+	if err := run(logger, *addr, *deadline, *maxDeadline, *slow, *budget, *search,
 		*cacheSize, *cacheTTL, *traceBuf, *digestSize, *otlpFile, *otlpEndpoint,
-		*chaseWorkers, *pool, *maxBatch, *batchFanout,
+		*maxBatch, *batchFanout,
 		*tsResolution, *tsRetention, *alertRules, obsFlags); err != nil {
 		fmt.Fprintln(os.Stderr, "depserve:", err)
 		os.Exit(1)
@@ -119,9 +120,9 @@ func main() {
 }
 
 func run(logger *slog.Logger, addr string, deadline, maxDeadline, slow time.Duration,
-	budget int, search bool, spanCap, cacheSize int, cacheTTL time.Duration,
+	budget int, search bool, cacheSize int, cacheTTL time.Duration,
 	traceBuf, digestSize int, otlpFile, otlpEndpoint string,
-	chaseWorkers int, pool bool, maxBatch, batchFanout int,
+	maxBatch, batchFanout int,
 	tsResolution, tsRetention time.Duration, alertRules string,
 	obsFlags *cliutil.ObsFlags) error {
 	// The server always runs instrumented — /metrics is its point — so
@@ -196,8 +197,6 @@ func run(logger *slog.Logger, addr string, deadline, maxDeadline, slow time.Dura
 		TraceBuffer:     traceBuf,
 		DigestSize:      digestSize,
 		Exporter:        exporter,
-		ChaseWorkers:    chaseWorkers,
-		PoolDisabled:    !pool,
 		MaxBatch:        maxBatch,
 		BatchFanout:     batchFanout,
 		TSDB:            store,

@@ -215,10 +215,8 @@ func SpiralInstance(k int) (*schema.Database, []deps.Dependency, deps.FD) {
 // singletons forever and the FDs never fire — but each relation's
 // version bumps every round, so each FD re-scans the whole growing
 // relation every round: the chase becomes FD-scan dominated (quadratic
-// in rounds) while remaining byte-deterministic. This is the workload
-// the sharded delta passes are measured on (BenchmarkChaseParallel):
-// k independent full-relation scans per round, embarrassingly parallel
-// across the compile-order regions.
+// in rounds) while remaining byte-deterministic — the worst case for the
+// version gate that lets FD passes skip unchanged relations.
 func SpiralScanInstance(k int) (*schema.Database, []deps.Dependency, deps.FD) {
 	db, sigma, goal := SpiralInstance(k)
 	for i := 0; i < k; i++ {
@@ -229,8 +227,7 @@ func SpiralScanInstance(k int) (*schema.Database, []deps.Dependency, deps.FD) {
 }
 
 // chaseSpiralScanWorkload: the 8-relation scan-heavy spiral under a
-// 1024-tuple budget — the sequential baseline of the parallel-chase
-// ablation.
+// 1024-tuple budget — FD re-scans, not IND deltas, dominate its rounds.
 func chaseSpiralScanWorkload(reg *obs.Registry) error {
 	db, sigma, goal := SpiralScanInstance(8)
 	res, err := chase.ImpliesFD(db, sigma, goal, chase.Options{Obs: reg, MaxTuples: 1024})

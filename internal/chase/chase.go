@@ -121,22 +121,6 @@ type Options struct {
 	// cacheable request; footprints feed the answer cache's per-member
 	// invalidation index.
 	Footprint bool
-	// Workers bounds the worker pool the delta passes shard their scans
-	// across. 0 or 1 runs the classic sequential engine; N > 1 runs the
-	// read-only probe phases of each FD/RD fixpoint pass and each IND
-	// delta pass on N goroutines and applies the proposed firings
-	// through a single deterministic merge in (dependency compile index,
-	// tuple arena offset) order — verdicts, traces, provenance DAGs and
-	// profiles are byte-identical to the sequential engine at any
-	// GOMAXPROCS (differential-tested, like the PR 3 parallel search).
-	Workers int
-	// ParThreshold is the minimum number of scannable items (tuples
-	// across the pass's open scan regions) before a pass is sharded;
-	// smaller passes run sequentially, parallel overhead being larger
-	// than the scan. 0 means DefaultParThreshold; negative forces
-	// sharding at any size (tests use this to exercise the merge on
-	// tiny fixtures).
-	ParThreshold int
 	// Pool, when non-nil, recycles compiled engines across runs keyed by
 	// a (schema, sigma) fingerprint: a hit skips compilation and reuses
 	// the tuple arena, interners, union-find backing and witness indexes
@@ -159,32 +143,11 @@ type Options struct {
 // DefaultMaxTuples is the default tuple budget.
 const DefaultMaxTuples = 4096
 
-// DefaultParThreshold is the default minimum scan size (items across a
-// pass's open regions) before the pass is sharded across workers.
-const DefaultParThreshold = 1024
-
 func (o Options) maxTuples() int {
 	if o.MaxTuples <= 0 {
 		return DefaultMaxTuples
 	}
 	return o.MaxTuples
-}
-
-func (o Options) workers() int {
-	if o.Workers <= 1 {
-		return 1
-	}
-	return o.Workers
-}
-
-func (o Options) parThreshold() int {
-	if o.ParThreshold == 0 {
-		return DefaultParThreshold
-	}
-	if o.ParThreshold < 0 {
-		return 0
-	}
-	return o.ParThreshold
 }
 
 var errBudget = fmt.Errorf("chase: tuple budget exhausted")
@@ -233,9 +196,8 @@ type engine struct {
 	// are re-keyed in bulk by processDirty before dedup and the IND pass.
 	dirty []int32
 
-	keyBuf    []byte // scratch for key assembly (reused, never retained)
-	tmp       []int32
-	tmpStarts []int32 // per-IND delta starts, reused by the sharded pass
+	keyBuf []byte // scratch for key assembly (reused, never retained)
+	tmp    []int32
 
 	// cap holds the opt-in capture channels (capture.go).
 	cap capture
@@ -251,13 +213,6 @@ type engine struct {
 	goalYs   []int
 	gpi      *projIndex // IND goal witness index, reused across runs
 	gpiRel   int32      // relation gpi is registered on, -1 when none
-
-	// par is the worker runner for sharded delta passes (nil = the
-	// sequential engine, the default); parTh gates tiny passes and
-	// parUsed marks a round that ran at least one sharded region.
-	par     *parRunner
-	parTh   int
-	parUsed bool
 
 	// pool bookkeeping: the pool this engine is released to (nil =
 	// unpooled) and the sigma it was compiled from, retained so a pool
@@ -279,8 +234,6 @@ type engine struct {
 	cDelta    *obs.Counter // tuples scanned by delta-driven IND passes
 	cRekeyed  *obs.Counter // tuples re-keyed after class merges
 	cSkips    *obs.Counter // FD/RD scans skipped by the version gate
-	cParRnds  *obs.Counter // rounds that ran at least one sharded region
-	cConflict *obs.Counter // speculative probe results invalidated at merge
 	gTuples   *obs.Gauge   // high-water mark of live tableau tuples
 }
 
@@ -415,9 +368,9 @@ func newEngine(db *schema.Database, sigma []deps.Dependency) (*engine, error) {
 }
 
 // arm readies an engine (fresh or pooled) for one run: budget, context,
-// instruments, opt-in capture state, and the worker runner. Everything
-// arm touches is per-run; the compiled structure (positions, shared
-// witness indexes) is untouched.
+// instruments and opt-in capture state. Everything arm touches is
+// per-run; the compiled structure (positions, shared witness indexes) is
+// untouched.
 func (e *engine) arm(opt Options) {
 	e.max = opt.maxTuples()
 	e.ctx = opt.Ctx
@@ -432,19 +385,9 @@ func (e *engine) arm(opt Options) {
 	e.cDelta = opt.Obs.Counter("chase.delta_tuples")
 	e.cRekeyed = opt.Obs.Counter("chase.rekeyed_tuples")
 	e.cSkips = opt.Obs.Counter("chase.scans_skipped")
-	e.cParRnds = opt.Obs.Counter("chase.parallel_rounds")
-	e.cConflict = opt.Obs.Counter("chase.worker_merge_conflicts")
 	e.gTuples = opt.Obs.Gauge("chase.tuples_peak")
 
 	e.cap.arm(opt, len(e.sigma))
-	if w := opt.workers(); w > 1 {
-		if e.par == nil || e.par.workers != w {
-			e.par = newParRunner(w)
-		}
-		e.parTh = opt.parThreshold()
-	} else {
-		e.par = nil
-	}
 }
 
 // acquireEngine returns an armed engine for db and sigma: a pooled one
@@ -474,17 +417,13 @@ func acquireEngine(db *schema.Database, sigma []deps.Dependency, opt Options) (*
 	return e, nil
 }
 
-// release ends a run: the worker runner is stopped (no goroutine may
-// outlive the run and touch a recycled engine), and a pooled engine is
-// structurally reset and returned to its pool — unless the run errored
-// (deadline, cancellation, contradiction, or any other mid-round kill),
-// in which case its state is partial and it is discarded so no later
-// request can observe it. A budget-exhausted Unknown verdict is not an
-// error: that chase stopped at a clean round boundary.
+// release ends a run: a pooled engine is structurally reset and
+// returned to its pool — unless the run errored (deadline, cancellation,
+// contradiction, or any other mid-round kill), in which case its state
+// is partial and it is discarded so no later request can observe it. A
+// budget-exhausted Unknown verdict is not an error: that chase stopped
+// at a clean round boundary.
 func (e *engine) release(err error) {
-	if e.par != nil {
-		e.par.stop()
-	}
 	if e.pool == nil {
 		return
 	}
@@ -519,7 +458,6 @@ func (e *engine) reset() {
 
 	e.cap.reset()
 	e.goalKind = goalNone
-	e.parUsed = false
 
 	// The IND goal's witness index is appended to its relation's watcher
 	// list last (after compilation); pop it before rewinding the
@@ -583,49 +521,35 @@ func (e *engine) applyFDs() (changed bool, err error) {
 		again = false
 		e.cFixpoint.Inc()
 		var fired bool
-		var err error
-		if e.par != nil {
-			fired, err = e.fdPassPar()
-		} else {
-			fired, err = e.fdPassSeq()
+		for i := range e.rds {
+			ds := &e.rds[i]
+			if ds.cleanAt == e.rels[ds.ri].version+1 {
+				e.cSkips.Inc()
+				continue
+			}
+			f, err := e.scanRD(i)
+			fired = fired || f
+			if err != nil {
+				return changed || fired, err
+			}
+		}
+		for i := range e.fds {
+			fs := &e.fds[i]
+			if fs.cleanAt == e.rels[fs.ri].version+1 {
+				e.cSkips.Inc()
+				continue
+			}
+			f, err := e.scanFD(i)
+			fired = fired || f
+			if err != nil {
+				return changed || fired, err
+			}
 		}
 		if fired {
 			again, changed = true, true
 		}
-		if err != nil {
-			return changed, err
-		}
 	}
 	return changed, nil
-}
-
-// fdPassSeq is one sequential RD-then-FD pass in compile order.
-func (e *engine) fdPassSeq() (fired bool, err error) {
-	for i := range e.rds {
-		ds := &e.rds[i]
-		if ds.cleanAt == e.rels[ds.ri].version+1 {
-			e.cSkips.Inc()
-			continue
-		}
-		f, err := e.scanRD(i)
-		fired = fired || f
-		if err != nil {
-			return fired, err
-		}
-	}
-	for i := range e.fds {
-		fs := &e.fds[i]
-		if fs.cleanAt == e.rels[fs.ri].version+1 {
-			e.cSkips.Inc()
-			continue
-		}
-		f, err := e.scanFD(i)
-		fired = fired || f
-		if err != nil {
-			return fired, err
-		}
-	}
-	return fired, nil
 }
 
 // scanRD fires e.rds[i] over its whole relation; the caller has already
@@ -726,15 +650,6 @@ func (fs *fdState) addGroup() {
 	fs.mgen = append(fs.mgen, 0)
 }
 
-// endRound closes a round's parallelism accounting: a round in which at
-// least one pass ran sharded counts once in chase.parallel_rounds.
-func (e *engine) endRound() {
-	if e.parUsed {
-		e.cParRnds.Inc()
-		e.parUsed = false
-	}
-}
-
 // cancelled reports the context's error, if any: the per-round
 // cancellation probe (a nil context is a predictable branch, keeping
 // the uninstrumented, undeadlined path free).
@@ -760,7 +675,6 @@ func (e *engine) run() (done bool, err error) {
 		}
 		e.dedup()
 		indChanged, err := e.applyINDs()
-		e.endRound()
 		if err == errBudget {
 			return false, nil
 		}

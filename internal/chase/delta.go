@@ -91,33 +91,16 @@ func (e *engine) dedup() {
 // or this IND created one), so the next scan starts past maxSeen. Tuple
 // IDs increase along the insertion order, making the delta a suffix.
 func (e *engine) applyINDs() (changed bool, err error) {
-	if e.par != nil {
-		if ran, changed, err := e.indPassPar(); ran {
-			return changed, err
-		}
-	}
-	return e.indPassSeq()
-}
-
-// indDeltaStart returns the index into order of the first tuple past
-// the IND's witnessed high-water mark. order is sorted (tuple IDs
-// increase along insertion order), so the delta is the suffix from it.
-func indDeltaStart(order []int32, maxSeen int32) int {
-	if maxSeen < 0 {
-		return 0
-	}
-	return sort.Search(len(order), func(k int) bool { return order[k] > maxSeen })
-}
-
-// indPassSeq is the sequential IND delta pass.
-func (e *engine) indPassSeq() (changed bool, err error) {
 	for i := range e.inds {
 		is := &e.inds[i]
 		lrel := &e.rels[is.lri]
 		// Snapshot the order slice header: tuples this pass appends (when
 		// LRel == RRel) are handled in the next round, as in the reference.
 		order := lrel.order
-		start := indDeltaStart(order, is.maxSeen)
+		start := 0
+		if is.maxSeen >= 0 {
+			start = sort.Search(len(order), func(k int) bool { return order[k] > is.maxSeen })
+		}
 		clock := e.cap.clock()
 		for k := start; k < len(order); k++ {
 			tid := order[k]

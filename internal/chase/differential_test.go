@@ -144,8 +144,8 @@ func TestDifferentialFixtures(t *testing.T) {
 
 // randomImpliesInstance draws one random implication instance — schema,
 // dependency set, goal, and tuple budget — from r. Shared by the
-// engine-vs-reference and parallel-vs-sequential differential tests so
-// both sweep the same instance distribution.
+// engine-vs-reference differential test and the capture matrix so both
+// sweep the same instance distribution.
 func randomImpliesInstance(r *rand.Rand) (*schema.Database, []deps.Dependency, deps.Dependency, Options) {
 	attrPool := []string{"A", "B", "C", "D"}
 	nRels := 2 + r.IntN(3)

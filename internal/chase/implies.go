@@ -109,7 +109,6 @@ func (e *engine) runToGoal() (Result, error) {
 		}
 		indChanged, err := e.applyINDs()
 		e.cap.endRound(e.tuples)
-		e.endRound()
 		if err == errBudget {
 			return e.finish(res, Unknown)
 		}
@@ -128,7 +127,6 @@ func (e *engine) runToGoal() (Result, error) {
 
 // finish seals the result with the verdict.
 func (e *engine) finish(res Result, v Verdict) (Result, error) {
-	e.endRound()
 	res.Verdict = v
 	return e.seal(res, nil)
 }

@@ -179,16 +179,6 @@ func (e *engine) find(x int32) int32 {
 	return x
 }
 
-// findRO is find without path halving: workers probing a frozen
-// tableau concurrently must not write parent (that would race), and
-// path halving keeps chains short enough that the pure walk is cheap.
-func (e *engine) findRO(x int32) int32 {
-	for e.parent[x] != x {
-		x = e.parent[x]
-	}
-	return x
-}
-
 // equal reports canonical equality.
 func (e *engine) equal(a, b int32) bool { return e.find(a) == e.find(b) }
 

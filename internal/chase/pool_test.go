@@ -68,20 +68,6 @@ func TestPoolReuseDifferential(t *testing.T) {
 	}
 }
 
-// TestPoolReuseParallelDifferential is the same reuse pin with the
-// sharded passes forced on, so pooled worker runners are exercised too.
-func TestPoolReuseParallelDifferential(t *testing.T) {
-	db, sigma := prop41Fixture()
-	goal := deps.NewFD("R", deps.Attrs("X"), deps.Attrs("Y"))
-	pool := NewEnginePool(nil)
-	for rep := 0; rep < 5; rep++ {
-		opt := Options{Pool: pool, Trace: true, Workers: 4, ParThreshold: -1}
-		got, gotErr := Implies(db, sigma, goal, opt)
-		want, wantErr := Implies(db, sigma, goal, Options{Trace: true, Workers: 4, ParThreshold: -1})
-		compareResults(t, fmt.Sprintf("rep %d", rep), got, gotErr, want, wantErr)
-	}
-}
-
 // TestPoolDiscardsCancelledEngines is the poisoning regression test: a
 // chase killed mid-round by its context must never be re-pooled, and
 // requests after the kill must still be answered correctly. It hammers

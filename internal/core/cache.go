@@ -99,8 +99,8 @@ func FingerprintOptions(opt Options) []string {
 }
 
 // CachedAnswer is the unit an AnswerCache stores: a complete Answer plus
-// the engine's explanation when the caller requested one. Metrics, Trace
-// and DepProfile are per-query observability, not part of the answer,
+// the engine's explanation when the caller requested one. Trace and
+// DepProfile are per-query observability, not part of the answer,
 // and are stripped before storage (a cached profile would misreport the
 // hit's cost — scan times are wall-clock measurements of the miss).
 type CachedAnswer struct {
@@ -236,7 +236,6 @@ func (c *AnswerCache) PutTagged(key string, val CachedAnswer, tags []string) {
 		return
 	}
 	// The answer is the payload; per-query observability is not.
-	val.Answer.Metrics = nil
 	val.Answer.Trace = nil
 	val.Answer.DepProfile = nil
 	var expires time.Time

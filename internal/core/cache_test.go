@@ -156,13 +156,12 @@ func TestAnswerCacheNilSafe(t *testing.T) {
 func TestAnswerCachePutStripsObservability(t *testing.T) {
 	c := NewAnswerCache(8, 0, nil)
 	reg := obs.New()
-	reg.Counter("x").Inc()
-	c.Put("k", CachedAnswer{Answer: Answer{Verdict: Yes, Metrics: reg.Snapshot(), Trace: reg.StartSpan("s").Snapshot()}})
+	c.Put("k", CachedAnswer{Answer: Answer{Verdict: Yes, Trace: reg.StartSpan("s").Snapshot()}})
 	got, ok := c.Get("k")
 	if !ok {
 		t.Fatalf("miss")
 	}
-	if got.Answer.Metrics != nil || got.Answer.Trace != nil {
+	if got.Answer.Trace != nil {
 		t.Errorf("per-query observability leaked into the cache")
 	}
 }

@@ -83,13 +83,6 @@ type Answer struct {
 	// seed tuples, internal nodes are the FD/IND/RD firings that reach the
 	// goal. Render it with String or DOT, check it with Verify.
 	Derivation *chase.Derivation
-	// Metrics is a snapshot of Options.Obs taken when the query finished,
-	// present only when Options.Metrics asked for it. With a registry
-	// shared across queries the counters are cumulative — and on a
-	// long-lived registry the snapshot deep-copies every retained span
-	// tree, which is why it is opt-in: a server answering thousands of
-	// goals against one registry must not pay that copy per goal.
-	Metrics *obs.Snapshot
 	// Trace is this query's span tree (engine dispatch down to chase
 	// rounds), nil when no registry was supplied.
 	Trace *obs.SpanSnapshot
@@ -106,7 +99,7 @@ type Answer struct {
 	// captured nothing (or did not run); empty means the answer depends
 	// on no member. AnswerTags maps it to the cache's per-member
 	// invalidation tags; it is deterministic for a given query, unlike
-	// Metrics/Trace/DepProfile.
+	// Trace/DepProfile.
 	Footprint []int
 }
 
@@ -138,11 +131,6 @@ type Options struct {
 	// histograms for this query and gives the Answer a span tree. A nil
 	// registry makes instrumentation free (see internal/obs).
 	Obs *obs.Registry
-	// Metrics additionally gives the Answer a full registry snapshot
-	// (counters, gauges, histograms, retained spans) when Obs is set.
-	// The snapshot is O(everything the registry holds), not O(this
-	// query), so callers that track deltas themselves leave it off.
-	Metrics bool
 	// Ctx, when non-nil, imposes a cooperative deadline on the engines
 	// whose cost the paper proves can blow up: the chase (checked once
 	// per round), the Corollary 3.2 IND search (checked every few
@@ -154,11 +142,6 @@ type Options struct {
 	// and unary engines always run to completion. A nil Ctx never
 	// cancels.
 	Ctx context.Context
-	// ChaseWorkers shards the chase's delta scans across a bounded worker
-	// pool when a pass is large enough (see chase.Options.Workers).
-	// Verdicts, traces and counters are bit-identical to the sequential
-	// engine at any worker count; 0 or 1 keeps the chase sequential.
-	ChaseWorkers int
 	// ChasePool, when non-nil, recycles chase engine state across queries
 	// keyed by a (schema, sigma) fingerprint, making warm repeat queries
 	// nearly allocation-free (see chase.EnginePool). Safe to share across
@@ -510,14 +493,11 @@ func (s *System) query(goal deps.Dependency, opt Options, finite bool) (Answer, 
 	}
 	if err != nil {
 		// a may carry partial work counters (a cancelled chase or IND
-		// search); thread the metrics snapshot through so callers can
-		// report what was spent before the deadline hit.
+		// search); thread the span tree through so callers can report
+		// what was spent before the deadline hit.
 		sp.SetAttr("error", err.Error())
 		sp.End()
 		if opt.Obs != nil {
-			if opt.Metrics {
-				a.Metrics = opt.Obs.Snapshot()
-			}
 			a.Trace = sp.Snapshot()
 		}
 		return a, err
@@ -528,9 +508,6 @@ func (s *System) query(goal deps.Dependency, opt Options, finite bool) (Answer, 
 	sp.SetAttr("verdict", a.Verdict.String())
 	sp.End()
 	if opt.Obs != nil {
-		if opt.Metrics {
-			a.Metrics = opt.Obs.Snapshot()
-		}
 		a.Trace = sp.Snapshot()
 	}
 	return a, nil
@@ -636,7 +613,7 @@ func (s *System) queryChase(ci *compIndex, goal deps.Dependency, opt Options, sp
 	res, err := chase.Implies(s.db, relevant, goal, chase.Options{
 		MaxTuples: opt.ChaseMaxTuples, Obs: opt.Obs, Span: sp, Ctx: opt.Ctx,
 		Provenance: opt.Provenance, Profile: opt.Profile, Footprint: opt.Footprint,
-		Workers: opt.ChaseWorkers, Pool: opt.ChasePool,
+		Pool: opt.ChasePool,
 	})
 	if err != nil {
 		// A cancelled chase returns the rounds and tuples it managed —

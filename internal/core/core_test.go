@@ -306,24 +306,25 @@ func TestSearchFallback(t *testing.T) {
 	}
 }
 
-// TestInstrumentedQuery exercises the Options.Obs surface: the answer
-// carries a metrics snapshot, a span tree rooted at core.query, and the
-// engine cost fields (INDStats / ChaseRounds) the facade used to drop.
+// TestInstrumentedQuery exercises the Options.Obs surface: the registry
+// collects the engine's counters, the answer carries a span tree rooted
+// at core.query, and the engine cost fields (INDStats / ChaseRounds) the
+// facade used to drop.
 func TestInstrumentedQuery(t *testing.T) {
 	s := NewSystem(managerDB())
 	if err := s.Add(deps.NewIND("MGR", deps.Attrs("NAME", "DEPT"), "EMP", deps.Attrs("NAME", "DEPT"))); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.New()
-	a, err := s.Implies(deps.NewIND("MGR", deps.Attrs("NAME"), "EMP", deps.Attrs("NAME")), Options{Obs: reg, Metrics: true})
+	a, err := s.Implies(deps.NewIND("MGR", deps.Attrs("NAME"), "EMP", deps.Attrs("NAME")), Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.INDStats == nil || a.INDStats.Visited < 2 || a.INDStats.FrontierPeak < 1 {
 		t.Errorf("INDStats not surfaced: %+v", a.INDStats)
 	}
-	if a.Metrics == nil || a.Metrics.Counters["ind.visited"] == 0 {
-		t.Errorf("metrics snapshot missing ind counters: %+v", a.Metrics)
+	if snap := reg.Snapshot(); snap.Counters["ind.visited"] == 0 {
+		t.Errorf("registry missing ind counters: %+v", snap)
 	}
 	if a.Trace == nil || a.Trace.Name != "core.query" || len(a.Trace.Children) == 0 {
 		t.Errorf("span tree missing: %+v", a.Trace)
@@ -352,19 +353,20 @@ func TestInstrumentedChaseQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.New()
-	a, err := s.Implies(deps.NewFD("R", deps.Attrs("X"), deps.Attrs("Y")), Options{Obs: reg, Metrics: true})
+	a, err := s.Implies(deps.NewFD("R", deps.Attrs("X"), deps.Attrs("Y")), Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Engine != "chase" || a.ChaseRounds == 0 || a.ChaseTuples == 0 {
 		t.Errorf("chase cost not surfaced: %+v", a)
 	}
-	if a.Metrics.Counters["chase.rounds"] != int64(a.ChaseRounds) {
+	snap := reg.Snapshot()
+	if snap.Counters["chase.rounds"] != int64(a.ChaseRounds) {
 		t.Errorf("chase.rounds counter = %d, answer rounds = %d",
-			a.Metrics.Counters["chase.rounds"], a.ChaseRounds)
+			snap.Counters["chase.rounds"], a.ChaseRounds)
 	}
-	if a.Metrics.Counters["chase.tuples_created"] == 0 || a.Metrics.Gauges["chase.tuples_peak"] == 0 {
-		t.Errorf("chase tuple instruments missing: %+v", a.Metrics)
+	if snap.Counters["chase.tuples_created"] == 0 || snap.Gauges["chase.tuples_peak"] == 0 {
+		t.Errorf("chase tuple instruments missing: %+v", snap)
 	}
 	var chaseSpan *obs.SpanSnapshot
 	for _, c := range a.Trace.Children {
@@ -387,7 +389,7 @@ func TestUninstrumentedAnswerHasNoSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Metrics != nil || a.Trace != nil {
+	if a.Trace != nil {
 		t.Errorf("uninstrumented answer should carry no snapshot: %+v", a)
 	}
 	if a.INDStats == nil {

@@ -158,12 +158,16 @@ func (g *Gauge) Set(v int64) {
 // SetMax raises the gauge to v if v exceeds the current value — the
 // idiom for high-water marks (frontier sizes, peak tuple counts).
 func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
+	if g != nil {
+		storeMax(&g.v, v)
 	}
+}
+
+// storeMax raises a to v if v exceeds its current value.
+func storeMax(a *atomic.Int64, v int64) {
 	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -230,12 +234,7 @@ func (h *Histogram) ObserveExemplar(v int64, traceID string) {
 func (h *Histogram) observe(v int64) int {
 	h.count.Add(1)
 	h.sum.Add(v)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
+	storeMax(&h.max, v)
 	if v > 0 {
 		return bits.Len64(uint64(v))
 	}
@@ -328,6 +327,40 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Spans = append(s.Spans, sp.Snapshot())
 	}
 	return s
+}
+
+// Merge adds src's instruments into r: counters add, gauges take the
+// higher of the two levels (every gauge an engine publishes is a
+// high-water mark), and histograms add bucket by bucket. src's root
+// spans are not copied. A server that runs one request's engines on a
+// registry of their own, to report exactly that request's work, merges
+// it into the shared registry afterwards so the process totals are the
+// same as if the engines had written to it directly. r and src must be
+// different registries; a nil r or src is a no-op.
+func (r *Registry) Merge(src *Registry) {
+	if r == nil || src == nil {
+		return
+	}
+	src.mu.Lock()
+	defer src.mu.Unlock()
+	for name, c := range src.counters {
+		r.Counter(name).Add(c.Value())
+	}
+	for name, g := range src.gauges {
+		r.Gauge(name).SetMax(g.Value())
+	}
+	for name, h := range src.hists {
+		dst := r.Histogram(name)
+		dst.count.Add(h.count.Load())
+		dst.sum.Add(h.sum.Load())
+		storeMax(&dst.max, h.max.Load())
+		for i := range h.bucket {
+			dst.bucket[i].Add(h.bucket[i].Load())
+			if ex := h.exemplar[i].Load(); ex != nil {
+				dst.exemplar[i].Store(ex)
+			}
+		}
+	}
 }
 
 // sortedKeys returns the map's keys in order (for deterministic reports).

@@ -43,6 +43,48 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+// TestRegistryMerge pins Merge against writing directly: a registry
+// that takes one batch of work itself and another through a merged
+// side registry ends up where a registry that took both batches itself
+// does — counters summed, gauges at the higher level, histograms summed
+// bucket by bucket with the larger max — and gets none of the side
+// registry's spans.
+func TestRegistryMerge(t *testing.T) {
+	first := func(r *Registry) {
+		r.Counter("c").Add(5)
+		r.Gauge("peak").SetMax(8)
+		r.Histogram("h").Observe(3)
+		r.Histogram("h").ObserveExemplar(40, "old")
+	}
+	second := func(r *Registry) {
+		r.Counter("c").Add(2)
+		r.Counter("fresh").Inc()
+		r.Gauge("peak").SetMax(4)
+		r.Gauge("other").SetMax(6)
+		r.Histogram("h").Observe(3)
+		r.Histogram("h").ObserveExemplar(1000, "new")
+		r.StartSpan("side").End()
+	}
+	direct := New()
+	first(direct)
+	second(direct)
+
+	merged, side := New(), New()
+	first(merged)
+	second(side)
+	merged.Merge(side)
+	merged.Merge(nil)
+
+	want, got := direct.Snapshot(), merged.Snapshot()
+	if len(got.Spans) != 0 {
+		t.Errorf("Merge copied %d root spans", len(got.Spans))
+	}
+	want.Spans = nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("merged snapshot\n%+v\nwant\n%+v", got, want)
+	}
+}
+
 // TestConcurrentUpdates hammers one counter, gauge and histogram from many
 // goroutines; run under -race this is the data-race guard for the whole
 // instrument set.

@@ -17,8 +17,6 @@ import (
 func otlpFixture() (*Snapshot, []*RequestRecord) {
 	reg := New()
 	reg.Counter("chase.rounds").Add(42)
-	reg.Counter("chase.parallel_rounds").Add(9)
-	reg.Counter("chase.worker_merge_conflicts").Add(2)
 	reg.Counter("pool.hits").Add(11)
 	reg.Counter("pool.misses").Add(4)
 	reg.Counter("pool.discards").Add(1)

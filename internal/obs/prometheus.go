@@ -240,112 +240,3 @@ func splitLabelPairs(labels string) []string {
 	}
 	return append(out, labels[start:])
 }
-
-// Diff returns the change from prev to s: counters and histograms are
-// subtracted series-wise (series with a zero delta are dropped), gauges
-// keep their current level (a gauge is a state, not an accumulation),
-// and spans are omitted. With a long-lived registry shared across
-// requests — depserve's setup — bracketing a request with two Snapshot
-// calls and diffing yields that request's own engine work, up to
-// concurrent traffic. A nil prev returns s minus its spans.
-//
-// Diff is total over the union of the two snapshots' series: a counter
-// or histogram present only in s diffs against zero, and one present
-// only in prev yields a negative delta rather than silently vanishing —
-// snapshots taken from different registries (or across a restart)
-// therefore diff deterministically instead of dropping series. Gauges
-// present only in prev are dropped: a gauge is a current level, and a
-// series s no longer has carries no current level to report.
-func (s *Snapshot) Diff(prev *Snapshot) *Snapshot {
-	if s == nil {
-		return nil
-	}
-	d := &Snapshot{}
-	counter := func(name string, cur, old int64) {
-		if delta := cur - old; delta != 0 {
-			if d.Counters == nil {
-				d.Counters = make(map[string]int64)
-			}
-			d.Counters[name] = delta
-		}
-	}
-	for name, v := range s.Counters {
-		var old int64
-		if prev != nil {
-			old = prev.Counters[name]
-		}
-		counter(name, v, old)
-	}
-	if prev != nil {
-		for name, old := range prev.Counters {
-			if _, ok := s.Counters[name]; !ok {
-				counter(name, 0, old)
-			}
-		}
-	}
-	if len(s.Gauges) > 0 {
-		d.Gauges = make(map[string]int64, len(s.Gauges))
-		for name, v := range s.Gauges {
-			d.Gauges[name] = v
-		}
-	}
-	hist := func(name string, cur, old HistogramSnapshot) {
-		if dh, changed := diffHistogram(cur, old); changed {
-			if d.Histograms == nil {
-				d.Histograms = make(map[string]HistogramSnapshot)
-			}
-			d.Histograms[name] = dh
-		}
-	}
-	for name, h := range s.Histograms {
-		var old HistogramSnapshot
-		if prev != nil {
-			old = prev.Histograms[name]
-		}
-		hist(name, h, old)
-	}
-	if prev != nil {
-		for name, old := range prev.Histograms {
-			if _, ok := s.Histograms[name]; !ok {
-				hist(name, HistogramSnapshot{}, old)
-			}
-		}
-	}
-	return d
-}
-
-// diffHistogram subtracts old from cur bucket-wise, over the union of
-// the two bucket sets (a bucket present only in old yields a negative
-// count, keeping the delta's bucket sum consistent with its Count).
-// Max cannot be differenced, so the current max is kept; exemplars
-// travel with the current buckets.
-func diffHistogram(cur, old HistogramSnapshot) (HistogramSnapshot, bool) {
-	if cur.Count == old.Count && cur.Sum == old.Sum {
-		return HistogramSnapshot{}, false
-	}
-	d := HistogramSnapshot{
-		Count: cur.Count - old.Count,
-		Sum:   cur.Sum - old.Sum,
-		Max:   cur.Max,
-	}
-	oldByLe := make(map[int64]int64, len(old.Buckets))
-	for _, b := range old.Buckets {
-		oldByLe[b.Le] = b.Count
-	}
-	seen := make(map[int64]bool, len(cur.Buckets))
-	for _, b := range cur.Buckets {
-		seen[b.Le] = true
-		if n := b.Count - oldByLe[b.Le]; n != 0 {
-			d.Buckets = append(d.Buckets, Bucket{Le: b.Le, Count: n, Exemplar: b.Exemplar})
-		}
-	}
-	for _, b := range old.Buckets {
-		if !seen[b.Le] {
-			d.Buckets = append(d.Buckets, Bucket{Le: b.Le, Count: -b.Count})
-		}
-	}
-	// Keep buckets in ascending le order — WritePrometheus accumulates
-	// its cumulative counts in slice order.
-	sort.Slice(d.Buckets, func(i, j int) bool { return d.Buckets[i].Le < d.Buckets[j].Le })
-	return d, true
-}

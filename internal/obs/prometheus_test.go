@@ -20,8 +20,6 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func goldenRegistry() *Registry {
 	reg := New()
 	reg.Counter("chase.rounds").Add(42)
-	reg.Counter("chase.parallel_rounds").Add(9)
-	reg.Counter("chase.worker_merge_conflicts").Add(2)
 	reg.Counter("pool.hits").Add(11)
 	reg.Counter("pool.misses").Add(4)
 	reg.Counter("pool.discards").Add(1)
@@ -197,52 +195,6 @@ func TestSanitizeFamily(t *testing.T) {
 	}
 }
 
-func TestSnapshotDiff(t *testing.T) {
-	reg := New()
-	reg.Counter("c").Add(5)
-	reg.Gauge("g").Set(3)
-	reg.Histogram("h").Observe(2)
-	before := reg.Snapshot()
-
-	reg.Counter("c").Add(2)
-	reg.Counter("new").Inc()
-	reg.Gauge("g").Set(9)
-	reg.Histogram("h").Observe(2)
-	reg.Histogram("h").Observe(1000)
-	after := reg.Snapshot()
-
-	d := after.Diff(before)
-	if d.Counters["c"] != 2 || d.Counters["new"] != 1 {
-		t.Errorf("counter deltas = %v", d.Counters)
-	}
-	if _, ok := d.Counters["unchanged"]; ok {
-		t.Errorf("zero-delta counters must be dropped")
-	}
-	if d.Gauges["g"] != 9 {
-		t.Errorf("gauges keep current level, got %v", d.Gauges)
-	}
-	dh := d.Histograms["h"]
-	if dh.Count != 2 || dh.Sum != 1002 {
-		t.Errorf("histogram delta = %+v", dh)
-	}
-	var le3 int64
-	for _, b := range dh.Buckets {
-		if b.Le == 3 {
-			le3 = b.Count
-		}
-	}
-	if le3 != 1 {
-		t.Errorf("bucket delta for le=3 is %d, want 1 (buckets %v)", le3, dh.Buckets)
-	}
-	if len(d.Spans) != 0 {
-		t.Errorf("diff must not carry spans")
-	}
-	// Diff against nil is the snapshot itself minus spans.
-	if full := after.Diff(nil); full.Counters["c"] != 7 {
-		t.Errorf("Diff(nil) counters = %v", full.Counters)
-	}
-}
-
 func TestSpanCap(t *testing.T) {
 	reg := New()
 	reg.SetSpanCap(3)
@@ -322,66 +274,5 @@ func TestWritePrometheusInfOnlyHistogram(t *testing.T) {
 	}
 	if strings.Count(out, "odd_bucket") != 1 {
 		t.Errorf("+Inf must be the only bucket line:\n%s", out)
-	}
-}
-
-// TestSnapshotDiffDisjointSeries pins Diff over series that exist in
-// only one of the two snapshots: current-only series diff against zero,
-// previous-only counters and histograms surface as negative deltas
-// (never silently vanish), and previous-only gauges are dropped — a
-// gauge the registry no longer has carries no current level.
-func TestSnapshotDiffDisjointSeries(t *testing.T) {
-	prev := New()
-	prev.Counter("gone.total").Add(4)
-	prev.Gauge("gone.level").Set(9)
-	prev.Histogram("gone.hist").Observe(3)
-	prev.Histogram("gone.hist").Observe(100)
-
-	cur := New()
-	cur.Counter("fresh.total").Add(2)
-	cur.Gauge("fresh.level").Set(1)
-	cur.Histogram("fresh.hist").Observe(5)
-
-	d := cur.Snapshot().Diff(prev.Snapshot())
-	if d.Counters["fresh.total"] != 2 {
-		t.Errorf("current-only counter diffs against zero, got %v", d.Counters)
-	}
-	if d.Counters["gone.total"] != -4 {
-		t.Errorf("previous-only counter must go negative, got %v", d.Counters)
-	}
-	if d.Gauges["fresh.level"] != 1 {
-		t.Errorf("current gauges keep their level, got %v", d.Gauges)
-	}
-	if _, ok := d.Gauges["gone.level"]; ok {
-		t.Errorf("previous-only gauges must be dropped, got %v", d.Gauges)
-	}
-	fh := d.Histograms["fresh.hist"]
-	if fh.Count != 1 || fh.Sum != 5 {
-		t.Errorf("current-only histogram delta = %+v", fh)
-	}
-	gh, ok := d.Histograms["gone.hist"]
-	if !ok {
-		t.Fatalf("previous-only histogram vanished from the diff")
-	}
-	if gh.Count != -2 || gh.Sum != -103 {
-		t.Errorf("previous-only histogram delta = %+v", gh)
-	}
-	for i, b := range gh.Buckets {
-		if b.Count >= 0 {
-			t.Errorf("previous-only bucket %d has non-negative count %+v", i, b)
-		}
-		if i > 0 && gh.Buckets[i-1].Le >= b.Le {
-			t.Errorf("delta buckets not in ascending le order: %+v", gh.Buckets)
-		}
-	}
-	// The negative delta must render without error and stay cumulative.
-	var b strings.Builder
-	if err := d.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	// Diffing identical snapshots in either direction is empty.
-	same := cur.Snapshot()
-	if e := same.Diff(same); len(e.Counters) != 0 || len(e.Histograms) != 0 {
-		t.Errorf("self-diff not empty: %+v", e)
 	}
 }

@@ -88,51 +88,49 @@ func postBatch(t *testing.T, url, body string) (*http.Response, BatchResponse, [
 // TestBatchMatchesSequential is the acceptance pin: every per-goal batch
 // answer must be byte-identical (verdict, trace, counterexample, proof)
 // to the answer a lone /v1/implies request returns for the same goal —
-// at any chase-workers and batch-fanout setting. Caching is off on both
-// sides so every answer is computed fresh.
+// at any batch-fanout setting. Caching is off on both sides so every
+// answer is computed fresh.
 func TestBatchMatchesSequential(t *testing.T) {
 	mix := map[string]any{
 		"schema": batchIdentitySchema,
 		"sigma":  batchIdentitySigma,
 		"goals":  batchIdentityGoals,
 	}
-	for _, workers := range []int{0, 2} {
-		for _, fanout := range []int{1, 4} {
-			t.Run(fmt.Sprintf("workers=%d/fanout=%d", workers, fanout), func(t *testing.T) {
-				_, _, ts := newTestServer(t, Config{ChaseWorkers: workers})
-				mix["fanout"] = fanout
-				body, _ := json.Marshal(mix)
-				resp, env, answers := postBatch(t, ts.URL+"/v1/batch", string(body))
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("batch status = %d", resp.StatusCode)
+	for _, fanout := range []int{1, 4} {
+		t.Run(fmt.Sprintf("fanout=%d", fanout), func(t *testing.T) {
+			_, _, ts := newTestServer(t, Config{})
+			mix["fanout"] = fanout
+			body, _ := json.Marshal(mix)
+			resp, env, answers := postBatch(t, ts.URL+"/v1/batch", string(body))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch status = %d", resp.StatusCode)
+			}
+			if env.Goals != len(batchIdentityGoals) || len(answers) != len(batchIdentityGoals) {
+				t.Fatalf("goals/answers = %d/%d, want %d", env.Goals, len(answers), len(batchIdentityGoals))
+			}
+			for i, goal := range batchIdentityGoals {
+				one, _ := json.Marshal(map[string]any{
+					"schema": batchIdentitySchema,
+					"sigma":  batchIdentitySigma,
+					"goal":   goal,
+				})
+				r, b := postJSON(t, ts.URL+"/v1/implies", string(one))
+				if r.StatusCode != http.StatusOK {
+					t.Fatalf("implies %q = %d\n%s", goal, r.StatusCode, b)
 				}
-				if env.Goals != len(batchIdentityGoals) || len(answers) != len(batchIdentityGoals) {
-					t.Fatalf("goals/answers = %d/%d, want %d", env.Goals, len(answers), len(batchIdentityGoals))
+				var st struct {
+					Status int `json:"status"`
 				}
-				for i, goal := range batchIdentityGoals {
-					one, _ := json.Marshal(map[string]any{
-						"schema": batchIdentitySchema,
-						"sigma":  batchIdentitySigma,
-						"goal":   goal,
-					})
-					r, b := postJSON(t, ts.URL+"/v1/implies", string(one))
-					if r.StatusCode != http.StatusOK {
-						t.Fatalf("implies %q = %d\n%s", goal, r.StatusCode, b)
-					}
-					var st struct {
-						Status int `json:"status"`
-					}
-					if err := json.Unmarshal(answers[i], &st); err != nil || st.Status != http.StatusOK {
-						t.Errorf("batch answer %q status = %d, want 200", goal, st.Status)
-					}
-					got := stripGoalVolatile(t, answers[i])
-					want := stripGoalVolatile(t, b)
-					if got != want {
-						t.Errorf("goal %q diverged:\nbatch:      %s\nsequential: %s", goal, got, want)
-					}
+				if err := json.Unmarshal(answers[i], &st); err != nil || st.Status != http.StatusOK {
+					t.Errorf("batch answer %q status = %d, want 200", goal, st.Status)
 				}
-			})
-		}
+				got := stripGoalVolatile(t, answers[i])
+				want := stripGoalVolatile(t, b)
+				if got != want {
+					t.Errorf("goal %q diverged:\nbatch:      %s\nsequential: %s", goal, got, want)
+				}
+			}
+		})
 	}
 }
 

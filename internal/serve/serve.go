@@ -157,18 +157,6 @@ type Config struct {
 	// Service names the OTLP resource served at /debug/otlp (default
 	// "depserve").
 	Service string
-	// ChaseWorkers shards each chase round's delta scans across this
-	// many workers when a pass is large enough (0 or 1 = sequential).
-	// Verdicts, traces and counters are bit-identical to the sequential
-	// engine at any worker count.
-	ChaseWorkers int
-	// PoolDisabled turns off cross-request chase-engine pooling. Pooling
-	// is on by default: engines are recycled keyed by a (schema, sigma)
-	// fingerprint, making warm repeat requests nearly allocation-free
-	// (pool.hits/misses/discards count its behavior). Engines from
-	// requests killed by deadline or cancellation are discarded, never
-	// reused.
-	PoolDisabled bool
 	// MaxBatch caps the number of goals in one POST /v1/batch body
 	// (default 256).
 	MaxBatch int
@@ -281,14 +269,12 @@ func New(cfg Config) *Server {
 		rec:           obs.NewRecorder(cfg.TraceBuffer),
 		exp:           cfg.Exporter,
 		dig:           obs.NewDigestStore(cfg.DigestSize, cfg.Reg),
+		pool:          chase.NewEnginePool(cfg.Reg),
 		schemas:       registry.New(cfg.Reg),
 	}
 	s.idBase = fmt.Sprintf("%x", s.started.UnixNano()&0xfffffff)
 	if cfg.CacheSize > 0 {
 		s.memo = newCompileMemo(cfg.Reg)
-	}
-	if !cfg.PoolDisabled {
-		s.pool = chase.NewEnginePool(cfg.Reg)
 	}
 
 	mux := http.NewServeMux()
@@ -368,9 +354,9 @@ type ImpliesRequest struct {
 	// derivation DAG on yes verdicts. POST /v1/explain forces both
 	// Explain and Provenance on.
 	Provenance bool `json:"provenance,omitempty"`
-	// IncludeMetrics attaches this request's metric deltas (a
-	// Snapshot.Diff of the shared registry around the query; best-effort
-	// under concurrent traffic).
+	// IncludeMetrics attaches the metrics of this request's engine work:
+	// the engines run on a registry of their own, whose snapshot (without
+	// spans) is returned and then merged into the shared registry.
 	IncludeMetrics bool `json:"include_metrics,omitempty"`
 	// Profile attributes the engine's work — firings, tuples, scan time —
 	// to individual members of sigma and returns the attribution as
@@ -585,7 +571,6 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 		Profile:        req.Profile,
 		Obs:            s.reg,
 		Ctx:            ctx,
-		ChaseWorkers:   s.cfg.ChaseWorkers,
 		ChasePool:      p.pool,
 	}
 
@@ -594,7 +579,7 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 	// the goal's IND-connected component before dispatch — so the key
 	// binds that component, not all of Σ: editing or registering members
 	// outside it leaves every such key warm. Metrics-carrying and
-	// profiled requests bypass the cache — their deltas and attributions
+	// profiled requests bypass the cache — their metrics and attributions
 	// describe this request's engine work, and a cached answer has none.
 	// The fingerprint doubles as the query-digest key (a profile flag is
 	// deliberately NOT part of it, so profiled and unprofiled spellings
@@ -636,9 +621,12 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 		}
 	}
 
-	var before *obs.Snapshot
 	if req.IncludeMetrics {
-		before = s.reg.Snapshot()
+		// A registry of this request's own holds exactly its engine work
+		// whatever else the server runs; Merge below adds that work to
+		// the shared totals. Its span tree still reaches the flight
+		// recorder (a.Trace), not the shared registry's span ring.
+		opt.Obs = obs.New()
 	}
 	start := time.Now()
 	var a core.Answer
@@ -655,7 +643,9 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 	fillAnswer(&resp, a)
 	resp.Explanation = why
 	if req.IncludeMetrics {
-		resp.Metrics = s.reg.Snapshot().Diff(before)
+		resp.Metrics = opt.Obs.Snapshot()
+		resp.Metrics.Spans = nil
+		s.reg.Merge(opt.Obs)
 	}
 	if rec != nil {
 		rec.Verdict = resp.Verdict
