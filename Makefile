@@ -27,11 +27,13 @@ race:
 
 # The concurrency pins, repeated across GOMAXPROCS settings: 32 writers
 # republishing a schema against 32 readers running batches, every answer
-# checked against the Σ its echoed version published; and 32 clients
+# checked against the Σ its echoed version published; 32 clients
 # sending inline requests over shared Σ while the compiled-system memo
-# evicts under them, every verdict checked.
+# evicts under them, every verdict checked; and 16 goroutines mixing
+# tagged puts, gets and invalidation sweeps on one answer cache.
 race-hammer:
 	$(GO) test -race -cpu 1,2,8 -run 'TestRegistryRaceHammer|TestCompileMemoRaceHammer' -count=1 ./internal/serve/
+	$(GO) test -race -cpu 1,2,8 -run 'TestAnswerCacheInvalidateRace' -count=1 ./internal/core/
 
 # The zero-cost-when-off gate: the chase with instrumentation and
 # provenance disabled must stay under its pinned allocation ceiling, and

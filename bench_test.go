@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -922,8 +923,8 @@ func TestZeroAlloc(t *testing.T) {
 	// The pooled serve hot path is pinned EXACTLY: a warm engine replays
 	// the whole chase in recycled arenas, indexes and union-find state,
 	// so a repeat request for a cached (schema, sigma) shape must not
-	// allocate at all. (Not under -race: sync.Pool drops Puts at random
-	// there and the instrumentation itself allocates.)
+	// allocate at all. (Not under -race: the instrumentation itself
+	// allocates.)
 	if !raceDetectorEnabled && pooled != 0 {
 		t.Errorf("warm pooled chase path allocates %.1f/run, want exactly 0", pooled)
 	}
@@ -1085,7 +1086,10 @@ func BenchmarkBatchImplies(b *testing.B) {
 // BenchmarkFootprintCache times the answer cache's serving hot path —
 // the same /v1/implies request against a cold server (full engine run
 // every time) and a warm one (footprint-keyed hit) — plus the
-// cache-side cost of one tagged insert and its surgical invalidation.
+// cache-side cost of one tagged insert and its invalidation, and where
+// the tag bookkeeping sits: evicting puts into a full cache at growing
+// tag counts, and one member's invalidation sweep over a full cache of
+// 121-tag entries.
 func BenchmarkFootprintCache(b *testing.B) {
 	schemaJSON, sigmaJSON, goals := benchBatchInstance(31)
 	body := fmt.Sprintf(`{"schema": %s, "sigma": %s, "goal": %q}`,
@@ -1117,6 +1121,76 @@ func BenchmarkFootprintCache(b *testing.B) {
 			if n := cache.InvalidateMembers("m1"); n != 1 {
 				b.Fatalf("invalidated %d entries, want 1", n)
 			}
+		}
+	})
+	// fill puts distinct keys until every shard of the 1024-entry cache
+	// is full, returning the next unused key index.
+	fill := func(cache *core.AnswerCache, put func(j int)) int {
+		j := 0
+		for ; cache.Len() < 1024; j++ {
+			put(j)
+		}
+		return j
+	}
+	for _, width := range []int{0, 21, 71, 121} {
+		b.Run(fmt.Sprintf("put/tags=%d", width), func(b *testing.B) {
+			var tags []string // one component's sorted keys, shared like AnswerTags'
+			for t := 0; t < width; t++ {
+				tags = append(tags, fmt.Sprintf("m%03d", t))
+			}
+			keys := make([]string, 1<<14)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("k%d", i)
+			}
+			cache := core.NewAnswerCache(1024, 0, nil)
+			next := fill(cache, func(j int) { cache.PutTagged(keys[j], core.CachedAnswer{}, tags) })
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Every key is absent (the cache holds 1024 of 16384), so
+				// every put evicts.
+				cache.PutTagged(keys[(next+i)%len(keys)], core.CachedAnswer{}, tags)
+			}
+		})
+	}
+	b.Run("sweep/tags=121", func(b *testing.B) {
+		// 64 components of 121 members. Entry j holds its own slice of
+		// component j%64's sorted keys (as AnswerTags hands each footprint
+		// answer its own slice of the component's key strings), so one
+		// changed member concerns every 64th entry.
+		const comps, width = 64, 121
+		keys := make([][]string, comps)
+		for c := range keys {
+			for t := 0; t < width; t++ {
+				keys[c] = append(keys[c], fmt.Sprintf("c%02d/m%03d", c, t))
+			}
+		}
+		cache := core.NewAnswerCache(1024, 0, nil)
+		n := fill(cache, func(j int) {
+			cache.PutTagged(fmt.Sprintf("k%d", j), core.CachedAnswer{}, slices.Clone(keys[j%comps]))
+		})
+		var doomed []string // component 0's entries still cached
+		for j := 0; j < n; j += comps {
+			if _, ok := cache.Get(fmt.Sprintf("k%d", j)); ok {
+				doomed = append(doomed, fmt.Sprintf("k%d", j))
+			}
+		}
+		refill := make([][]string, len(doomed))
+		for i := range refill {
+			refill[i] = slices.Clone(keys[0])
+		}
+		changed := keys[0][width/2]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if got := cache.InvalidateMembers(changed); got != len(doomed) {
+				b.Fatalf("invalidated %d entries, want %d", got, len(doomed))
+			}
+			b.StopTimer()
+			for d, k := range doomed {
+				cache.PutTagged(k, core.CachedAnswer{}, refill[d])
+			}
+			b.StartTimer()
 		}
 	})
 }

@@ -27,8 +27,8 @@
 //	                     -batch-fanout workers
 //	PUT/GET/DELETE /v1/schemas/{name}  named-schema registry: versioned,
 //	                     pre-compiled (schema, Σ) sets with warm engine
-//	                     pools; edits surgically evict only the cached
-//	                     answers whose footprint used a changed member
+//	                     pools; edits evict only the cached answers
+//	                     tagged with a changed member
 //	POST /v1/schemas/{name}/algebra    union/intersect/minimal-cover
 //	GET  /metrics        Prometheus text exposition
 //	GET  /healthz        liveness

@@ -118,8 +118,8 @@ type Options struct {
 	// at least once or scanned at least one tuple — into Result.Used, as
 	// positions in sigma. It keeps Profile's per-member counts without
 	// the scan timers, so the serve layer can afford it on every
-	// cacheable request; footprints feed the answer cache's per-member
-	// invalidation index.
+	// cacheable request over a registered schema; footprints become the
+	// answer cache's per-member invalidation tags.
 	Footprint bool
 	// Pool, when non-nil, recycles compiled engines across runs keyed by
 	// a (schema, sigma) fingerprint: a hit skips compilation and reuses
@@ -221,6 +221,9 @@ type engine struct {
 	pool    *EnginePool
 	poolKey uint64
 	sigma   []deps.Dependency
+	// Links of an idle pooled engine (pool.go): up/down within its
+	// bucket's stack (down is older), newer/older along the pool's LRU.
+	up, down, newer, older *engine
 
 	// Possibly-nil instruments, fetched once per chase call; the hot
 	// loops touch them unconditionally (a nil receiver is a no-op).
@@ -422,12 +425,14 @@ func acquireEngine(db *schema.Database, sigma []deps.Dependency, opt Options) (*
 // contradiction, or any other mid-round kill), in which case its state
 // is partial and it is discarded so no later request can observe it. A
 // budget-exhausted Unknown verdict is not an error: that chase stopped
-// at a clean round boundary.
+// at a clean round boundary. An engine whose run created more than
+// DefaultMaxTuples tuples is discarded too: a caller-raised budget must
+// not leave its grown arrays resident in the pool.
 func (e *engine) release(err error) {
 	if e.pool == nil {
 		return
 	}
-	if err != nil {
+	if err != nil || len(e.tupOff) > DefaultMaxTuples {
 		e.pool.discard(e)
 		return
 	}

@@ -16,6 +16,15 @@
 // run — release discards an engine whose chase was killed mid-round
 // (deadline, cancellation, contradiction), because its tableau is
 // partial state no later request may observe.
+//
+// Bounded state: the idle engines sit in one mutex-guarded set, a LIFO
+// stack per bucket plus one LRU across buckets, both linked through
+// fields on the engine, so parking and reusing one allocates nothing.
+// The set holds at most poolMaxIdle engines (the oldest idle one goes
+// first), a bucket emptied by get leaves no map entry, and an engine
+// whose run created more than DefaultMaxTuples tuples is dropped rather
+// than kept resident with its grown arrays. The pool holds its idle
+// engines strongly, so a garbage collection never empties the set.
 package chase
 
 import (
@@ -26,21 +35,35 @@ import (
 	"indfd/internal/schema"
 )
 
+// poolMaxIdle bounds the idle engines one pool keeps across all its
+// buckets — the bound of serve's compiled-system memo, so every inline
+// shape the memo retains can keep one warm engine.
+const poolMaxIdle = 256
+
 // EnginePool recycles chase engines across runs, bucketed by a
 // (schema, sigma) fingerprint. Safe for concurrent use; the zero value
 // is not ready, use NewEnginePool.
 type EnginePool struct {
-	pools sync.Map // uint64 fingerprint → *sync.Pool of *engine
+	mu sync.Mutex
+	// buckets maps a fingerprint to the newest idle engine of its
+	// bucket; engine.down leads to older ones. An empty bucket has no
+	// entry.
+	buckets map[uint64]*engine
+	// newest and oldest end the LRU of every idle engine, linked through
+	// engine.newer/older; idle counts its members.
+	newest, oldest *engine
+	idle           int
 
 	hits     *obs.Counter // pool.hits: requests served by a recycled engine
 	misses   *obs.Counter // pool.misses: requests that compiled fresh
-	discards *obs.Counter // pool.discards: engines poisoned by a mid-run kill
+	discards *obs.Counter // pool.discards: engines dropped as poisoned, colliding or oversized
 }
 
 // NewEnginePool returns an empty pool reporting pool.hits/misses/
 // discards to reg (nil = uncounted).
 func NewEnginePool(reg *obs.Registry) *EnginePool {
 	return &EnginePool{
+		buckets:  make(map[uint64]*engine),
 		hits:     reg.Counter("pool.hits"),
 		misses:   reg.Counter("pool.misses"),
 		discards: reg.Counter("pool.discards"),
@@ -50,37 +73,79 @@ func NewEnginePool(reg *obs.Registry) *EnginePool {
 // get returns a reset engine compiled from an identical schema and
 // sigma, or nil (a miss). The caller arms it.
 func (p *EnginePool) get(key uint64, db *schema.Database, sigma []deps.Dependency) *engine {
-	if v, ok := p.pools.Load(key); ok {
-		for {
-			e, _ := v.(*sync.Pool).Get().(*engine)
-			if e == nil {
-				break
-			}
-			if e.matches(db, sigma) {
-				p.hits.Inc()
-				return e
-			}
-			// Fingerprint collision: this engine belongs to a different
-			// (schema, sigma). Drop it rather than re-pooling it here —
-			// colliding shapes in one bucket would otherwise thrash.
-			p.discards.Inc()
+	for {
+		p.mu.Lock()
+		e := p.buckets[key]
+		if e != nil {
+			p.unlink(e)
 		}
+		p.mu.Unlock()
+		if e == nil {
+			break
+		}
+		if e.matches(db, sigma) {
+			p.hits.Inc()
+			return e
+		}
+		// Fingerprint collision: this engine belongs to a different
+		// (schema, sigma). Drop it rather than re-pooling it here —
+		// colliding shapes in one bucket would otherwise thrash.
+		p.discards.Inc()
 	}
 	p.misses.Inc()
 	return nil
 }
 
-// put returns a structurally reset engine to its bucket.
+// put parks a structurally reset engine on top of its bucket and at the
+// new end of the LRU, dropping the oldest idle engine past poolMaxIdle.
 func (p *EnginePool) put(e *engine) {
-	v, ok := p.pools.Load(e.poolKey)
-	if !ok {
-		v, _ = p.pools.LoadOrStore(e.poolKey, &sync.Pool{})
+	p.mu.Lock()
+	if top := p.buckets[e.poolKey]; top != nil {
+		top.up, e.down = e, top
 	}
-	v.(*sync.Pool).Put(e)
+	p.buckets[e.poolKey] = e
+	if p.newest != nil {
+		p.newest.newer, e.older = e, p.newest
+	} else {
+		p.oldest = e
+	}
+	p.newest = e
+	p.idle++
+	if p.idle > poolMaxIdle {
+		p.unlink(p.oldest)
+	}
+	p.mu.Unlock()
 }
 
-// discard counts a poisoned engine; the engine is simply dropped for
-// the GC, never re-pooled.
+// unlink takes an idle engine out of its bucket and the LRU; p.mu must
+// be held.
+func (p *EnginePool) unlink(e *engine) {
+	if e.up != nil {
+		e.up.down = e.down
+	} else if e.down != nil {
+		p.buckets[e.poolKey] = e.down
+	} else {
+		delete(p.buckets, e.poolKey)
+	}
+	if e.down != nil {
+		e.down.up = e.up
+	}
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else {
+		p.newest = e.older
+	}
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else {
+		p.oldest = e.newer
+	}
+	e.up, e.down, e.newer, e.older = nil, nil, nil, nil
+	p.idle--
+}
+
+// discard counts an engine that must not be re-pooled (poisoned or
+// oversized); the engine is simply dropped for the GC.
 func (p *EnginePool) discard(*engine) {
 	p.discards.Inc()
 }

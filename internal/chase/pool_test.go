@@ -9,6 +9,9 @@ package chase
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"indfd/internal/deps"
@@ -51,9 +54,6 @@ func TestPoolReuseDifferential(t *testing.T) {
 			compareResults(t, label, got, gotErr, want, wantErr)
 			runs++
 		}
-	}
-	if raceDetectorEnabled {
-		return // sync.Pool drops Puts at random under -race; exact counts don't hold
 	}
 	hits := reg.Counter("pool.hits").Value()
 	misses := reg.Counter("pool.misses").Value()
@@ -122,7 +122,7 @@ func TestPoolBudgetExhaustionReusable(t *testing.T) {
 	if d := reg.Counter("pool.discards").Value(); d != 0 {
 		t.Errorf("pool.discards = %d; budget exhaustion must re-pool, not poison", d)
 	}
-	if h := reg.Counter("pool.hits").Value(); !raceDetectorEnabled && h != 2 {
+	if h := reg.Counter("pool.hits").Value(); h != 2 {
 		t.Errorf("pool.hits = %d, want 2", h)
 	}
 }
@@ -191,5 +191,205 @@ func TestPoolWarmRunAllocFree(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("warm pooled implication allocates %.1f/run, want 0", got)
+	}
+}
+
+// TestPoolSurvivesGC: idle engines are held by the pool itself, not by
+// a sync.Pool, so a garbage collection between two runs of one shape
+// does not cost the second run its warm engine.
+func TestPoolSurvivesGC(t *testing.T) {
+	db, sigma := prop41Fixture()
+	goal := deps.NewFD("R", deps.Attrs("X"), deps.Attrs("Y"))
+	reg := obs.New()
+	pool := NewEnginePool(reg)
+	if _, err := ImpliesFD(db, sigma, goal, Options{Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.GC()
+	if _, err := ImpliesFD(db, sigma, goal, Options{Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	if h := reg.Counter("pool.hits").Value(); h != 1 {
+		t.Errorf("pool.hits = %d after a GC, want 1 (the idle engine must survive collection)", h)
+	}
+}
+
+// shapeFixture is the i-th of a family of distinct (schema, sigma)
+// shapes: one relation Ri(A, B) with the FD Ri: A -> B.
+func shapeFixture(i int) (*schema.Database, []deps.Dependency, deps.FD) {
+	rel := fmt.Sprintf("R%d", i)
+	db := schema.MustDatabase(schema.MustScheme(rel, "A", "B"))
+	fd := deps.NewFD(rel, deps.Attrs("A"), deps.Attrs("B"))
+	return db, []deps.Dependency{fd}, deps.NewFD(rel, deps.Attrs("B"), deps.Attrs("A"))
+}
+
+// TestPoolBounded: running 2×poolMaxIdle distinct shapes through one
+// pool leaves at most poolMaxIdle idle engines, keeps the newest and
+// drops the oldest, and shrinks the bucket map with them — a bucket
+// emptied by get leaves no entry behind.
+func TestPoolBounded(t *testing.T) {
+	reg := obs.New()
+	pool := NewEnginePool(reg)
+	run := func(i int) {
+		t.Helper()
+		db, sigma, goal := shapeFixture(i)
+		if _, err := ImpliesFD(db, sigma, goal, Options{Pool: pool}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*poolMaxIdle; i++ {
+		run(i)
+	}
+	idle := func() (int, int) {
+		pool.mu.Lock()
+		defer pool.mu.Unlock()
+		return pool.idle, len(pool.buckets)
+	}
+	if n, b := idle(); n != poolMaxIdle || b != poolMaxIdle {
+		t.Fatalf("after %d shapes: %d idle engines in %d buckets, want %d in %d",
+			2*poolMaxIdle, n, b, poolMaxIdle, poolMaxIdle)
+	}
+	hits := reg.Counter("pool.hits")
+	misses := reg.Counter("pool.misses")
+	h0, m0 := hits.Value(), misses.Value()
+	run(2*poolMaxIdle - 1) // the newest shape is still warm
+	if hits.Value() != h0+1 || misses.Value() != m0 {
+		t.Errorf("newest shape: hits +%d misses +%d, want a hit", hits.Value()-h0, misses.Value()-m0)
+	}
+	run(0) // the oldest shape was dropped
+	if misses.Value() != m0+1 {
+		t.Errorf("oldest shape: misses +%d, want a miss", misses.Value()-m0)
+	}
+	if n, b := idle(); n != poolMaxIdle || b != poolMaxIdle {
+		t.Errorf("after the probes: %d idle engines in %d buckets, want %d in %d", n, b, poolMaxIdle, poolMaxIdle)
+	}
+
+	// Taking a shape's only idle engine removes its bucket.
+	db, sigma, _ := shapeFixture(0)
+	e := pool.get(poolFingerprint(db, sigma), db, sigma)
+	if e == nil {
+		t.Fatal("shape 0 has no idle engine after its run")
+	}
+	if n, b := idle(); n != poolMaxIdle-1 || b != poolMaxIdle-1 {
+		t.Errorf("after get: %d idle engines in %d buckets, want %d in %d", n, b, poolMaxIdle-1, poolMaxIdle-1)
+	}
+}
+
+// TestPoolDropsOversizedEngine: an engine whose run created more than
+// DefaultMaxTuples tuples (a caller-raised budget) is discarded, not
+// kept resident with its grown arrays; one within the default budget is
+// re-pooled.
+func TestPoolDropsOversizedEngine(t *testing.T) {
+	// Two INDs that each demand a fresh predecessor of every tuple: the
+	// tableau doubles every round, so the budget, not the round count,
+	// bounds the run.
+	db := schema.MustDatabase(schema.MustScheme("R", "A", "B", "C"))
+	sigma := []deps.Dependency{
+		deps.NewIND("R", deps.Attrs("A", "B"), "R", deps.Attrs("B", "C")),
+		deps.NewIND("R", deps.Attrs("A", "B"), "R", deps.Attrs("C", "A")),
+	}
+	goal := deps.NewFD("R", deps.Attrs("A"), deps.Attrs("C"))
+	for _, tc := range []struct {
+		budget   int
+		repooled bool
+	}{
+		{3 * DefaultMaxTuples, false},
+		{0, true}, // DefaultMaxTuples
+	} {
+		reg := obs.New()
+		pool := NewEnginePool(reg)
+		res, err := ImpliesFD(db, sigma, goal, Options{Pool: pool, MaxTuples: tc.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != Unknown {
+			t.Fatalf("budget %d: verdict %v, want unknown (the instance diverges)", tc.budget, res.Verdict)
+		}
+		pool.mu.Lock()
+		idle := pool.idle
+		pool.mu.Unlock()
+		discards := reg.Counter("pool.discards").Value()
+		if tc.repooled && (idle != 1 || discards != 0) {
+			t.Errorf("budget %d (%d tuples): %d idle, %d discards; want the engine re-pooled",
+				tc.budget, res.Tuples, idle, discards)
+		}
+		if !tc.repooled && (idle != 0 || discards != 1) {
+			t.Errorf("budget %d (%d tuples): %d idle, %d discards; want the engine dropped",
+				tc.budget, res.Tuples, idle, discards)
+		}
+	}
+}
+
+// TestPoolConcurrent shares one pool among 8 goroutines running a mix
+// of shapes and goals (run it under -race): every pooled run matches
+// its unpooled reference, and afterwards the idle set is consistent —
+// the LRU and the bucket stacks hold the same idle engines.
+func TestPoolConcurrent(t *testing.T) {
+	type job struct {
+		db    *schema.Database
+		sigma []deps.Dependency
+		goal  deps.Dependency
+		want  Result
+	}
+	var jobs []job
+	db, sigma := prop41Fixture()
+	for _, goal := range []deps.Dependency{
+		deps.NewFD("R", deps.Attrs("X"), deps.Attrs("Y")),
+		deps.NewIND("R", deps.Attrs("X"), "S", deps.Attrs("T")),
+		deps.NewFD("S", deps.Attrs("U"), deps.Attrs("T")),
+	} {
+		jobs = append(jobs, job{db: db, sigma: sigma, goal: goal})
+	}
+	for i := 0; i < 3; i++ {
+		db, sigma, goal := shapeFixture(i)
+		jobs = append(jobs, job{db: db, sigma: sigma, goal: goal})
+	}
+	for i := range jobs {
+		want, err := Implies(jobs[i].db, jobs[i].sigma, jobs[i].goal, Options{Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i].want = want
+	}
+	pool := NewEnginePool(nil)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				j := jobs[(w+i)%len(jobs)]
+				got, err := Implies(j.db, j.sigma, j.goal, Options{Pool: pool, Trace: true})
+				if err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+				if got.Verdict != j.want.Verdict || got.Rounds != j.want.Rounds || got.Tuples != j.want.Tuples ||
+					!slices.Equal(got.Trace, j.want.Trace) {
+					t.Errorf("worker %d, %v: pooled run differs from its reference", w, j.goal)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	lru := 0
+	for e := pool.newest; e != nil; e = e.older {
+		lru++
+	}
+	stacked := 0
+	for _, top := range pool.buckets {
+		if top.up != nil {
+			t.Errorf("bucket top has an engine above it")
+		}
+		for e := top; e != nil; e = e.down {
+			stacked++
+		}
+	}
+	if lru != pool.idle || stacked != pool.idle || pool.idle > poolMaxIdle {
+		t.Errorf("idle set: %d counted, %d on the LRU, %d in buckets (bound %d)", pool.idle, lru, stacked, poolMaxIdle)
 	}
 }

@@ -15,12 +15,16 @@
 // and caching that as "the answer" would wedge every later client into
 // the first client's deadline; callers enforce this by caching only
 // error-free results (serve additionally never caches 5xx responses).
+// Entries may carry footprint tags, the canonical keys of the Σ members
+// their answer depended on, so a Σ edit can free exactly the answers it
+// touched (InvalidateMembers).
 package core
 
 import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -115,20 +119,16 @@ const cacheShards = 16
 // AnswerCache is a concurrency-safe, sharded LRU of complete implication
 // answers. A nil *AnswerCache is a valid "caching off" cache: Get always
 // misses without counting, Put is a no-op.
+//
+// Footprint tags ride on the entries themselves, sorted; there is no
+// reverse index from member to entries. Every Get, Put and eviction
+// therefore locks exactly one shard, and the rare Σ edit pays instead:
+// InvalidateMembers sweeps the shards one lock at a time.
 type AnswerCache struct {
 	shards   [cacheShards]cacheShard
 	perShard int
 	ttl      time.Duration
 	now      func() time.Time // injectable for TTL tests
-
-	// Reverse index for footprint invalidation: canonical member key →
-	// set of cache fingerprints whose answer depended on that member
-	// (tags supplied to PutTagged). Guarded by its own mutex, never held
-	// together with a shard lock (shard ops collect work under the shard
-	// lock and touch the index after unlocking), so the two lock classes
-	// cannot deadlock.
-	idxMu sync.Mutex
-	idx   map[string]map[string]struct{}
 
 	hits           *obs.Counter
 	misses         *obs.Counter
@@ -146,9 +146,10 @@ type cacheEntry struct {
 	key     string
 	val     CachedAnswer
 	expires time.Time // zero = no expiry
-	// tags are the canonical member keys this answer's footprint touched
-	// (nil for untagged Put); each tag holds a reverse-index edge that
-	// must be dropped when the entry leaves the cache.
+	// tags are the canonical member keys this answer's footprint
+	// touched, sorted ascending (nil for untagged Put) so the
+	// invalidation sweep can binary-search them. The slice may be shared
+	// with the caller and other entries and is never written.
 	tags []string
 }
 
@@ -166,7 +167,6 @@ func NewAnswerCache(size int, ttl time.Duration, reg *obs.Registry) *AnswerCache
 		perShard:       per,
 		ttl:            ttl,
 		now:            time.Now,
-		idx:            make(map[string]map[string]struct{}),
 		hits:           reg.Counter("cache.hits"),
 		misses:         reg.Counter("cache.misses"),
 		evictions:      reg.Counter("cache.evictions"),
@@ -208,7 +208,6 @@ func (c *AnswerCache) Get(key string) (CachedAnswer, bool) {
 		sh.lru.Remove(el)
 		delete(sh.entries, key)
 		sh.mu.Unlock()
-		c.untag(e) // index update outside the shard lock (lock ordering)
 		c.misses.Inc()
 		return CachedAnswer{}, false
 	}
@@ -227,10 +226,12 @@ func (c *AnswerCache) Put(key string, val CachedAnswer) {
 	c.PutTagged(key, val, nil)
 }
 
-// PutTagged is Put plus footprint registration: tags are the canonical
-// Key()s of the Σ members the answer depended on (System.AnswerTags), and
-// InvalidateMembers on any of them later drops the entry. Nil tags
-// stores an entry no member edit can target.
+// PutTagged is Put plus footprint tags: the canonical Key()s of the Σ
+// members the answer depended on (System.AnswerTags), any of which
+// passed to InvalidateMembers later drops the entry. Nil tags stores an
+// entry no member edit can target. Sorted tags are kept as given — the
+// caller must not modify them afterwards; unsorted tags are copied and
+// sorted first.
 func (c *AnswerCache) PutTagged(key string, val CachedAnswer, tags []string) {
 	if c == nil {
 		return
@@ -238,115 +239,90 @@ func (c *AnswerCache) PutTagged(key string, val CachedAnswer, tags []string) {
 	// The answer is the payload; per-query observability is not.
 	val.Answer.Trace = nil
 	val.Answer.DepProfile = nil
+	if !slices.IsSorted(tags) {
+		tags = slices.Clone(tags)
+		slices.Sort(tags)
+	}
 	var expires time.Time
 	if c.ttl > 0 {
 		expires = c.now().Add(c.ttl)
 	}
-	// Index edges to drop and add are decided under the shard lock but
-	// applied after unlocking, so the shard and index locks never nest.
-	var dropped *cacheEntry
-	entry := &cacheEntry{key: key, val: val, expires: expires, tags: tags}
+	entry := cacheEntry{key: key, val: val, expires: expires, tags: tags}
 	sh := c.shardFor(key)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if el, ok := sh.entries[key]; ok {
-		old := el.Value.(*cacheEntry)
-		el.Value = entry
+		*el.Value.(*cacheEntry) = entry
 		sh.lru.MoveToFront(el)
-		sh.mu.Unlock()
-		c.untag(old)
-		c.tag(entry)
 		return
 	}
-	if sh.lru.Len() >= c.perShard {
-		oldest := sh.lru.Back()
-		if oldest != nil {
-			sh.lru.Remove(oldest)
-			dropped = oldest.Value.(*cacheEntry)
-			delete(sh.entries, dropped.key)
-			c.evictions.Inc()
-		}
-	}
-	sh.entries[key] = sh.lru.PushFront(entry)
-	sh.mu.Unlock()
-	c.untag(dropped)
-	c.tag(entry)
-}
-
-// tag registers the entry's fingerprint under each of its member tags.
-func (c *AnswerCache) tag(e *cacheEntry) {
-	if e == nil || len(e.tags) == 0 {
+	if oldest := sh.lru.Back(); oldest != nil && sh.lru.Len() >= c.perShard {
+		// The victim's element and entry are recycled for the newcomer:
+		// nothing outside the shard lock holds either.
+		old := oldest.Value.(*cacheEntry)
+		delete(sh.entries, old.key)
+		c.evictions.Inc()
+		*old = entry
+		sh.lru.MoveToFront(oldest)
+		sh.entries[key] = oldest
 		return
 	}
-	c.idxMu.Lock()
-	for _, t := range e.tags {
-		s, ok := c.idx[t]
-		if !ok {
-			s = make(map[string]struct{})
-			c.idx[t] = s
-		}
-		s[e.key] = struct{}{}
-	}
-	c.idxMu.Unlock()
-}
-
-// untag drops the entry's reverse-index edges after it left the cache.
-func (c *AnswerCache) untag(e *cacheEntry) {
-	if e == nil || len(e.tags) == 0 {
-		return
-	}
-	c.idxMu.Lock()
-	for _, t := range e.tags {
-		if s, ok := c.idx[t]; ok {
-			delete(s, e.key)
-			if len(s) == 0 {
-				delete(c.idx, t)
-			}
-		}
-	}
-	c.idxMu.Unlock()
+	fresh := entry
+	sh.entries[key] = sh.lru.PushFront(&fresh)
 }
 
 // InvalidateMembers drops every cached answer whose footprint touched
 // any of the given members (canonical Key()s), returning the number of
 // entries removed and counting each as cache.footprint_invalidations.
-// The registry calls this on a Σ edit: only answers that actually used
-// the edited member pay, answers over disjoint parts of the scheme stay
-// warm. Concurrent PutTagged calls racing this are benign — a tag
-// registered after the sweep keeps its entry, which is still a correct
-// answer for its own fingerprint (keys bind the full relevant Σ).
+// The registry calls this on a Σ edit: only answers tagged with an
+// edited member pay, answers over disjoint parts of the scheme stay
+// warm. It sweeps every entry, one shard lock at a time, binary-searching
+// each entry's sorted tags — the cost an edit pays so that puts and
+// evictions keep no reverse index. A PutTagged racing the sweep into an
+// already swept shard keeps its entry; that is benign, since the entry
+// is still a correct answer for its own fingerprint (keys bind the full
+// relevant Σ).
 func (c *AnswerCache) InvalidateMembers(memberKeys ...string) int {
-	if c == nil {
+	if c == nil || len(memberKeys) == 0 {
 		return 0
 	}
-	// Collect the doomed fingerprints under the index lock, then walk
-	// their shards without holding it.
-	doomed := make(map[string]struct{})
-	c.idxMu.Lock()
-	for _, m := range memberKeys {
-		for k := range c.idx[m] {
-			doomed[k] = struct{}{}
-		}
-	}
-	c.idxMu.Unlock()
+	changed := slices.Clone(memberKeys)
+	slices.Sort(changed)
 	removed := 0
-	for k := range doomed {
-		sh := c.shardFor(k)
+	for i := range c.shards {
+		sh := &c.shards[i]
 		sh.mu.Lock()
-		el, ok := sh.entries[k]
-		var e *cacheEntry
-		if ok {
-			e = el.Value.(*cacheEntry)
-			sh.lru.Remove(el)
-			delete(sh.entries, k)
+		for el := sh.lru.Front(); el != nil; {
+			next := el.Next()
+			if e := el.Value.(*cacheEntry); intersects(e.tags, changed) {
+				sh.lru.Remove(el)
+				delete(sh.entries, e.key)
+				removed++
+			}
+			el = next
 		}
 		sh.mu.Unlock()
-		if ok {
-			c.untag(e)
-			c.footprintEvict.Inc()
-			removed++
+	}
+	c.footprintEvict.Add(int64(removed))
+	return removed
+}
+
+// intersects reports whether two sorted key lists share a key: none
+// when their ranges are disjoint (answers over other relations' members
+// mostly are), else by probing each key of the shorter into the longer.
+func intersects(a, b []string) bool {
+	if len(a) == 0 || len(b) == 0 || a[len(a)-1] < b[0] || b[len(b)-1] < a[0] {
+		return false
+	}
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	for _, k := range a {
+		if _, ok := slices.BinarySearch(b, k); ok {
+			return true
 		}
 	}
-	return removed
+	return false
 }
 
 // Len reports the live entry count across all shards (expired entries

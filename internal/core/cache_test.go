@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -186,5 +187,112 @@ func TestAnswerCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := c.Len(); n > 32 {
 		t.Errorf("cache exceeded capacity under concurrency: %d", n)
+	}
+}
+
+// TestAnswerCacheInvalidateMembers pins the sweep: exactly the entries
+// whose tags meet the changed set go — whether their tags are shared
+// with other entries, private, handed over unsorted, empty or nil — the
+// return value equals the cache.footprint_invalidations delta, and
+// every survivor still hits.
+func TestAnswerCacheInvalidateMembers(t *testing.T) {
+	shared := []string{"m1", "m2"}
+	unsorted := []string{"m5", "m4", "m3"}
+	entries := map[string][]string{
+		"shared-a": shared,
+		"shared-b": shared,
+		"private":  {"m2", "m3"},
+		"unsorted": unsorted,
+		"single":   {"m4"},
+		"empty":    {},
+		"untagged": nil,
+	}
+	for _, tc := range []struct {
+		changed []string
+		want    []string // keys that must go
+	}{
+		{[]string{"m1"}, []string{"shared-a", "shared-b"}},
+		{[]string{"m3"}, []string{"private", "unsorted"}},
+		{[]string{"m4"}, []string{"single", "unsorted"}},
+		{[]string{"m5", "m1"}, []string{"shared-a", "shared-b", "unsorted"}},
+		{[]string{"m2", "m4"}, []string{"private", "shared-a", "shared-b", "single", "unsorted"}},
+		{[]string{"m0", "m9"}, nil},
+		{nil, nil},
+		{[]string{"m5", "m4", "m3", "m2", "m1"}, []string{"private", "shared-a", "shared-b", "single", "unsorted"}},
+	} {
+		reg := obs.New()
+		c := NewAnswerCache(1024, 0, reg)
+		for key, tags := range entries {
+			c.PutTagged(key, CachedAnswer{Answer: Answer{Verdict: Yes, Proof: key}}, tags)
+		}
+		got := c.InvalidateMembers(tc.changed...)
+		if got != len(tc.want) {
+			t.Errorf("InvalidateMembers(%v) = %d, want %d", tc.changed, got, len(tc.want))
+		}
+		if n := reg.Counter("cache.footprint_invalidations").Value(); n != int64(got) {
+			t.Errorf("InvalidateMembers(%v) returned %d but counted %d", tc.changed, got, n)
+		}
+		for key := range entries {
+			a, ok := c.Get(key)
+			if gone := slices.Contains(tc.want, key); ok == gone {
+				t.Errorf("InvalidateMembers(%v): %s present=%t, want %t", tc.changed, key, ok, !gone)
+			} else if ok && a.Answer.Proof != key {
+				t.Errorf("InvalidateMembers(%v): survivor %s answers %q", tc.changed, key, a.Answer.Proof)
+			}
+		}
+	}
+	if !slices.Equal(unsorted, []string{"m5", "m4", "m3"}) {
+		t.Errorf("PutTagged reordered the caller's tags: %v", unsorted)
+	}
+}
+
+// TestAnswerCacheInvalidateRace mixes PutTagged, Get and
+// InvalidateMembers from 16 goroutines (run it under -race): the cache
+// never exceeds its capacity, and a final sweep of every tag leaves no
+// tagged entry behind.
+func TestAnswerCacheInvalidateRace(t *testing.T) {
+	const capacity = 64
+	c := NewAnswerCache(capacity, 0, obs.New())
+	members := []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"}
+	var wg sync.WaitGroup
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				k := fmt.Sprintf("key-%d", (w*7+i)%200)
+				switch i % 4 {
+				case 0:
+					// Private tags, mostly unsorted: a member, then its predecessor.
+					c.PutTagged(k, CachedAnswer{}, []string{members[(i+w)%8], members[(i+w+7)%8]})
+				case 1:
+					c.PutTagged(k, CachedAnswer{}, members[w%4:w%4+3])
+				case 2:
+					c.Get(k)
+					if i%8 == 2 {
+						c.Put(k, CachedAnswer{})
+					}
+				case 3:
+					c.InvalidateMembers(members[(i+w)%8])
+				}
+				if n := c.Len(); n > capacity {
+					t.Errorf("cache holds %d entries, capacity %d", n, capacity)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	c.InvalidateMembers(members...)
+	for i := range c.shards {
+		sh := &c.shards[i]
+		for el := sh.lru.Front(); el != nil; el = el.Next() {
+			if e := el.Value.(*cacheEntry); len(e.tags) > 0 {
+				t.Errorf("entry %s survived a sweep of every member with tags %v", e.key, e.tags)
+			}
+		}
+		if len(sh.entries) != sh.lru.Len() {
+			t.Errorf("shard %d: map holds %d entries, LRU %d", i, len(sh.entries), sh.lru.Len())
+		}
 	}
 }

@@ -18,7 +18,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
+	"strings"
 
 	"indfd/internal/chase"
 	"indfd/internal/data"
@@ -151,15 +153,15 @@ type Options struct {
 
 // compIndex is one IND-connected component of Σ with everything a query
 // over it needs precomputed: the members (Σ insertion order), their
-// kind projections, and their canonical keys — in member order, which
-// answer footprints index, and sorted, the fingerprint body. Built once
-// per Add, read by every query.
+// kind projections, and their canonical keys sorted — the fingerprint
+// body and the cache's tag order — with each member's rank among them.
+// Built once per Add, read by every query.
 type compIndex struct {
-	members   []deps.Dependency
-	fds       []deps.FD
-	inds      []deps.IND
-	memberKey []string // member Key()s, in member order
-	keys      []string // member Key()s, sorted
+	members []deps.Dependency
+	fds     []deps.FD
+	inds    []deps.IND
+	keys    []string // member Key()s, sorted
+	rank    []int    // rank[i] is the index in keys of members[i]'s key
 	// provers holds the compiled FD closure per relation (see
 	// fd.Prover), present on the indexes Add precomputes; the throwaway
 	// indexes built per bridging-IND query skip the compile because an
@@ -172,12 +174,14 @@ type compIndex struct {
 
 func buildCompIndex(members []deps.Dependency) *compIndex {
 	ci := &compIndex{
-		members:   slices.Clip(members),
-		memberKey: make([]string, 0, len(members)),
-		allINDs:   true, allFDs: true, allUnary: true,
+		members: slices.Clip(members),
+		allINDs: true, allFDs: true, allUnary: true,
 	}
-	for _, d := range members {
-		ci.memberKey = append(ci.memberKey, d.Key())
+	memberKey := make([]string, len(members))
+	byKey := make([]int, len(members))
+	for i, d := range members {
+		memberKey[i] = d.Key()
+		byKey[i] = i
 		switch dd := d.(type) {
 		case deps.FD:
 			ci.fds = append(ci.fds, dd)
@@ -192,8 +196,15 @@ func buildCompIndex(members []deps.Dependency) *compIndex {
 			ci.allINDs, ci.allFDs, ci.allUnary = false, false, false
 		}
 	}
-	ci.keys = slices.Clone(ci.memberKey)
-	slices.Sort(ci.keys)
+	slices.SortStableFunc(byKey, func(i, j int) int {
+		return strings.Compare(memberKey[i], memberKey[j])
+	})
+	ci.keys = make([]string, len(members))
+	ci.rank = make([]int, len(members))
+	for j, at := range byKey {
+		ci.keys[j] = memberKey[at]
+		ci.rank[at] = j
+	}
 	return ci
 }
 
@@ -399,21 +410,37 @@ func (s *System) Relevant(goal deps.Dependency) []deps.Dependency {
 }
 
 // AnswerTags maps an answer to the canonical Key()s of the members of
-// Relevant(goal) it depended on, for the cache's per-member invalidation
-// index: the members its Footprint names (a chase derivation's rules, or
-// the members the chase touched), else — the closed-form engines report
-// none — the whole component. Coarser is always sound: tagging an
-// answer with extra members only means an edit to them invalidates an
-// entry it didn't need to. The returned slice may alias the index and
-// must not be mutated.
+// Relevant(goal) it depended on, for the cache's per-member
+// invalidation: the members its Footprint names (a chase derivation's
+// rules, or the members the chase touched), else — the closed-form
+// engines report none — the whole component. Coarser is always sound:
+// tagging an answer with extra members only means an edit to them
+// invalidates an entry it didn't need to. The tags come sorted, the
+// order AnswerCache.PutTagged keeps without copying; the returned slice
+// may alias the index and must not be mutated.
 func (s *System) AnswerTags(a *Answer, goal deps.Dependency) []string {
 	ci := s.relevantIndex(goal)
-	if a.Footprint == nil {
+	if a.Footprint == nil || len(a.Footprint) == len(ci.keys) {
+		// No footprint, or one naming every member (its positions are
+		// distinct): the whole component.
 		return ci.keys
 	}
-	tags := make([]string, len(a.Footprint))
-	for i, at := range a.Footprint {
-		tags[i] = ci.memberKey[at]
+	// Mark the rank of each member the footprint names, then read the
+	// marks in rank order: sorted tags without a sort.
+	var small [4]uint64
+	marks := small[:]
+	if n := (len(ci.keys) + 63) / 64; n > len(small) {
+		marks = make([]uint64, n)
+	}
+	for _, at := range a.Footprint {
+		r := ci.rank[at]
+		marks[r/64] |= 1 << (r % 64)
+	}
+	tags := make([]string, 0, len(a.Footprint))
+	for w, m := range marks {
+		for ; m != 0; m &= m - 1 {
+			tags = append(tags, ci.keys[w*64+bits.TrailingZeros64(m)])
+		}
 	}
 	return tags
 }

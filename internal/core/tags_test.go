@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -132,5 +133,63 @@ func TestAnswerTagsClosedFormEngines(t *testing.T) {
 		if got, want := sortedTags(s.AnswerTags(&a, tc.goal)), sortedTags(tc.want); !slices.Equal(got, want) {
 			t.Errorf("%s engine tags %q, want the component %q", tc.engine, got, want)
 		}
+	}
+}
+
+// TestAnswerTagsSorted: AnswerTags emits its tags in sorted-key order —
+// the order the cache keeps without copying — for derivation,
+// footprint and closed-form answers alike.
+func TestAnswerTagsSorted(t *testing.T) {
+	s, sigma := tagsSystem(t)
+	goals := []deps.Dependency{
+		deps.NewFD("R", deps.Attrs("X"), deps.Attrs("Y")),
+		deps.NewIND("T", deps.Attrs("E"), "S", deps.Attrs("T")),
+		deps.NewFD("S", deps.Attrs("U"), deps.Attrs("T")),
+	}
+	for _, goal := range goals {
+		for _, opt := range []Options{{Footprint: true}, {Provenance: true, Footprint: true}, {}} {
+			a, err := s.Implies(goal, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tags := s.AnswerTags(&a, goal)
+			if !slices.IsSorted(tags) {
+				t.Errorf("%v %+v: tags %v not sorted", goal, opt, tags)
+			}
+			if len(tags) > len(sigma) {
+				t.Errorf("%v: %d tags for a %d-member Σ", goal, len(tags), len(sigma))
+			}
+		}
+	}
+	full := make([]int, len(sigma))
+	for i := range full {
+		full[i] = i
+	}
+	goal := goals[0]
+	if got, want := s.AnswerTags(&Answer{Footprint: full}, goal), sortedTags(keysOf(sigma...)); !slices.Equal(got, want) {
+		t.Errorf("full footprint tags = %v, want %v", got, want)
+	}
+
+	// A component wider than the on-stack rank bitmap (256 members).
+	attrs := make([]schema.Attribute, 301)
+	for i := range attrs {
+		attrs[i] = schema.Attribute(fmt.Sprintf("A%d", i))
+	}
+	wide := NewSystem(schema.MustDatabase(schema.MustScheme("R", attrs...)))
+	var chain []deps.Dependency
+	for i := 0; i < 300; i++ {
+		chain = append(chain, deps.NewFD("R", attrs[i:i+1], attrs[i+1:i+2]))
+	}
+	if err := wide.Add(chain...); err != nil {
+		t.Fatal(err)
+	}
+	goal = deps.NewFD("R", deps.Attrs("A0"), deps.Attrs("A300"))
+	fp := []int{0, 5, 150, 257, 299}
+	var want []string
+	for _, at := range fp {
+		want = append(want, chain[at].Key())
+	}
+	if got := wide.AnswerTags(&Answer{Footprint: fp}, goal); !slices.Equal(got, sortedTags(want)) {
+		t.Errorf("300-member component, footprint %v: tags %v, want %v", fp, got, sortedTags(want))
 	}
 }

@@ -50,7 +50,7 @@ type Entry struct {
 	DB    *schema.Database
 	Sigma []deps.Dependency
 	// Members is the set of Σ members' canonical Keys — the per-member
-	// fingerprints the answer cache's invalidation index and the algebra
+	// fingerprints the answer cache's invalidation tags and the algebra
 	// endpoint work with.
 	Members map[string]struct{}
 	// Sys is the ready implication system over DB and Sigma.

@@ -13,6 +13,8 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"testing"
+
+	"indfd/internal/core"
 )
 
 // randomImpliesBody draws one random implication instance — schema,
@@ -317,5 +319,181 @@ func TestFootprintInvalidationSurgical(t *testing.T) {
 	dr.Body.Close()
 	if !del.Deleted || del.Invalidated == 0 {
 		t.Errorf("DELETE: deleted=%t invalidated=%d, want true and > 0", del.Deleted, del.Invalidated)
+	}
+}
+
+// deleteSchema issues DELETE /v1/schemas/{name} and decodes the reply.
+func deleteSchema(t *testing.T, baseURL, name string) SchemaResponse {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, baseURL+"/v1/schemas/"+name, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var out SchemaResponse
+	if err := json.NewDecoder(r.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE %s = %d: %s", name, r.StatusCode, out.Error)
+	}
+	return out
+}
+
+// putSchema registers body under name and decodes the reply.
+func putSchema(t *testing.T, baseURL, name, body string) SchemaResponse {
+	t.Helper()
+	r, b := putJSON(t, baseURL+"/v1/schemas/"+name, body)
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("PUT %s = %d\n%s", name, r.StatusCode, b)
+	}
+	var out SchemaResponse
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestSchemaEditKeepsInlineAnswers: no registry edit can make an inline
+// answer stale — its key binds its whole Σ component — so a PUT or
+// DELETE that shares member keys with an inline Σ must leave the inline
+// answer cached, while the registered schema's own answers still go.
+func TestSchemaEditKeepsInlineAnswers(t *testing.T) {
+	_, reg, ts := newTestServer(t, Config{CacheSize: 64})
+	const (
+		inline = `{"schema": ["R(A, B, C)"], "sigma": ["R: A -> B", "R: B -> C"], "goal": "R: A -> C"}`
+		other  = `{"schema": ["R(A, B, C)"], "sigma": ["R: A -> B"]}`
+		named  = `{"schema_name": "other", "goal": "R: A -> B"}`
+	)
+	xcache := func(label, body, want string) {
+		t.Helper()
+		r, b := postJSON(t, ts.URL+"/v1/implies", body)
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d\n%s", label, r.StatusCode, b)
+		}
+		if got := r.Header.Get("X-Cache"); got != want {
+			t.Errorf("%s: X-Cache = %q, want %q", label, got, want)
+		}
+	}
+	xcache("inline", inline, "MISS")
+	xcache("inline repeat", inline, "HIT")
+
+	if resp := putSchema(t, ts.URL, "other", other); resp.Invalidated != 0 {
+		t.Errorf("PUT other invalidated %d entries, want 0 (the inline answer is not its to evict)", resp.Invalidated)
+	}
+	xcache("inline after PUT", inline, "HIT")
+
+	// The registered schema's own answer is tagged and goes on DELETE;
+	// the inline one stays.
+	xcache("named", named, "MISS")
+	xcache("named repeat", named, "HIT")
+	if resp := deleteSchema(t, ts.URL, "other"); resp.Invalidated != 1 {
+		t.Errorf("DELETE other invalidated %d entries, want 1 (its own answer)", resp.Invalidated)
+	}
+	xcache("inline after DELETE", inline, "HIT")
+	if n := reg.Counter("cache.footprint_invalidations").Value(); n != 1 {
+		t.Errorf("cache.footprint_invalidations = %d, want 1", n)
+	}
+}
+
+// TestSchemaEditRoundTrip publishes Σ A, then B (A with one member
+// dropped), then A again, answering the same goals after each PUT.
+// Every answer — cache hit or miss — must equal a fresh core.System's
+// answer over the Σ its echoed version published, so an edit that
+// brings an earlier Σ back can never serve a stale or torn answer.
+func TestSchemaEditRoundTrip(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{CacheSize: 256, MaxBatch: 16})
+	schemaLines := []string{"R(A, B, C)", "S(X, Y)", "T(V, W)", "U(P, Q)"}
+	sigmaA := []string{"R: A -> B", "R: B -> C", "S[X,Y] <= T[V,W]", "T: V -> W", "U[P] <= T[V]"}
+	sigmaB := []string{"R: A -> B", "S[X,Y] <= T[V,W]", "T: V -> W", "U[P] <= T[V]"}
+	goals := []string{"R: A -> C", "R: A -> B", "R: C -> A", "S: X -> Y",
+		"S[X] <= T[V]", "U[P] <= T[V]", "S[Y] <= T[W]", "U: P -> Q"}
+	const budget = 64
+
+	published := map[int64][]string{}
+	put := func(sigma []string) SchemaResponse {
+		t.Helper()
+		body, err := json.Marshal(SchemaPutRequest{Schema: schemaLines, Sigma: sigma})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := putSchema(t, ts.URL, "trip", string(body))
+		published[resp.Version] = sigma
+		return resp
+	}
+	batchBody, err := json.Marshal(BatchRequest{SchemaName: "trip", Goals: goals, Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := 0, 0
+	answer := func(step string) {
+		t.Helper()
+		r, raw := postJSON(t, ts.URL+"/v1/batch", string(batchBody))
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("%s: batch = %d\n%s", step, r.StatusCode, raw)
+		}
+		var resp BatchResponse
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatal(err)
+		}
+		sigma, ok := published[resp.Version]
+		if !ok {
+			t.Fatalf("%s: batch echoed version %d, which no PUT published", step, resp.Version)
+		}
+		db, members, err := parseSchemaSigma(schemaLines, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := core.NewSystem(db)
+		if err := sys.Add(members...); err != nil {
+			t.Fatal(err)
+		}
+		goalDeps, err := parseGoals(db, "", goals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Answers) != len(goals) {
+			t.Fatalf("%s: %d answers for %d goals", step, len(resp.Answers), len(goals))
+		}
+		for i, got := range resp.Answers {
+			a, err := sys.Implies(goalDeps[i], core.Options{ChaseMaxTuples: budget})
+			if err != nil {
+				t.Fatalf("%s: fresh %s: %v", step, goals[i], err)
+			}
+			var want ImpliesResponse
+			fillAnswer(&want, a)
+			if got.Status != http.StatusOK || got.Verdict != want.Verdict || got.Engine != want.Engine ||
+				got.Proof != want.Proof || got.Counterexample != want.Counterexample ||
+				got.ChaseRounds != want.ChaseRounds || got.ChaseTuples != want.ChaseTuples {
+				t.Errorf("%s v%d %s (cache %s): got %s/%s proof %q rounds %d tuples %d, fresh system %s/%s proof %q rounds %d tuples %d",
+					step, resp.Version, goals[i], got.Cache, got.Verdict, got.Engine, got.Proof,
+					got.ChaseRounds, got.ChaseTuples, want.Verdict, want.Engine, want.Proof,
+					want.ChaseRounds, want.ChaseTuples)
+			}
+			switch got.Cache {
+			case "hit":
+				hits++
+			case "miss":
+				misses++
+			}
+		}
+	}
+
+	put(sigmaA)
+	answer("A")
+	answer("A repeat")
+	if resp := put(sigmaB); resp.Invalidated == 0 {
+		t.Errorf("dropping R: B -> C invalidated nothing; the R answers depended on it")
+	}
+	answer("B")
+	put(sigmaA)
+	answer("A again")
+	answer("A again repeat")
+	if hits == 0 || misses == 0 {
+		t.Errorf("round trip served %d hits and %d misses; both paths must be exercised", hits, misses)
 	}
 }

@@ -10,11 +10,14 @@
 //	GET    /v1/schemas                 list
 //	POST   /v1/schemas/{name}/algebra  union/intersect/minimal-cover
 //
-// A PUT or DELETE also sweeps the answer cache, but only surgically:
-// the registry reports which members changed (the symmetric difference
-// of the old and new canonical Σ), and the cache's footprint index
-// evicts exactly the answers whose derivation touched one of them —
+// A PUT or DELETE also sweeps the answer cache, evicting only the
+// answers an edit could concern: the registry reports which members
+// changed (the symmetric difference of the old and new canonical Σ),
+// and the cache drops exactly the entries tagged with one of them —
 // registering a dependency over unrelated relations evicts nothing.
+// Inline answers carry no tags and never go. Tags are bare member keys,
+// so two registered schemas that share a member evict each other's
+// answers on an edit to it: coarser than needed, never stale.
 package serve
 
 import (
@@ -40,8 +43,9 @@ type SchemaResponse struct {
 	// Sigma is the canonical dependency set (deduplicated, in insertion
 	// order), rendered in the .dep text forms.
 	Sigma []string `json:"sigma,omitempty"`
-	// Invalidated is how many cached answers the registration evicted
-	// via the footprint index (PUT and DELETE only).
+	// Invalidated is how many cached answers the registration evicted:
+	// the registered answers tagged with a changed member (PUT and
+	// DELETE only).
 	Invalidated int    `json:"invalidated"`
 	Deleted     bool   `json:"deleted,omitempty"`
 	Error       string `json:"error,omitempty"`
@@ -102,8 +106,8 @@ func (s *Server) handleSchemaPut(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusBadRequest, resp)
 		return
 	}
-	// Surgical cache sweep: only answers whose footprint touched a
-	// changed member go; everything else stays warm.
+	// Only answers whose footprint touched a changed member go;
+	// everything else stays warm.
 	resp.Invalidated = s.cache.InvalidateMembers(changed...)
 	fillSchema(&resp, e)
 	s.writeJSON(w, http.StatusOK, resp)

@@ -22,8 +22,8 @@
 //	                    per-goal answers carry cache and timing fields
 //	PUT  /v1/schemas/{name}   register a named (schema, Σ) set, pre-
 //	                    compiled (parse, canonical Σ, warm engine pool);
-//	                    re-PUT bumps the version and surgically evicts
-//	                    only cached answers that used a changed member
+//	                    re-PUT bumps the version and evicts only the
+//	                    cached answers tagged with a changed member
 //	GET  /v1/schemas          list registered schemas
 //	GET  /v1/schemas/{name}   current version's schema and Σ
 //	DELETE /v1/schemas/{name} remove (version numbers never reused)
@@ -592,11 +592,14 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 		fingerprint = p.sys.QueryKey(goal, resp.Mode,
 			append(core.FingerprintOptions(opt), "explain="+strconv.FormatBool(req.Explain))...)
 	}
+	// Only a registered schema can be edited, so only its answers carry
+	// footprint tags for InvalidateMembers, from the chase's capture of
+	// the members it touched (cheap: no scan timers, and it never changes
+	// the answer). An inline answer's key binds its whole Σ component,
+	// which no edit can change: it goes in untagged and skips the capture.
+	tagged := cacheable && p.schemaName != ""
+	opt.Footprint = tagged
 	if cacheable {
-		// Footprint capture (which members the chase touched) feeds the
-		// cache's per-member invalidation index; it is cheap (no scan
-		// timers) and never changes the answer.
-		opt.Footprint = true
 		cacheStatus = "miss"
 		lookup := time.Now()
 		if hit, ok := s.cache.Get(fingerprint); ok {
@@ -666,14 +669,16 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 		// Only complete answers enter the cache: budget-killed partials
 		// (verdict unknown) and the deadline and error branches below
 		// return partial work that must never be replayed
-		// to a later client. The tags — the members the answer actually
-		// depended on (derivation rules, chase footprint, or all of the
-		// relevant scope) — let a registry edit evict exactly the entries
-		// it could have changed.
+		// to a later client. A registered answer's tags — the members it
+		// actually depended on (derivation rules, chase footprint, or all
+		// of the relevant scope) — let a registry edit evict exactly the
+		// entries it could have changed.
 		if cacheable && a.Verdict != core.Unknown {
-			s.cache.PutTagged(fingerprint,
-				core.CachedAnswer{Answer: a, Explanation: why},
-				p.sys.AnswerTags(&a, goal))
+			var tags []string
+			if tagged {
+				tags = p.sys.AnswerTags(&a, goal)
+			}
+			s.cache.PutTagged(fingerprint, core.CachedAnswer{Answer: a, Explanation: why}, tags)
 		}
 		observeDigest(false)
 		s.reg.Counter(obs.MetricName("serve.answers",

@@ -3,7 +3,6 @@
 package indfd
 
 // raceDetectorEnabled reports whether this test binary was built with
-// -race. sync.Pool deliberately drops a quarter of Puts at random under
-// the race detector, and race instrumentation itself allocates, so the
-// exact-zero pin on the warm pooled path only holds without -race.
+// -race. Race instrumentation itself allocates, so the exact-zero pin
+// on the warm pooled path only holds without -race.
 const raceDetectorEnabled = true
