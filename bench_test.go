@@ -802,8 +802,8 @@ func TestMain(m *testing.M) {
 
 // writeBenchJSON runs the per-engine reference workloads of
 // internal/benchws under one registry and exports the snapshot
-// (counters plus benchws.*_ns wall-time gauges; cmd/benchdiff compares
-// a fresh run against this committed baseline).
+// (counters plus benchws.*_ns wall-time gauges; cmd/benchdiff gates a
+// fresh run's counters on this committed baseline).
 func writeBenchJSON(path string) error {
 	// The benchmarks that just ran leave a heap the GC is still paying
 	// for; settle it so the baseline's wall times measure the workloads,

@@ -7,8 +7,8 @@
 // Run executes every workload and adds a benchws.<name>_ns wall-time
 // gauge per workload (best of the requested rounds, so scheduler noise
 // shrinks the number, never grows it). The counters are exact and
-// machine-independent; the _ns gauges are what cmd/benchdiff compares
-// against the committed baseline to catch performance regressions.
+// machine-independent: cmd/benchdiff fails on any drift from the
+// committed baseline, and prints the _ns gauges beside it for reading.
 //
 // The search workloads pin Workers to 1: the parallel search's work
 // counters (databases enumerated, checks) are timing-dependent under

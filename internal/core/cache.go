@@ -23,6 +23,7 @@ package core
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"slices"
 	"sort"
@@ -50,43 +51,100 @@ func QueryFingerprint(db *schema.Database, sigma []deps.Dependency, goal deps.De
 	return fingerprintHash(db.Canonical(), keys, goal.Key(), mode, extras)
 }
 
-// fingerprintHash is the one hasher behind every fingerprint variant:
-// QueryFingerprint sorts its member keys and calls it, System.QueryKey
-// feeds it the presorted keys from the component index. Sharing the
-// byte layout here is what makes the two byte-identical.
-func fingerprintHash(canon string, sortedKeys []string, goalKey, mode string, extras []string) string {
-	h := sha256.New()
-	write := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-	// The scheme's canonical render is maintained by Database.Add, so
-	// the hot per-query path hashes one prebuilt string instead of
-	// re-rendering every relation.
-	write(canon)
-	write("|sigma")
+// The fingerprint's byte layout is every field followed by a NUL: the
+// scheme's canonical render, "|sigma", the sorted member keys, then
+// "|goal", the goal key, the mode and the extras. The first three depend
+// only on the component, so System.QueryKey hashes them once per
+// component (keyPrefix) and resumes from that state per goal.
+
+// appendField appends one fingerprint field and its NUL terminator.
+func appendField(buf []byte, s string) []byte {
+	return append(append(buf, s...), 0)
+}
+
+// appendSigmaFields appends the component's part of the layout.
+func appendSigmaFields(buf []byte, canon string, sortedKeys []string) []byte {
+	buf = appendField(buf, canon)
+	buf = appendField(buf, "|sigma")
 	for _, k := range sortedKeys {
-		write(k)
+		buf = appendField(buf, k)
 	}
-	write("|goal")
-	write(goalKey)
-	write(mode)
+	return buf
+}
+
+// appendGoalFields appends the query's part of the layout.
+func appendGoalFields(buf []byte, goalKey, mode string, extras []string) []byte {
+	buf = appendField(buf, "|goal")
+	buf = appendField(buf, goalKey)
+	buf = appendField(buf, mode)
 	for _, e := range extras {
-		write(e)
+		buf = appendField(buf, e)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return buf
+}
+
+// fingerprintHash hashes the whole layout in one pass: QueryFingerprint,
+// and QueryKey on an index without a valid prefix.
+func fingerprintHash(canon string, sortedKeys []string, goalKey, mode string, extras []string) string {
+	buf := appendSigmaFields(nil, canon, sortedKeys)
+	sum := sha256.Sum256(appendGoalFields(buf, goalKey, mode, extras))
+	return hex.EncodeToString(sum[:])
+}
+
+// keyPrefix is the SHA-256 state after the component's part of the
+// layout, marshaled, together with the canonical render it hashed.
+type keyPrefix struct {
+	canon string
+	state []byte
+}
+
+// newKeyPrefix hashes canon and the sorted member keys once. It returns
+// nil when the hash cannot marshal its state, and QueryKey then hashes
+// in full.
+func newKeyPrefix(canon string, sortedKeys []string) *keyPrefix {
+	h := sha256.New()
+	h.Write(appendSigmaFields(nil, canon, sortedKeys))
+	m, ok := h.(encoding.BinaryMarshaler)
+	if !ok {
+		return nil
+	}
+	state, err := m.MarshalBinary()
+	if err != nil {
+		return nil
+	}
+	return &keyPrefix{canon: canon, state: state}
 }
 
 // QueryKey is the footprint-aware fingerprint computed from the
 // precompiled component index: byte-identical to
 // QueryFingerprint(DB(), Relevant(goal), goal, mode, extras...) — both
-// feed fingerprintHash the same sorted member keys — but without
-// re-rendering or re-sorting Σ per query. Keying on the goal's component
-// rather than all of Σ is exact (core restricts Σ to that component
-// before dispatching) and keeps every such key, and hence the hit rate,
-// unchanged when a member outside the component is added or edited.
+// hash the same sorted member keys — but without re-rendering or
+// re-sorting Σ per query. Keying on the goal's component rather than all
+// of Σ is exact (core restricts Σ to that component before dispatching)
+// and keeps every such key, and hence the hit rate, unchanged when a
+// member outside the component is added or edited.
+//
+// A component's index carries its hashed prefix, so a query hashes only
+// its own fields. The prefix is used only while the database's canonical
+// render is still the one it hashed: a scheme added to the database
+// after Add, a bridging IND goal's merged index and a component Σ does
+// not name all take the full hash.
 func (s *System) QueryKey(goal deps.Dependency, mode string, extras ...string) string {
-	return fingerprintHash(s.db.Canonical(), s.relevantIndex(goal).keys, goal.Key(), mode, extras)
+	ci := s.relevantIndex(goal)
+	canon := s.db.Canonical()
+	if ci.prefix == nil || ci.prefix.canon != canon {
+		return fingerprintHash(canon, ci.keys, goal.Key(), mode, extras)
+	}
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(ci.prefix.state); err != nil {
+		return fingerprintHash(canon, ci.keys, goal.Key(), mode, extras)
+	}
+	var small [256]byte
+	buf := appendGoalFields(small[:0], goal.Key(), mode, extras)
+	h.Write(buf)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], h.Sum(buf[:0]))
+	return string(out[:])
 }
 
 // FingerprintOptions renders the answer-shaping members of Options into

@@ -167,6 +167,10 @@ type compIndex struct {
 	// indexes built per bridging-IND query skip the compile because an
 	// IND goal never consults an FD prover.
 	provers map[string]*fd.Prover
+	// prefix is the fingerprint's hashed component part (see QueryKey),
+	// set on the indexes reindex stores; nil on the per-query merged
+	// indexes and on emptyComp, whose keys hash in full.
+	prefix *keyPrefix
 	// Fragment flags over the members alone (the goal folds in at
 	// dispatch): vacuously true when the component is empty.
 	allINDs, allFDs, allUnary bool
@@ -325,7 +329,9 @@ func (s *System) reindex() {
 	}
 	s.comps = make(map[string]*compIndex, len(byRoot))
 	for root, members := range byRoot {
-		s.comps[root] = buildCompIndex(members).compile()
+		ci := buildCompIndex(members).compile()
+		ci.prefix = newKeyPrefix(s.db.Canonical(), ci.keys)
+		s.comps[root] = ci
 	}
 }
 

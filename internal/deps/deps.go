@@ -81,7 +81,7 @@ func (f FD) Kind() Kind { return KindFD }
 
 // String renders the FD as "R: A,B -> C".
 func (f FD) String() string {
-	return fmt.Sprintf("%s: %s -> %s", f.Rel, schema.JoinAttrs(f.X), schema.JoinAttrs(f.Y))
+	return f.Rel + ": " + schema.JoinAttrs(f.X) + " -> " + schema.JoinAttrs(f.Y)
 }
 
 // Key returns a canonical key. FD satisfaction depends only on the *sets*
@@ -138,7 +138,7 @@ func (d IND) Width() int { return len(d.X) }
 
 // String renders the IND as "R[A,B] <= S[C,D]".
 func (d IND) String() string {
-	return fmt.Sprintf("%s[%s] <= %s[%s]", d.LRel, schema.JoinAttrs(d.X), d.RRel, schema.JoinAttrs(d.Y))
+	return d.LRel + "[" + schema.JoinAttrs(d.X) + "] <= " + d.RRel + "[" + schema.JoinAttrs(d.Y) + "]"
 }
 
 // Key returns a canonical key. IND satisfaction is invariant under
@@ -235,7 +235,7 @@ func (r RD) Kind() Kind { return KindRD }
 
 // String renders the RD as "R[A,B == C,D]".
 func (r RD) String() string {
-	return fmt.Sprintf("%s[%s == %s]", r.Rel, schema.JoinAttrs(r.X), schema.JoinAttrs(r.Y))
+	return r.Rel + "[" + schema.JoinAttrs(r.X) + " == " + schema.JoinAttrs(r.Y) + "]"
 }
 
 // Key returns a canonical key. The RD R[X=Y] is equivalent to the set of

@@ -16,6 +16,9 @@ import (
 type Step struct {
 	Derived schema.Attribute
 	Via     deps.FD
+	// line is Via's rendered tail (stepLine) when a Prover derived the
+	// step, compiled once per Prover; "" makes String render Via.
+	line string
 }
 
 // Proof is a derivation that sigma implies Goal: starting from the
@@ -132,24 +135,41 @@ func (p Proof) Verify(sigma []deps.FD) error {
 	return nil
 }
 
-// String renders the proof as a numbered derivation. Direct builder
-// writes, not Fprintf: proofs render on the serving hot path (every fd
-// Yes answer carries one), and reflective formatting dominated it.
+// stepLine renders the tail of a proof line that fires g.
+func stepLine(g deps.FD) string {
+	return " via " + g.String() + " (augmentation + transitivity)\n"
+}
+
+// String renders the proof as a numbered derivation. It runs on the
+// serving hot path (every fd Yes answer carries one), so it writes into
+// one builder sized up front, and a Prover's steps bring their FD
+// already rendered.
 func (p Proof) String() string {
+	goal := p.Goal.String()
+	start := schema.JoinAttrs(p.Goal.X)
+	const stepFixed = len("  . derive ") + 5 // plus up to five digits
+	n := len("goal: \n  start with  (reflexivity)\n  qed") + len(goal) + len(start)
+	for _, s := range p.Steps {
+		n += stepFixed + len(s.Derived) + len(s.line)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString("goal: ")
-	b.WriteString(p.Goal.String())
+	b.WriteString(goal)
 	b.WriteString("\n  start with ")
-	b.WriteString(schema.JoinAttrs(p.Goal.X))
+	b.WriteString(start)
 	b.WriteString(" (reflexivity)\n")
+	var num [20]byte
 	for i, s := range p.Steps {
 		b.WriteString("  ")
-		b.WriteString(strconv.Itoa(i + 1))
+		b.Write(strconv.AppendInt(num[:0], int64(i+1), 10))
 		b.WriteString(". derive ")
 		b.WriteString(string(s.Derived))
-		b.WriteString(" via ")
-		b.WriteString(s.Via.String())
-		b.WriteString(" (augmentation + transitivity)\n")
+		if s.line != "" {
+			b.WriteString(s.line)
+		} else {
+			b.WriteString(stepLine(s.Via))
+		}
 	}
 	b.WriteString("  qed")
 	return b.String()

@@ -1,6 +1,8 @@
 package fd
 
 import (
+	"slices"
+
 	"indfd/internal/deps"
 	"indfd/internal/obs"
 	"indfd/internal/schema"
@@ -18,8 +20,11 @@ import (
 // fixpoint visits FDs in the same order and derives attributes in the
 // same order, so proofs, pass counts, and derivation counters match.
 type Prover struct {
-	rel   string
-	fds   []deps.FD
+	rel string
+	fds []deps.FD
+	// lines holds each FD's rendered proof-step tail (stepLine), so a
+	// proof renders no FD per goal.
+	lines []string
 	idx   map[schema.Attribute]int
 	attrs []schema.Attribute
 	words int        // bitset length: ceil(len(attrs)/64)
@@ -66,9 +71,11 @@ func NewProver(rel string, sigma []deps.FD) *Prover {
 	}
 	p.x = make([][]uint64, len(p.fds))
 	p.y = make([][]uint64, len(p.fds))
+	p.lines = make([]string, len(p.fds))
 	for i, g := range p.fds {
 		p.x[i] = mask(g.X)
 		p.y[i] = mask(g.Y)
+		p.lines[i] = stepLine(g)
 	}
 	return p
 }
@@ -124,14 +131,6 @@ func (p *Prover) Prove(f deps.FD, reg *obs.Registry) (Proof, bool) {
 			}
 		}
 	}
-	inX := func(a schema.Attribute) bool {
-		for _, q := range f.X {
-			if q == a {
-				return true
-			}
-		}
-		return false
-	}
 	for _, b := range f.Y {
 		if i, ok := p.idx[b]; ok {
 			if closure[i/64]&(1<<(i%64)) != 0 {
@@ -140,36 +139,45 @@ func (p *Prover) Prove(f deps.FD, reg *obs.Registry) (Proof, bool) {
 			return Proof{}, false
 		}
 		// An attribute no FD mentions is derivable only by reflexivity.
-		if !inX(b) {
+		if !slices.Contains(f.X, b) {
 			return Proof{}, false
 		}
 	}
-	// Walk back from the goal attributes, collecting needed steps in the
-	// same post-order as ProveObs.
+	// Walk back from the goal attributes, collecting the needed steps'
+	// attributes in the same post-order as ProveObs, then build the
+	// steps in one allocation.
 	needed := make([]bool, len(p.attrs))
-	var ordered []Step
-	var visit func(a schema.Attribute)
-	visit = func(a schema.Attribute) {
-		if inX(a) {
-			return
-		}
-		i, ok := p.idx[a]
-		if !ok || needed[i] {
-			return
-		}
-		needed[i] = true
-		gi := derivedBy[i]
-		if gi < 0 {
-			return // unreachable when the closure covers f.Y
-		}
-		g := &p.fds[gi]
-		for _, q := range g.X {
-			visit(q)
-		}
-		ordered = append(ordered, Step{Derived: a, Via: *g})
-	}
+	var small [32]int32
+	order := small[:0]
 	for _, b := range f.Y {
-		visit(b)
+		order = p.walk(b, f.X, derivedBy, needed, order)
 	}
-	return Proof{Goal: f, Steps: ordered}, true
+	steps := make([]Step, len(order))
+	for k, i := range order {
+		gi := derivedBy[i]
+		steps[k] = Step{Derived: p.attrs[i], Via: p.fds[gi], line: p.lines[gi]}
+	}
+	return Proof{Goal: f, Steps: steps}, true
+}
+
+// walk appends the index of every attribute a's derivation needs, each
+// after its premises, skipping goal-side attributes and ones already
+// collected.
+func (p *Prover) walk(a schema.Attribute, x []schema.Attribute, derivedBy []int32, needed []bool, order []int32) []int32 {
+	if slices.Contains(x, a) {
+		return order
+	}
+	i, ok := p.idx[a]
+	if !ok || needed[i] {
+		return order
+	}
+	needed[i] = true
+	gi := derivedBy[i]
+	if gi < 0 {
+		return order // unreachable when the closure covers the goal
+	}
+	for _, q := range p.fds[gi].X {
+		order = p.walk(q, x, derivedBy, needed, order)
+	}
+	return append(order, int32(i))
 }

@@ -2,6 +2,7 @@ package fd
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"indfd/internal/deps"
@@ -81,5 +82,49 @@ func TestProverNilAndEmpty(t *testing.T) {
 		if _, ok := p.Prove(goalNo, nil); ok {
 			t.Errorf("%s prover: underivable goal answered yes", name)
 		}
+	}
+}
+
+// chainProof returns a prover over the FD chain A0 -> A1 -> ... -> A(n-1)
+// and the goal A0 -> A(n-1), whose proof takes n-1 steps.
+func chainProof(n int) (*Prover, deps.FD) {
+	var sigma []deps.FD
+	for i := 0; i+1 < n; i++ {
+		sigma = append(sigma, deps.NewFD("R",
+			deps.Attrs("A"+strconv.Itoa(i)), deps.Attrs("A"+strconv.Itoa(i+1))))
+	}
+	return NewProver("R", sigma), deps.NewFD("R", deps.Attrs("A0"), deps.Attrs("A"+strconv.Itoa(n-1)))
+}
+
+// TestProverProofAllocs pins the per-goal cost of a compiled proof: Prove
+// plus String of a 14-step chain proof stays within 16 allocations,
+// because each FD's step line is rendered once by NewProver and the
+// proof text is written into one sized builder.
+func TestProverProofAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	p, goal := chainProof(15)
+	proof, ok := p.Prove(goal, nil)
+	if !ok || len(proof.Steps) != 14 {
+		t.Fatalf("chain proof: ok=%v steps=%d, want 14 steps", ok, len(proof.Steps))
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		proof, _ := p.Prove(goal, nil)
+		_ = proof.String()
+	})
+	if allocs > 16 {
+		t.Errorf("Prove+String of a 14-step proof: %.0f allocs, want <= 16", allocs)
+	}
+}
+
+// BenchmarkProverProof times Prove plus String of the 14-step chain
+// proof.
+func BenchmarkProverProof(b *testing.B) {
+	p, goal := chainProof(15)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		proof, _ := p.Prove(goal, nil)
+		_ = proof.String()
 	}
 }

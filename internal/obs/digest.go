@@ -90,8 +90,12 @@ type digestEntry struct {
 	prof      DepProfile
 }
 
+// digestShard keeps its entries in slots, which an eviction scans, with
+// entries as the index by fingerprint. An admission into a full shard
+// reuses the victim's entry and slot in place.
 type digestShard struct {
 	mu      sync.Mutex
+	slots   []*digestEntry
 	entries map[string]*digestEntry
 }
 
@@ -125,6 +129,7 @@ func NewDigestStore(k int, reg *Registry) *DigestStore {
 		gEntries:  reg.Gauge("obs.digest_entries"),
 	}
 	for i := range d.shards {
+		d.shards[i].slots = make([]*digestEntry, 0, per)
 		d.shards[i].entries = make(map[string]*digestEntry, per)
 	}
 	return d
@@ -147,7 +152,7 @@ func (d *DigestStore) Len() int {
 	n := 0
 	for i := range d.shards {
 		d.shards[i].mu.Lock()
-		n += len(d.shards[i].entries)
+		n += len(d.shards[i].slots)
 		d.shards[i].mu.Unlock()
 	}
 	return n
@@ -176,31 +181,29 @@ func (d *DigestStore) Observe(o DigestObservation) {
 	sh.mu.Lock()
 	e := sh.entries[o.Fingerprint]
 	if e == nil {
-		if len(sh.entries) < d.perShard {
+		if len(sh.slots) < d.perShard {
 			e = &digestEntry{fp: o.Fingerprint, query: o.Query}
-			sh.entries[o.Fingerprint] = e
+			sh.slots = append(sh.slots, e)
 			d.gEntries.Add(1)
 		} else {
-			// Space-saving: evict the coldest entry; the newcomer
-			// inherits its total as the error floor, so K observations
-			// of a genuinely hot shape always out-total the floor and
-			// the hot shape is never churned out by singletons.
-			var victim *digestEntry
-			for _, cand := range sh.entries {
-				if victim == nil || cand.totalNS < victim.totalNS {
-					victim = cand
+			// Space-saving: evict the coldest entry, the earliest slot
+			// on ties; the newcomer inherits its total as the error
+			// floor, so K observations of a genuinely hot shape always
+			// out-total the floor and the hot shape is never churned
+			// out by singletons. The newcomer takes over the victim's
+			// entry, so admission allocates nothing.
+			e = sh.slots[0]
+			for _, cand := range sh.slots[1:] {
+				if cand.totalNS < e.totalNS {
+					e = cand
 				}
 			}
-			delete(sh.entries, victim.fp)
+			delete(sh.entries, e.fp)
 			d.cEvicted.Inc()
-			e = &digestEntry{
-				fp:        o.Fingerprint,
-				query:     o.Query,
-				totalNS:   victim.totalNS,
-				inherited: victim.totalNS,
-			}
-			sh.entries[o.Fingerprint] = e
+			floor := e.totalNS
+			*e = digestEntry{fp: o.Fingerprint, query: o.Query, totalNS: floor, inherited: floor}
 		}
+		sh.entries[o.Fingerprint] = e
 	}
 	e.count++
 	e.totalNS += o.DurationNS
@@ -239,7 +242,7 @@ func (d *DigestStore) Snapshot(limit int) []DigestSnapshot {
 	for i := range d.shards {
 		sh := &d.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.entries {
+		for _, e := range sh.slots {
 			s := DigestSnapshot{
 				Fingerprint: e.fp,
 				Query:       e.query,

@@ -208,3 +208,60 @@ func TestDigestStoreNilObserveZeroAlloc(t *testing.T) {
 		t.Errorf("nil DigestStore.Observe allocates %v per call", n)
 	}
 }
+
+// sameShardFingerprints returns n distinct fingerprints that all land in
+// the store's first shard.
+func sameShardFingerprints(d *DigestStore, n int) []string {
+	var out []string
+	for i := 0; len(out) < n; i++ {
+		if fp := fmt.Sprintf("fp-%d", i); d.shardFor(fp) == &d.shards[0] {
+			out = append(out, fp)
+		}
+	}
+	return out
+}
+
+// TestDigestAdmissionAllocFree pins admission into a full shard: the
+// newcomer reuses the victim's entry, so Observe allocates nothing, and
+// among equal totals the victim is the earliest-admitted entry (slot
+// order, not map iteration order).
+func TestDigestAdmissionAllocFree(t *testing.T) {
+	d := NewDigestStore(256, New())
+	fps := sameShardFingerprints(d, d.perShard+2)
+	for _, fp := range fps[:d.perShard] {
+		d.Observe(DigestObservation{Fingerprint: fp, DurationNS: 1000})
+	}
+	retained := func() map[string]bool {
+		out := map[string]bool{}
+		for _, s := range d.Snapshot(0) {
+			out[s.Fingerprint] = true
+		}
+		return out
+	}
+	// Every total is 1000: the tie goes to the first slot.
+	d.Observe(DigestObservation{Fingerprint: fps[d.perShard], DurationNS: 1000})
+	if got := retained(); got[fps[0]] || !got[fps[1]] || !got[fps[d.perShard]] {
+		t.Fatalf("equal-total admission evicted the wrong entry: want %s gone, %s and %s kept",
+			fps[0], fps[1], fps[d.perShard])
+	}
+	// The newcomer now totals 2000 (its 1000 floor plus 1000), so the
+	// earliest entry still at 1000 is next.
+	d.Observe(DigestObservation{Fingerprint: fps[d.perShard+1], DurationNS: 1000})
+	if got := retained(); got[fps[1]] || !got[fps[2]] || !got[fps[d.perShard]] {
+		t.Fatalf("second admission evicted the wrong entry: want %s gone, %s and %s kept",
+			fps[1], fps[2], fps[d.perShard])
+	}
+
+	if raceDetectorEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	fresh := sameShardFingerprints(d, 2*d.perShard+1000)[2*d.perShard:]
+	next := 0
+	allocs := testing.AllocsPerRun(len(fresh)-1, func() {
+		d.Observe(DigestObservation{Fingerprint: fresh[next], Query: "R: A -> B", DurationNS: 1000})
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("Observe admitting into a full shard: %.0f allocs, want 0", allocs)
+	}
+}

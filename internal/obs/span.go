@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -91,7 +91,7 @@ func (s *Span) SetInt(key string, value int64) {
 	if s == nil {
 		return
 	}
-	s.SetAttr(key, fmt.Sprintf("%d", value))
+	s.SetAttr(key, strconv.FormatInt(value, 10))
 }
 
 // SpanSnapshot is the exportable form of a span subtree. DurationNS is

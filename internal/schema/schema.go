@@ -253,11 +253,25 @@ func SortedSet(seq []Attribute) []Attribute {
 
 // JoinAttrs renders an attribute sequence as "A,B,C".
 func JoinAttrs(seq []Attribute) string {
-	parts := make([]string, len(seq))
-	for i, a := range seq {
-		parts[i] = string(a)
+	switch len(seq) {
+	case 0:
+		return ""
+	case 1:
+		return string(seq[0])
 	}
-	return strings.Join(parts, ",")
+	n := len(seq) - 1
+	for _, a := range seq {
+		n += len(a)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, a := range seq {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(string(a))
+	}
+	return b.String()
 }
 
 // Concat returns the concatenation of attribute sequences.

@@ -101,6 +101,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Finite: req.Finite, Budget: req.Budget, Search: req.Search,
 		Explain: req.Explain, Provenance: req.Provenance,
 	}
+	extras := s.fingerprintExtras(goalReq)
 	fanout := s.cfg.BatchFanout
 	if req.Fanout > 0 && req.Fanout < fanout {
 		fanout = req.Fanout
@@ -119,7 +120,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				// The per-goal recorder is nil: the flight recorder keeps
 				// one record per HTTP request; per-goal telemetry lands in
 				// the digest store (inside solveGoal) instead.
-				ir, status, cache := s.solveGoal(ctx, p, p.goals[i], goalReq,
+				ir, status, cache := s.solveGoal(ctx, p, p.goals[i], goalReq, extras,
 					resp.RequestID, nil, deadline.Milliseconds())
 				resp.Answers[i] = BatchGoalAnswer{ImpliesResponse: ir, Cache: cache, Status: status}
 			}

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
-	"fmt"
+	"maps"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"indfd/internal/obs"
@@ -89,9 +91,13 @@ func (w *statusWriter) Flush() {
 // recorded or exported — at typical probe rates they would evict every
 // interesting record — but still carry trace IDs and exemplars.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
-	// The instruments are resolved once at registration, not per
-	// request; the handler's hot path only touches atomics.
+	// The instruments are resolved once, not per request: the latency
+	// histogram here, each status code's request counter on its first
+	// use. The handler's hot path only touches atomics.
 	latency := s.reg.Histogram(obs.MetricName("http.latency_us", "path", route))
+	requests := newCounterSet(func(code int) *obs.Counter {
+		return s.reg.Counter(obs.MetricName("http.requests", "path", route, "code", strconv.Itoa(code)))
+	})
 	recorded := route != "/healthz" && route != "/readyz"
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := s.nextRequestID()
@@ -148,8 +154,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		if sw.status >= 500 {
 			s.cErrors.Inc()
 		}
-		s.reg.Counter(obs.MetricName("http.requests",
-			"path", route, "code", strconv.Itoa(sw.status))).Inc()
+		requests.get(sw.status).Inc()
 		if rec != nil {
 			rec.Status = sw.status
 			rec.Start = start
@@ -184,5 +189,45 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 // (start-time derived, so IDs from different depserve runs differ) plus
 // a monotone counter.
 func (s *Server) nextRequestID() string {
-	return fmt.Sprintf("%s-%06d", s.idBase, s.nextID.Add(1))
+	var buf, num [32]byte
+	id := append(append(buf[:0], s.idBase...), '-')
+	digits := strconv.AppendUint(num[:0], s.nextID.Add(1), 10)
+	for i := len(digits); i < 6; i++ {
+		id = append(id, '0') // zero-padded to six digits
+	}
+	return string(append(id, digits...))
+}
+
+// counterSet resolves one labelled counter family once per label key: a
+// copy-on-write map behind an atomic pointer, so a repeat key costs one
+// atomic load and one map probe, and the registry's mutex is taken only
+// the first time a key shows up. Each series is the one resolve names,
+// created in the registry on its first use.
+type counterSet[K comparable] struct {
+	resolve func(K) *obs.Counter
+	mu      sync.Mutex // serializes first uses
+	m       atomic.Pointer[map[K]*obs.Counter]
+}
+
+func newCounterSet[K comparable](resolve func(K) *obs.Counter) *counterSet[K] {
+	cs := &counterSet[K]{resolve: resolve}
+	cs.m.Store(&map[K]*obs.Counter{})
+	return cs
+}
+
+// get returns the counter for k, resolving it on first use.
+func (cs *counterSet[K]) get(k K) *obs.Counter {
+	if c, ok := (*cs.m.Load())[k]; ok {
+		return c
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if c, ok := (*cs.m.Load())[k]; ok {
+		return c
+	}
+	next := maps.Clone(*cs.m.Load())
+	c := cs.resolve(k)
+	next[k] = c
+	cs.m.Store(&next)
+	return c
 }

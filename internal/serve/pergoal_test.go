@@ -1,0 +1,134 @@
+package serve
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"indfd/internal/deps"
+	"indfd/internal/fd"
+	"indfd/internal/obs"
+)
+
+// TestBatchProofsMatchProveObs pins the proof text of registered fd
+// answers, whose step lines the compiled prover renders once: over the
+// 32-attribute FD chain, every one of the 496 goals Ai -> Aj (i < j)
+// answers yes with exactly the text of fd.ProveObs's proof — which
+// fd.Proof.Verify accepts — both computed (cache misses) and replayed
+// (cache hits), at batch fanout 1 and 4.
+func TestBatchProofsMatchProveObs(t *testing.T) {
+	const n = 32
+	attrs := make([]string, n)
+	for i := range attrs {
+		attrs[i] = fmt.Sprintf("A%d", i)
+	}
+	var sigma []deps.FD
+	var sigmaLines []string
+	for i := 0; i+1 < n; i++ {
+		sigma = append(sigma, deps.NewFD("R", deps.Attrs(attrs[i]), deps.Attrs(attrs[i+1])))
+		sigmaLines = append(sigmaLines, sigma[i].String())
+	}
+	var goals []deps.FD
+	var goalLines []string
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			g := deps.NewFD("R", deps.Attrs(attrs[i]), deps.Attrs(attrs[j]))
+			goals = append(goals, g)
+			goalLines = append(goalLines, g.String())
+		}
+	}
+	want := make([]string, len(goals))
+	for i, g := range goals {
+		ref, ok := fd.ProveObs(sigma, g, nil)
+		if !ok {
+			t.Fatalf("ProveObs: %v not implied", g)
+		}
+		if err := ref.Verify(sigma); err != nil {
+			t.Fatalf("ProveObs proof of %v fails Verify: %v", g, err)
+		}
+		want[i] = ref.String()
+	}
+	schemaBody, _ := json.Marshal(map[string][]string{
+		"schema": {"R(" + strings.Join(attrs, ", ") + ")"},
+		"sigma":  sigmaLines,
+	})
+
+	for _, fanout := range []int{1, 4} {
+		_, _, ts := newTestServer(t, Config{CacheSize: 4096, MaxBatch: 512})
+		putSchema(t, ts.URL, "chain", string(schemaBody))
+		batchBody, _ := json.Marshal(BatchRequest{SchemaName: "chain", Goals: goalLines, Fanout: fanout})
+		for pass, cache := range []string{"miss", "hit"} {
+			r, b := postJSON(t, ts.URL+"/v1/batch", string(batchBody))
+			if r.StatusCode != http.StatusOK {
+				t.Fatalf("fanout %d pass %d: status %d\n%s", fanout, pass, r.StatusCode, b)
+			}
+			var resp BatchResponse
+			if err := json.Unmarshal(b, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Answers) != len(goals) {
+				t.Fatalf("fanout %d pass %d: %d answers, want %d", fanout, pass, len(resp.Answers), len(goals))
+			}
+			for i, a := range resp.Answers {
+				if a.Verdict != "yes" || a.Engine != "fd" || a.Cache != cache {
+					t.Fatalf("fanout %d goal %s: verdict %s engine %s cache %s, want yes fd %s",
+						fanout, goalLines[i], a.Verdict, a.Engine, a.Cache, cache)
+				}
+				if a.Proof != want[i] {
+					t.Fatalf("fanout %d goal %s (%s): proof differs from ProveObs\ngot:\n%s\nwant:\n%s",
+						fanout, goalLines[i], cache, a.Proof, want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRequestIDFormat pins the request ID spelling: the process base, a
+// dash, and the sequence number zero-padded to six digits.
+func TestRequestIDFormat(t *testing.T) {
+	s := New(Config{Reg: obs.New()})
+	for _, n := range []uint64{1, 42, 999999, 1000000, 123456789} {
+		s.nextID.Store(n - 1)
+		if got, want := s.nextRequestID(), fmt.Sprintf("%s-%06d", s.idBase, n); got != want {
+			t.Errorf("request %d: ID %q, want %q", n, got, want)
+		}
+	}
+}
+
+// TestCounterSetResolvesOnce pins the labelled-counter cache: each key
+// resolves through the registry once, even when goroutines race on its
+// first use, every use lands on that one counter, and the series keeps
+// the name MetricName gives it.
+func TestCounterSetResolvesOnce(t *testing.T) {
+	reg := obs.New()
+	var resolved atomic.Int64
+	cs := newCounterSet(func(k answerLabels) *obs.Counter {
+		resolved.Add(1)
+		return reg.Counter(obs.MetricName("serve.answers", "engine", k.engine, "verdict", k.verdict))
+	})
+	keys := []answerLabels{{"fd", "yes"}, {"fd", "no"}, {"chase", "deadline"}, {"ind", "yes"}}
+	const workers, rounds = 8, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for _, k := range keys {
+					cs.get(k).Inc()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := resolved.Load(); got != int64(len(keys)) {
+		t.Errorf("resolved %d times, want %d", got, len(keys))
+	}
+	if got := reg.Counter(`serve.answers{engine="fd",verdict="yes"}`).Value(); got != workers*rounds {
+		t.Errorf(`serve.answers{engine="fd",verdict="yes"} = %d, want %d`, got, workers*rounds)
+	}
+}

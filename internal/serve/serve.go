@@ -204,6 +204,7 @@ type Server struct {
 	cRequests     *obs.Counter
 	cErrors       *obs.Counter
 	hLatency      *obs.Histogram
+	answers       *counterSet[answerLabels]
 
 	// testDelayNS, when positive, sleeps every instrumented request by
 	// that many nanoseconds before the handler runs — the latency-fault
@@ -271,6 +272,9 @@ func New(cfg Config) *Server {
 		dig:           obs.NewDigestStore(cfg.DigestSize, cfg.Reg),
 		pool:          chase.NewEnginePool(cfg.Reg),
 		schemas:       registry.New(cfg.Reg),
+		answers: newCounterSet(func(k answerLabels) *obs.Counter {
+			return cfg.Reg.Counter(obs.MetricName("serve.answers", "engine", k.engine, "verdict", k.verdict))
+		}),
 	}
 	s.idBase = fmt.Sprintf("%x", s.started.UnixNano()&0xfffffff)
 	if cfg.CacheSize > 0 {
@@ -544,14 +548,39 @@ func (s *Server) requestDeadline(timeoutMS int64) time.Duration {
 	return deadline
 }
 
+// answerLabels is one serve.answers{engine,verdict} series.
+type answerLabels struct{ engine, verdict string }
+
+// answerOptions resolves a request's answer-shaping knobs, the ones
+// core.FingerprintOptions renders, against the server's defaults.
+func (s *Server) answerOptions(req ImpliesRequest) core.Options {
+	budget := req.Budget
+	if budget <= 0 {
+		budget = s.cfg.ChaseBudget
+	}
+	return core.Options{
+		ChaseMaxTuples: budget,
+		SearchFallback: req.Search || s.cfg.SearchFallback,
+		Provenance:     req.Provenance,
+	}
+}
+
+// fingerprintExtras renders a request's answer-shaping knobs into the
+// fingerprint extras solveGoal keys its goals with. A request builds
+// them once; every goal of a batch shares them.
+func (s *Server) fingerprintExtras(req ImpliesRequest) []string {
+	return append(core.FingerprintOptions(s.answerOptions(req)), "explain="+strconv.FormatBool(req.Explain))
+}
+
 // solveGoal answers one goal against a prepared system — the single
 // engine path behind /v1/implies, /v1/explain and every goal of a
 // /v1/batch, so batch answers are byte-identical to per-request ones by
-// construction. It returns the response body, its HTTP status, and the
-// cache disposition ("hit", "miss", or "" when the goal bypassed the
-// cache). Each call observes its own per-goal digest, so /debug/digests
-// aggregates batch traffic per query shape, not per batch envelope.
-func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependency, req ImpliesRequest, requestID string, rec *obs.RequestRecord, deadlineMS int64) (ImpliesResponse, int, string) {
+// construction. extras are the request's fingerprintExtras. It returns
+// the response body, its HTTP status, and the cache disposition ("hit",
+// "miss", or "" when the goal bypassed the cache). Each call observes
+// its own per-goal digest, so /debug/digests aggregates batch traffic
+// per query shape, not per batch envelope.
+func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependency, req ImpliesRequest, extras []string, requestID string, rec *obs.RequestRecord, deadlineMS int64) (ImpliesResponse, int, string) {
 	resp := ImpliesResponse{RequestID: requestID, Goal: goal.String(), Mode: "unrestricted", DeadlineMS: deadlineMS}
 	if req.Finite {
 		resp.Mode = "finite"
@@ -560,19 +589,11 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 		rec.Goal = resp.Goal
 		rec.Mode = resp.Mode
 	}
-	budget := req.Budget
-	if budget <= 0 {
-		budget = s.cfg.ChaseBudget
-	}
-	opt := core.Options{
-		ChaseMaxTuples: budget,
-		SearchFallback: req.Search || s.cfg.SearchFallback,
-		Provenance:     req.Provenance,
-		Profile:        req.Profile,
-		Obs:            s.reg,
-		Ctx:            ctx,
-		ChasePool:      p.pool,
-	}
+	opt := s.answerOptions(req)
+	opt.Profile = req.Profile
+	opt.Obs = s.reg
+	opt.Ctx = ctx
+	opt.ChasePool = p.pool
 
 	// Answer cache: the answer is a pure function of (schema,
 	// Relevant(goal), goal, mode, engine budgets) — core restricts Σ to
@@ -589,8 +610,7 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 	cacheable := s.cache != nil && !req.IncludeMetrics && !req.Profile
 	cacheStatus := ""
 	if cacheable || s.dig != nil {
-		fingerprint = p.sys.QueryKey(goal, resp.Mode,
-			append(core.FingerprintOptions(opt), "explain="+strconv.FormatBool(req.Explain))...)
+		fingerprint = p.sys.QueryKey(goal, resp.Mode, extras...)
 	}
 	// Only a registered schema can be edited, so only its answers carry
 	// footprint tags for InvalidateMembers, from the chase's capture of
@@ -615,8 +635,7 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 				Fingerprint: fingerprint, Query: resp.Goal,
 				DurationNS: resp.ElapsedUS * 1e3, CacheHit: true,
 			})
-			s.reg.Counter(obs.MetricName("serve.answers",
-				"engine", hit.Answer.Engine, "verdict", hit.Answer.Verdict.String())).Inc()
+			s.answers.get(answerLabels{hit.Answer.Engine, hit.Answer.Verdict.String()}).Inc()
 			return resp, http.StatusOK, "hit"
 		}
 		if rec != nil {
@@ -681,8 +700,7 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 			s.cache.PutTagged(fingerprint, core.CachedAnswer{Answer: a, Explanation: why}, tags)
 		}
 		observeDigest(false)
-		s.reg.Counter(obs.MetricName("serve.answers",
-			"engine", a.Engine, "verdict", a.Verdict.String())).Inc()
+		s.answers.get(answerLabels{a.Engine, a.Verdict.String()}).Inc()
 		return resp, http.StatusOK, cacheStatus
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		// The engines return their partial work with the error; the 503
@@ -691,8 +709,7 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 		// instance outran its deadline.
 		s.cDeadline.Inc()
 		observeDigest(true)
-		s.reg.Counter(obs.MetricName("serve.answers",
-			"engine", a.Engine, "verdict", "deadline")).Inc()
+		s.answers.get(answerLabels{a.Engine, "deadline"}).Inc()
 		resp.Error = err.Error()
 		return resp, http.StatusServiceUnavailable, cacheStatus
 	default:
@@ -715,7 +732,7 @@ func (s *Server) answerImplies(w http.ResponseWriter, r *http.Request, req Impli
 	// The flight-recorder draft (nil when recording is off) gets the
 	// query identity and outcome inside solveGoal; the middleware
 	// retains it when the response is done.
-	resp, status, cacheStatus := s.solveGoal(ctx, p, p.goals[0], req,
+	resp, status, cacheStatus := s.solveGoal(ctx, p, p.goals[0], req, s.fingerprintExtras(req),
 		resp.RequestID, record(r.Context()), deadline.Milliseconds())
 	switch cacheStatus {
 	case "hit":
