@@ -10,8 +10,11 @@ check: build vet lint race zeroalloc
 build:
 	$(GO) build ./...
 
+# bench/ is its own module, which `./...` does not enter; vetting it
+# here catches a change to an API depbench calls before CI's bench step.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # gofmt must be clean; staticcheck runs when installed (CI installs it,
 # local sandboxes may not have it — skipping is not a failure there).

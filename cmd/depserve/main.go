@@ -25,10 +25,10 @@
 //	POST /v1/batch       up to -max-batch goals against one inline or
 //	                     registered Σ, one shared setup, fanned across
 //	                     -batch-fanout workers
-//	PUT/GET/DELETE /v1/schemas/{name}  named-schema registry: versioned,
-//	                     pre-compiled (schema, Σ) sets with warm engine
-//	                     pools; edits evict only the cached answers
-//	                     tagged with a changed member
+//	PUT/GET/DELETE /v1/schemas/{name}  named-schema registry: versioned
+//	                     (schema, Σ) sets compiled once, through the
+//	                     same memo as inline requests; edits evict only
+//	                     the cached answers tagged with a changed member
 //	POST /v1/schemas/{name}/algebra    union/intersect/minimal-cover
 //	GET  /metrics        Prometheus text exposition
 //	GET  /healthz        liveness
@@ -94,7 +94,7 @@ func main() {
 	maxDeadline := flag.Duration("max-deadline", 60*time.Second, "cap on the per-request timeout_ms")
 	slow := flag.Duration("slow", 500*time.Millisecond, "latency above which a request is logged as slow")
 	budget := flag.Int("budget", 0, "default chase tuple budget (0 = the chase package's default)")
-	search := flag.Bool("search", false, "enable the counterexample-search fallback by default")
+	search := flag.Bool("search", false, "enable the counterexample-search fallback for every request (a request's search field can turn it on, never off)")
 	cacheSize := flag.Int("cache-size", 1024, "answer cache entries (0 disables caching, including the compiled-system memo)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "answer cache entry lifetime (0 = never expire)")
 	traceBuf := flag.Int("trace-buf", 128, "flight-recorder capacity for /debug/traces (negative disables)")

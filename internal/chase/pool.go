@@ -36,8 +36,9 @@ import (
 )
 
 // poolMaxIdle bounds the idle engines one pool keeps across all its
-// buckets — the bound of serve's compiled-system memo, so every inline
-// shape the memo retains can keep one warm engine.
+// buckets. depserve runs one pool for inline and registered schemas
+// alike; the bound is that of its compiled-system memo, so every system
+// the memo retains can keep one warm engine.
 const poolMaxIdle = 256
 
 // EnginePool recycles chase engines across runs, bucketed by a
@@ -148,22 +149,6 @@ func (p *EnginePool) unlink(e *engine) {
 // oversized); the engine is simply dropped for the GC.
 func (p *EnginePool) discard(*engine) {
 	p.discards.Inc()
-}
-
-// Warm compiles sigma against db and parks the engine in the pool, so
-// the first real request for that (schema, sigma) shape hits warm. A
-// freshly compiled engine is already in the structurally reset state
-// put expects (arm, not compilation, readies per-run state). The schema
-// registry uses this to pay compilation at registration time instead of
-// on the first query.
-func (p *EnginePool) Warm(db *schema.Database, sigma []deps.Dependency) error {
-	e, err := newEngine(db, sigma)
-	if err != nil {
-		return err
-	}
-	e.pool, e.poolKey = p, poolFingerprint(db, sigma)
-	p.put(e)
-	return nil
 }
 
 // matches reports whether the engine was compiled from exactly this

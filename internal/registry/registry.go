@@ -1,22 +1,26 @@
 // Package registry is depserve's named-schema store: a versioned,
-// concurrency-safe map from schema names to pre-compiled implication
+// concurrency-safe map from schema names to compiled implication
 // systems. Clients that pose many goals against one dependency set —
 // an optimizer validating rewrites, a discovery pipeline checking
 // candidate dependencies — register the (schema, Σ) pair once and
 // reference it by name afterwards, so the per-request cost drops to a
-// map lookup plus the goals' own parse: parsing, validation,
-// canonicalization, per-member fingerprinting and chase-engine
-// compilation are all paid at registration time. Register takes an
-// already-parsed schema and Σ (depserve parses its request fields entry
-// by entry); Put takes a .dep document.
+// map lookup plus the goals' own parse. Register publishes a
+// core.System its caller compiled (depserve compiles request fields
+// through the same memo its inline requests use); Put parses and
+// compiles a .dep document first.
 //
 // Entries are immutable after publication. A registration builds a
-// complete new Entry — parsed schema, canonical Σ, member keys, a warm
-// chase.EnginePool — and swaps it in under the write lock; readers that
-// already hold the old Entry keep using it unharmed (its pool and
-// system are self-contained), and readers that look up after the swap
-// see the new one. No request can ever observe a torn Σ: the version
-// and the dependency set travel together inside one pointer.
+// complete new Entry — the compiled system, its canonical Σ and member
+// keys — and swaps it in under the write lock; readers that already
+// hold the old Entry keep using it unharmed, and readers that look up
+// after the swap see the new one. No request can ever observe a torn
+// Σ: the version and the dependency set travel together inside one
+// pointer.
+//
+// The registry owns the process's one chase.EnginePool. Every entry
+// points to it, and depserve answers inline requests from it too: the
+// pool is keyed by the chase shape, not by the name, so the engines of
+// a component an edit left unchanged stay warm across the edit.
 //
 // Versions are per name, start at 1, bump on every registration, and
 // survive Delete (the counter lives outside the entry map), so a version
@@ -55,9 +59,8 @@ type Entry struct {
 	Members map[string]struct{}
 	// Sys is the ready implication system over DB and Sigma.
 	Sys *core.System
-	// Pool is a chase engine pool warmed for this version's (DB, Sigma)
-	// shape; sharing it across the version's requests makes repeat
-	// chase queries nearly allocation-free.
+	// Pool is the registry's one chase engine pool, the same for every
+	// entry (see Registry.Pool).
 	Pool *chase.EnginePool
 }
 
@@ -66,8 +69,8 @@ type Registry struct {
 	mu       sync.RWMutex
 	entries  map[string]*Entry
 	versions map[string]int64 // survives Delete: versions never repeat
+	pool     *chase.EnginePool
 
-	obs     *obs.Registry
 	puts    *obs.Counter // registry.puts: successful registrations
 	deletes *obs.Counter // registry.deletes: successful removals
 	hits    *obs.Counter // registry.hits: Get found the name
@@ -76,12 +79,12 @@ type Registry struct {
 }
 
 // New returns an empty registry reporting registry.* metrics to reg
-// (nil = uncounted). Warm engine pools report pool.* to the same reg.
+// (nil = uncounted), and its engine pool's pool.* metrics too.
 func New(reg *obs.Registry) *Registry {
 	return &Registry{
 		entries:  make(map[string]*Entry),
 		versions: make(map[string]int64),
-		obs:      reg,
+		pool:     chase.NewEnginePool(reg),
 		puts:     reg.Counter("registry.puts"),
 		deletes:  reg.Counter("registry.deletes"),
 		hits:     reg.Counter("registry.hits"),
@@ -90,10 +93,14 @@ func New(reg *obs.Registry) *Registry {
 	}
 }
 
+// Pool returns the chase engine pool every entry shares.
+func (r *Registry) Pool() *chase.EnginePool { return r.pool }
+
 // Put registers a .dep document — scheme declarations and Σ, no query
-// lines — under name: a document parse in front of Register. Query
-// lines are rejected (a registered schema is a declaration, goals
-// arrive per request), and so are template dependencies.
+// lines — under name: a document parse and a compile in front of
+// Register. Query lines are rejected (a registered schema is a
+// declaration, goals arrive per request), and so are template
+// dependencies.
 func (r *Registry) Put(name, source string) (*Entry, []string, error) {
 	f, err := parser.ParseString(source)
 	if err != nil {
@@ -105,38 +112,31 @@ func (r *Registry) Put(name, source string) (*Entry, []string, error) {
 	if len(f.TDs) > 0 {
 		return nil, nil, fmt.Errorf("registry: template dependencies are not supported in registered schemas")
 	}
-	return r.Register(name, f.DB, f.Sigma)
+	sys := core.NewSystem(f.DB)
+	if err := sys.Add(f.Sigma...); err != nil {
+		return nil, nil, err
+	}
+	return r.Register(name, sys)
 }
 
-// Register publishes a parsed schema and Σ under name, bumping the
-// name's version. It validates and canonicalizes Σ into a ready System
-// and warms a chase engine pool for the full-Σ shape before taking the
-// lock. It returns the published entry plus the canonical keys of the
-// members that CHANGED relative to the previous version (symmetric
-// difference; everything on a fresh name, everything removed plus
-// everything added on an edit) — exactly the set whose cached answers
-// the caller must invalidate.
-func (r *Registry) Register(name string, db *schema.Database, sigma []deps.Dependency) (*Entry, []string, error) {
+// Register publishes a compiled system under name, bumping the name's
+// version. The system must not change afterwards; one system may back
+// any number of entries and inline requests. Register returns the
+// published entry plus the canonical keys of the members that CHANGED
+// relative to the previous version (symmetric difference; everything
+// on a fresh name, everything removed plus everything added on an
+// edit) — exactly the set whose cached answers the caller must
+// invalidate.
+func (r *Registry) Register(name string, sys *core.System) (*Entry, []string, error) {
 	if name == "" {
 		return nil, nil, fmt.Errorf("registry: empty schema name")
-	}
-	sys := core.NewSystem(db)
-	if err := sys.Add(sigma...); err != nil {
-		return nil, nil, err
 	}
 	canon := sys.Sigma()
 	members := make(map[string]struct{}, len(canon))
 	for _, d := range canon {
 		members[d.Key()] = struct{}{}
 	}
-	pool := chase.NewEnginePool(r.obs)
-	// Best-effort warm-up for the full-Σ shape; goals whose relevant
-	// component is a strict subset compile (and then pool) their own
-	// shape on first use.
-	if err := pool.Warm(db, canon); err != nil {
-		return nil, nil, err
-	}
-	e := &Entry{Name: name, DB: db, Sigma: canon, Members: members, Sys: sys, Pool: pool}
+	e := &Entry{Name: name, DB: sys.DB(), Sigma: canon, Members: members, Sys: sys, Pool: r.pool}
 	r.mu.Lock()
 	prev := r.entries[name]
 	r.versions[name]++

@@ -137,11 +137,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		rec.Goal = "batch:" + strconv.Itoa(len(p.goals)) + " goals"
 		rec.Mode = "batch"
 	}
-	s.reg.Counter("batch.requests").Inc()
-	s.reg.Counter("batch.goals").Add(int64(len(p.goals)))
+	s.batch.get("batch.requests").Inc()
+	s.batch.get("batch.goals").Add(int64(len(p.goals)))
 	for i := range resp.Answers {
 		if resp.Answers[i].Status != http.StatusOK {
-			s.reg.Counter("batch.goal_errors").Inc()
+			s.batch.get("batch.goal_errors").Inc()
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)

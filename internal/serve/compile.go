@@ -1,13 +1,15 @@
-// The compiled-system memo. Inline /v1/implies, /v1/explain and
-// /v1/batch requests repeat their schema and Σ far more often than they
-// change them, and parsing and compiling the fields (parseSchemaSigma,
-// core.NewSystem, Add) costs more than many answers do. The memo maps a
-// request's raw schema and sigma fields to the compiled *core.System,
-// so a repeat skips all three. Goals are not memoized: prepare parses
-// every goal and validates it against the system's scheme on every
-// request. A compiled System is immutable after Add and already shared
-// across goroutines (registry entries, batch workers), so one memoized
-// System serves any number of concurrent requests.
+// The compiled-system memo. Requests repeat their schema and Σ far more
+// often than they change them, and parsing and compiling the fields
+// (parseSchemaSigma, core.NewSystem, Add) costs more than many answers
+// do. The memo maps a request's raw schema and sigma fields to the
+// compiled *core.System, so a repeat skips all three, whether it is an
+// inline /v1/implies, /v1/explain or /v1/batch request or a PUT
+// /v1/schemas/{name} (compile.hits counts both): a compiled Σ is the
+// same object whether a request inlines it or names it. Goals are not
+// memoized: prepare parses every goal and validates it against the
+// system's scheme on every request. A compiled System is immutable
+// after Add and already shared across goroutines, so one memoized
+// System serves any number of requests.
 package serve
 
 import (
@@ -30,12 +32,12 @@ const (
 	memoMaxKeyBytes = 512 << 10
 )
 
-// compileMemo is a concurrency-safe LRU of compiled inline systems,
-// keyed by the request's raw schema and sigma text. prepare stores a
-// system only once its whole request proved valid, so a body that gets
-// a 400 is parsed again on every request and never retained. A nil
-// *compileMemo is the memo switched off: get always misses without
-// counting, put stores nothing.
+// compileMemo is a concurrency-safe LRU of compiled systems, keyed by
+// the request's raw schema and sigma text. A system is stored only once
+// its whole request proved valid, so a body that gets a 400 is parsed
+// again on every request and never retained. A nil *compileMemo is the
+// memo switched off: compile compiles every time without counting, put
+// stores nothing.
 type compileMemo struct {
 	mu       sync.Mutex
 	entries  map[string]*list.Element
@@ -64,35 +66,45 @@ func newCompileMemo(reg *obs.Registry) *compileMemo {
 	}
 }
 
-// get looks up a request's inline schema and sigma fields. It returns
-// the memo key and the system an earlier request compiled from the same
-// text, or nil, and counts the hit or miss. On a nil memo it returns
-// ("", nil) and counts nothing.
-func (m *compileMemo) get(schemaLines, sigma []string) (string, *core.System) {
-	if m == nil {
-		return "", nil
-	}
-	key := memoKey(schemaLines, sigma)
-	var sys *core.System
-	m.mu.Lock()
-	if el, ok := m.entries[key]; ok {
-		m.lru.MoveToFront(el)
-		sys = el.Value.(*memoEntry).sys
-	}
-	m.mu.Unlock()
-	if sys == nil {
+// compile returns the system for a request's schema and sigma fields
+// and counts the lookup: on a hit, the system an earlier request
+// compiled from the same text and an empty key; on a miss, a fresh
+// compile and the key to put it under once its whole request proved
+// valid. A nil memo returns every fresh compile with an empty key.
+func (m *compileMemo) compile(schemaLines, sigma []string) (*core.System, string, error) {
+	var key string
+	if m != nil {
+		key = memoKey(schemaLines, sigma)
+		var sys *core.System
+		m.mu.Lock()
+		if el, ok := m.entries[key]; ok {
+			m.lru.MoveToFront(el)
+			sys = el.Value.(*memoEntry).sys
+		}
+		m.mu.Unlock()
+		if sys != nil {
+			m.hits.Inc()
+			return sys, "", nil
+		}
 		m.misses.Inc()
-	} else {
-		m.hits.Inc()
 	}
-	return key, sys
+	db, members, err := parseSchemaSigma(schemaLines, sigma)
+	if err != nil {
+		return nil, "", err
+	}
+	sys := core.NewSystem(db)
+	if err := sys.Add(members...); err != nil {
+		return nil, "", fmt.Errorf("sigma: %w", err)
+	}
+	return sys, key, nil
 }
 
-// put stores a compiled system under key and evicts least recently used
-// systems until both bounds hold. A key longer than the text bound is
-// not stored at all, and a nil memo stores nothing.
+// put stores a fresh system under the key compile returned with it and
+// evicts least recently used systems until both bounds hold. An empty
+// key (a hit, or the memo off) and a key longer than the text bound
+// store nothing.
 func (m *compileMemo) put(key string, sys *core.System) {
-	if m == nil || len(key) > memoMaxKeyBytes {
+	if key == "" || len(key) > memoMaxKeyBytes {
 		return
 	}
 	m.mu.Lock()
@@ -144,18 +156,4 @@ func memoKey(schemaLines, sigma []string) string {
 		}
 	}
 	return b.String()
-}
-
-// compileInline parses a request's inline schema and sigma fields and
-// compiles them into a System.
-func compileInline(schemaLines, sigma []string) (*core.System, error) {
-	db, members, err := parseSchemaSigma(schemaLines, sigma)
-	if err != nil {
-		return nil, err
-	}
-	sys := core.NewSystem(db)
-	if err := sys.Add(members...); err != nil {
-		return nil, fmt.Errorf("sigma: %w", err)
-	}
-	return sys, nil
 }

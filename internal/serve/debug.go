@@ -28,6 +28,25 @@ func debugJSON(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// queryLimit reads the ?limit=N that bounds /debug/traces,
+// /debug/digests and /debug/alerts (absent = 0, no bound). A value that
+// is not a non-negative integer gets the 400 here, and ok is false.
+func (s *Server) queryLimit(w http.ResponseWriter, r *http.Request) (limit int, ok bool) {
+	q := r.URL.Query().Get("limit")
+	if q == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(q)
+	if err != nil || n < 0 {
+		s.writeJSON(w, http.StatusBadRequest, map[string]string{
+			"request_id": RequestID(r.Context()),
+			"error":      "limit must be a non-negative integer",
+		})
+		return 0, false
+	}
+	return n, true
+}
+
 // handleTimeseries is GET /debug/timeseries: the tsdb's retained
 // history as JSON series. Query parameters:
 //
@@ -92,17 +111,9 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
 		return
 	}
-	limit := 0
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			s.writeJSON(w, http.StatusBadRequest, map[string]string{
-				"request_id": RequestID(r.Context()),
-				"error":      "limit must be a non-negative integer",
-			})
-			return
-		}
-		limit = n
+	limit, ok := s.queryLimit(w, r)
+	if !ok {
+		return
 	}
 	active := s.wd.Active()
 	if active == nil {

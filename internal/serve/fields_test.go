@@ -354,7 +354,11 @@ func TestFieldParseMatchesDocument(t *testing.T) {
 		if err := docSys.Add(file.Sigma...); err != nil {
 			t.Fatalf("%s: document system: %v", label, err)
 		}
-		if _, _, err := srv.schemas.Register("diff", db, sigma); err != nil {
+		fieldSys := core.NewSystem(db)
+		if err := fieldSys.Add(sigma...); err != nil {
+			t.Fatalf("%s: field system: %v", label, err)
+		}
+		if _, _, err := srv.schemas.Register("diff", fieldSys); err != nil {
 			t.Fatalf("%s: register: %v", label, err)
 		}
 		for _, name := range []string{"", "diff"} {

@@ -132,3 +132,49 @@ func TestCounterSetResolvesOnce(t *testing.T) {
 		t.Errorf(`serve.answers{engine="fd",verdict="yes"} = %d, want %d`, got, workers*rounds)
 	}
 }
+
+// TestLazyCountersKeepNames: serve.satisfies{satisfied} and the batch.*
+// counters exist only once incremented, under their established names,
+// so a workload that never fails a batch goal exports no
+// batch.goal_errors series at all.
+func TestLazyCountersKeepNames(t *testing.T) {
+	_, reg, ts := newTestServer(t, Config{})
+	lazy := func() []string {
+		var out []string
+		for name := range reg.Snapshot().Counters {
+			if strings.HasPrefix(name, "batch.") || strings.HasPrefix(name, "serve.satisfies") {
+				out = append(out, name)
+			}
+		}
+		return out
+	}
+	if names := lazy(); len(names) != 0 {
+		t.Fatalf("a fresh server exports %v", names)
+	}
+	sat := `{"schema": ["R(A, B)"], "sigma": ["R: A -> B"], "data": {"R": [["x", "1"], ["y", "2"]]}}`
+	for _, body := range []string{sat, sat, strings.Replace(sat, `["y", "2"]`, `["x", "2"]`, 1)} {
+		if r, b := postJSON(t, ts.URL+"/v1/satisfies", body); r.StatusCode != http.StatusOK {
+			t.Fatalf("satisfies = %d\n%s", r.StatusCode, b)
+		}
+	}
+	if r, b := postJSON(t, ts.URL+"/v1/batch",
+		`{"schema": ["R(A, B)"], "sigma": ["R: A -> B"], "goals": ["R: A -> B", "R: B -> A"]}`); r.StatusCode != http.StatusOK {
+		t.Fatalf("batch = %d\n%s", r.StatusCode, b)
+	}
+	want := map[string]int64{
+		`serve.satisfies{satisfied="true"}`:  2,
+		`serve.satisfies{satisfied="false"}`: 1,
+		"batch.requests":                     1,
+		"batch.goals":                        2,
+	}
+	snap := reg.Snapshot()
+	for _, name := range lazy() {
+		if got, ok := want[name]; !ok || snap.Counters[name] != got {
+			t.Errorf("%s = %d, want %d (present: %t)", name, snap.Counters[name], got, ok)
+		}
+		delete(want, name)
+	}
+	for name := range want {
+		t.Errorf("%s missing", name)
+	}
+}

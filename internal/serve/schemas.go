@@ -1,8 +1,8 @@
 // The schema registry endpoints: named, versioned (schema, Σ) sets
 // whose compilation cost — parse, validation, canonicalization,
-// per-member fingerprints, a warm chase-engine pool — is paid once at
-// PUT time and amortized over every /v1/implies and /v1/batch request
-// that references the name.
+// per-component indexes — is paid once, through the same memo as inline
+// requests (compile.go), and amortized over every /v1/implies and
+// /v1/batch request that references the name.
 //
 //	PUT    /v1/schemas/{name}          register or replace (version++)
 //	GET    /v1/schemas/{name}          current version's schema and Σ
@@ -23,6 +23,7 @@ package serve
 import (
 	"net/http"
 
+	"indfd/internal/core"
 	"indfd/internal/deps"
 	"indfd/internal/registry"
 )
@@ -95,17 +96,18 @@ func (s *Server) handleSchemaPut(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	db, sigma, err := parseSchemaSigma(req.Schema, req.Sigma)
+	sys, key, err := s.memo.compile(req.Schema, req.Sigma)
 	var e *registry.Entry
 	var changed []string
 	if err == nil {
-		e, changed, err = s.schemas.Register(name, db, sigma)
+		e, changed, err = s.schemas.Register(name, sys)
 	}
 	if err != nil {
 		resp.Error = err.Error()
 		s.writeJSON(w, http.StatusBadRequest, resp)
 		return
 	}
+	s.memo.put(key, sys)
 	// Only answers whose footprint touched a changed member go;
 	// everything else stays warm.
 	resp.Invalidated = s.cache.InvalidateMembers(changed...)
@@ -208,7 +210,13 @@ func (s *Server) handleSchemaAlgebra(w http.ResponseWriter, r *http.Request) {
 		resp.Sigma = append(resp.Sigma, d.String())
 	}
 	if req.RegisterAs != "" {
-		e, changed, err := s.schemas.Register(req.RegisterAs, a.DB, result)
+		sys := core.NewSystem(a.DB)
+		var e *registry.Entry
+		var changed []string
+		err := sys.Add(result...)
+		if err == nil {
+			e, changed, err = s.schemas.Register(req.RegisterAs, sys)
+		}
 		if err != nil {
 			bad(http.StatusBadRequest, err.Error())
 			return

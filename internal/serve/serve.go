@@ -20,8 +20,8 @@
 //	POST /v1/batch      up to max-batch goals against one inline or
 //	                    registered Σ, answered with one shared setup;
 //	                    per-goal answers carry cache and timing fields
-//	PUT  /v1/schemas/{name}   register a named (schema, Σ) set, pre-
-//	                    compiled (parse, canonical Σ, warm engine pool);
+//	PUT  /v1/schemas/{name}   register a named (schema, Σ) set, compiled
+//	                    once (parse, canonical Σ, component indexes);
 //	                    re-PUT bumps the version and evicts only the
 //	                    cached answers tagged with a changed member
 //	GET  /v1/schemas          list registered schemas
@@ -60,11 +60,12 @@
 // per-line forms); no handler builds a .dep document, and errors name
 // their entry ("sigma[1]: …").
 //
-// While the answer cache is on, an inline schema and Σ are compiled
-// once: a bounded LRU memo (compile.go) maps the raw schema and sigma
-// fields to the compiled system, so a repeat inline request on
-// /v1/implies, /v1/explain or /v1/batch skips the parse and the compile.
-// Its goals are still parsed and validated on every request.
+// While the answer cache is on, a schema and Σ sent as request fields
+// are compiled once: a bounded LRU memo (compile.go) maps the raw
+// schema and sigma fields to the compiled system, so a repeat inline
+// request or a re-PUT of a registered text skips the parse and the
+// compile. Goals are still parsed and validated on every request. Every
+// chase, inline or registered, draws its engine from one pool.
 //
 // Every request is stamped with W3C trace context: a valid incoming
 // traceparent's trace ID is honored (so depserve's spans land in the
@@ -123,7 +124,7 @@ type Config struct {
 	// not set one (0 = the chase package's default).
 	ChaseBudget int
 	// SearchFallback enables the bounded counterexample search for
-	// inconclusive chases unless the request says otherwise.
+	// inconclusive chases on every request; a request can only turn it on.
 	SearchFallback bool
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
@@ -191,7 +192,6 @@ type Server struct {
 	rec     *obs.Recorder
 	exp     *obs.Exporter
 	dig     *obs.DigestStore
-	pool    *chase.EnginePool
 	schemas *registry.Registry
 	ts      *tsdb.Store
 	wd      *tsdb.Watchdog
@@ -205,6 +205,8 @@ type Server struct {
 	cErrors       *obs.Counter
 	hLatency      *obs.Histogram
 	answers       *counterSet[answerLabels]
+	satisfies     *counterSet[bool]   // serve.satisfies{satisfied}
+	batch         *counterSet[string] // batch.requests, batch.goals, batch.goal_errors
 
 	// testDelayNS, when positive, sleeps every instrumented request by
 	// that many nanoseconds before the handler runs — the latency-fault
@@ -270,11 +272,14 @@ func New(cfg Config) *Server {
 		rec:           obs.NewRecorder(cfg.TraceBuffer),
 		exp:           cfg.Exporter,
 		dig:           obs.NewDigestStore(cfg.DigestSize, cfg.Reg),
-		pool:          chase.NewEnginePool(cfg.Reg),
 		schemas:       registry.New(cfg.Reg),
 		answers: newCounterSet(func(k answerLabels) *obs.Counter {
 			return cfg.Reg.Counter(obs.MetricName("serve.answers", "engine", k.engine, "verdict", k.verdict))
 		}),
+		satisfies: newCounterSet(func(ok bool) *obs.Counter {
+			return cfg.Reg.Counter(obs.MetricName("serve.satisfies", "satisfied", strconv.FormatBool(ok)))
+		}),
+		batch: newCounterSet(cfg.Reg.Counter),
 	}
 	s.idBase = fmt.Sprintf("%x", s.started.UnixNano()&0xfffffff)
 	if cfg.CacheSize > 0 {
@@ -338,9 +343,9 @@ type ImpliesRequest struct {
 	Schema []string `json:"schema"`
 	Sigma  []string `json:"sigma"`
 	// SchemaName answers against a registered schema (PUT /v1/schemas/
-	// {name}) instead of an inline one: the pre-compiled entry supplies
-	// the scheme, Σ and a warm engine pool, so the request body carries
-	// only the goal. Mutually exclusive with Schema/Sigma.
+	// {name}) instead of an inline one: the entry's compiled system
+	// supplies the scheme and Σ, so the request body carries only the
+	// goal. Mutually exclusive with Schema/Sigma.
 	SchemaName string `json:"schema_name,omitempty"`
 	Goal       string `json:"goal"`
 	// Finite asks for finite implication (⊨fin) instead of unrestricted.
@@ -449,14 +454,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	s.answerImplies(w, r, req)
 }
 
-// prepared is one request's shared setup — the system, the engine pool,
-// and the parsed goals — paid once and reused by every goal. For
-// /v1/implies that is one goal; for /v1/batch it is the whole point:
-// the parse/canonicalize/validate pass and (for registered schemas) the
-// compiled system amortize across up to MaxBatch goals.
+// prepared is one request's shared setup — the system and the parsed
+// goals — paid once and reused by every goal. For /v1/implies that is
+// one goal; for /v1/batch it is the whole point: the compiled system
+// amortizes across up to MaxBatch goals.
 type prepared struct {
 	sys   *core.System
-	pool  *chase.EnginePool
 	goals []deps.Dependency
 	// schemaName and version identify the registry entry when the
 	// request referenced one ("" / 0 for inline schemas).
@@ -466,11 +469,10 @@ type prepared struct {
 
 // prepare resolves a request's schema into a ready system and parses
 // its goals, each validated against that system's schema. With
-// schemaName set the registry supplies the pre-compiled entry (schema,
-// canonical Σ, warm pool) and only the goals are parsed; otherwise the
-// inline schema and Σ come from the compiled-system memo, or are parsed
-// entry by entry and compiled. Goals are parsed on every call (see
-// parseGoals for goalField).
+// schemaName set the registry entry supplies the compiled system;
+// otherwise the inline schema and Σ come from the compiled-system memo,
+// or are parsed entry by entry and compiled. Goals are parsed on every
+// call (see parseGoals for goalField).
 func (s *Server) prepare(schemaName string, schemaLines, sigma []string, goalField string, goals []string) (*prepared, error) {
 	if schemaName != "" {
 		if len(schemaLines) > 0 || len(sigma) > 0 {
@@ -484,26 +486,20 @@ func (s *Server) prepare(schemaName string, schemaLines, sigma []string, goalFie
 		if err != nil {
 			return nil, err
 		}
-		return &prepared{sys: e.Sys, pool: e.Pool, goals: parsed, schemaName: e.Name, version: e.Version}, nil
+		return &prepared{sys: e.Sys, goals: parsed, schemaName: e.Name, version: e.Version}, nil
 	}
-	key, sys := s.memo.get(schemaLines, sigma)
-	fresh := sys == nil
-	if fresh {
-		var err error
-		if sys, err = compileInline(schemaLines, sigma); err != nil {
-			return nil, err
-		}
+	sys, key, err := s.memo.compile(schemaLines, sigma)
+	if err != nil {
+		return nil, err
 	}
 	parsed, err := parseGoals(sys.DB(), goalField, goals)
 	if err != nil {
 		return nil, err
 	}
-	if fresh {
-		// Retained only now that the whole request proved valid: a body
-		// that gets a 400 never enters the memo.
-		s.memo.put(key, sys)
-	}
-	return &prepared{sys: sys, pool: s.pool, goals: parsed}, nil
+	// Retained only now that the whole request proved valid: a body that
+	// gets a 400 never enters the memo.
+	s.memo.put(key, sys)
+	return &prepared{sys: sys, goals: parsed}, nil
 }
 
 // parseGoals parses a request's goals, each validated against the
@@ -593,7 +589,7 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 	opt.Profile = req.Profile
 	opt.Obs = s.reg
 	opt.Ctx = ctx
-	opt.ChasePool = p.pool
+	opt.ChasePool = s.schemas.Pool()
 
 	// Answer cache: the answer is a pure function of (schema,
 	// Relevant(goal), goal, mode, engine budgets) — core restricts Σ to
@@ -779,7 +775,7 @@ func (s *Server) handleSatisfies(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		resp.Violated = bad.String()
 	}
-	s.reg.Counter(obs.MetricName("serve.satisfies", "satisfied", fmt.Sprintf("%t", ok))).Inc()
+	s.satisfies.get(ok).Inc()
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -797,17 +793,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleTraces is GET /debug/traces: the flight recorder's retained
 // records, newest first; ?limit=N bounds the reply.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			s.writeJSON(w, http.StatusBadRequest, map[string]string{
-				"request_id": RequestID(r.Context()),
-				"error":      "limit must be a non-negative integer",
-			})
-			return
-		}
-		limit = n
+	limit, ok := s.queryLimit(w, r)
+	if !ok {
+		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"capacity": s.rec.Cap(),
@@ -838,17 +826,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // merged per-dependency profile of its profiled runs. ?limit=N bounds
 // the reply.
 func (s *Server) handleDigests(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			s.writeJSON(w, http.StatusBadRequest, map[string]string{
-				"request_id": RequestID(r.Context()),
-				"error":      "limit must be a non-negative integer",
-			})
-			return
-		}
-		limit = n
+	limit, ok := s.queryLimit(w, r)
+	if !ok {
+		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"capacity": s.dig.Cap(),
@@ -924,7 +904,7 @@ POST /v1/implies     {"schema":["R(A,B)"],"sigma":["R: A -> B"],"goal":"R: A -> 
 POST /v1/explain     same body; answers with proof, derivation DAG, or counterexample
 POST /v1/satisfies   {"schema":[...],"sigma":[...],"data":{"R":[["a","b"]]}}
 POST /v1/batch       {"schema_name":"orders","goals":["R: A -> B", ...]} — many goals, one setup
-PUT  /v1/schemas/{name}   {"schema":[...],"sigma":[...]} — register a pre-compiled named Σ
+PUT  /v1/schemas/{name}   {"schema":[...],"sigma":[...]} — register a named Σ, compiled once
 GET  /v1/schemas          list; GET/DELETE /v1/schemas/{name} inspect/remove
 POST /v1/schemas/{name}/algebra  {"op":"union|intersect|minimal-cover","with":"other"}
 GET  /metrics        Prometheus text exposition
