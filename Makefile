@@ -32,20 +32,26 @@ race:
 # republishing a schema against 32 readers running batches, every answer
 # checked against the Σ its echoed version published; 32 clients
 # sending inline requests over shared Σ while the compiled-system memo
-# evicts under them, every verdict checked; and 16 goroutines mixing
-# tagged puts, gets and invalidation sweeps on one answer cache.
+# evicts under them, every verdict checked; recorded queries and batches
+# against readers of /debug/traces, /debug/otlp, /metrics, a tsdb
+# sampler and a file exporter, pinning that a published span tree is
+# never written again; and 16 goroutines mixing tagged puts, gets and
+# invalidation sweeps on one answer cache.
 race-hammer:
-	$(GO) test -race -cpu 1,2,8 -run 'TestRegistryRaceHammer|TestCompileMemoRaceHammer' -count=1 ./internal/serve/
+	$(GO) test -race -cpu 1,2,8 -run 'TestRegistryRaceHammer|TestCompileMemoRaceHammer|TestTraceTreeRaceHammer' -count=1 ./internal/serve/
 	$(GO) test -race -cpu 1,2,8 -run 'TestAnswerCacheInvalidateRace' -count=1 ./internal/core/
 
 # The zero-cost-when-off gate: the chase with instrumentation and
 # provenance disabled must stay under its pinned allocation ceiling, and
 # the warm pooled chase must allocate nothing. The second line runs the
 # chase package's own pins without -race (the pool pin skips itself
-# under the race detector, so `make race` never runs it). The last two
+# under the race detector, so `make race` never runs it). The next two
 # pin the per-goal path: a compiled fd proof (Prove plus String of a
 # 14-step chain) within 16 allocations, and a query-digest admission
-# into a full shard at zero. They skip themselves under -race too.
+# into a full shard at zero. The last pins an instrumented
+# System.Implies on a warm pool, whose span tree is built once and never
+# copied: within 15 allocations on an fd goal and 22 on the Proposition
+# 4.1 chase. They skip themselves under -race too.
 # -count=1 defeats the test cache — an allocation regression must fail
 # here even when no _test.go file changed.
 zeroalloc:
@@ -53,6 +59,7 @@ zeroalloc:
 	$(GO) test -run 'TestPoolWarmRunAllocFree|TestDisabledObsAllocsPinned' -count=1 ./internal/chase/
 	$(GO) test -run TestProverProofAllocs -count=1 ./internal/fd/
 	$(GO) test -run TestDigestAdmissionAllocFree -count=1 ./internal/obs/
+	$(GO) test -run TestImpliesObsAllocs -count=1 ./internal/core/
 
 # A short native-fuzzing run per input surface (plain `go test` only
 # replays the seed corpora): FuzzParse checks the .dep reader and its

@@ -18,8 +18,9 @@
 //	         [-stats] [-trace-json FILE] [-pprof ADDR] [-memprofile FILE]
 //
 // With -stats, a metrics and span report (lint.* check counters plus the
-// chase.* counters of any repair or advice chases) goes to stderr;
-// -trace-json FILE writes the span tree as JSON, -pprof ADDR serves
+// chase.* counters of any repair or advice chases, then the span trees
+// of the check, repair, advice and each answered query) goes to stderr;
+// -trace-json FILE writes the same report as JSON, -pprof ADDR serves
 // net/http/pprof, and -memprofile FILE writes an end-of-run heap
 // profile.
 //
@@ -59,8 +60,8 @@ func main() {
 	}
 
 	reg := obsFlags.Registry()
-	code, err := run(os.Stdout, *depsPath, *dataDir, *repairDir, *advise, *explain, *profile, *format, *budget, reg)
-	if ferr := obsFlags.Finish(reg); err == nil {
+	code, roots, err := run(os.Stdout, *depsPath, *dataDir, *repairDir, *advise, *explain, *profile, *format, *budget, reg)
+	if ferr := obsFlags.Finish(reg, roots); err == nil {
 		err = ferr
 	}
 	if err != nil {
@@ -70,44 +71,53 @@ func main() {
 	os.Exit(code)
 }
 
-func run(w io.Writer, depsPath, dataDir, repairDir string, advise, explain, profile bool, format string, budget int, reg *obs.Registry) (int, error) {
+// run does what the flags ask, writing to w, and returns the exit code
+// and the root span trees it started, in order (none when reg is nil).
+func run(w io.Writer, depsPath, dataDir, repairDir string, advise, explain, profile bool, format string, budget int, reg *obs.Registry) (code int, roots []*obs.Span, err error) {
 	if depsPath == "" {
-		return 1, fmt.Errorf("-deps is required")
+		return 1, nil, fmt.Errorf("-deps is required")
 	}
 	if format != "text" && format != "dot" {
-		return 1, fmt.Errorf("-format must be text or dot, got %q", format)
+		return 1, nil, fmt.Errorf("-format must be text or dot, got %q", format)
 	}
 	f, err := os.Open(depsPath)
 	if err != nil {
-		return 1, err
+		return 1, nil, err
 	}
 	file, err := parser.Parse(f)
 	f.Close()
 	if err != nil {
-		return 1, err
+		return 1, nil, err
 	}
-	opt := chase.Options{MaxTuples: budget, Obs: reg}
+	// keep adds a root span tree to the run's roots; a nil tree (reg is
+	// nil) is dropped.
+	keep := func(sp *obs.Span) *obs.Span {
+		if sp != nil {
+			roots = append(roots, sp)
+		}
+		return sp
+	}
 
 	if explain {
-		if err := runExplain(w, file, format, budget, reg); err != nil {
-			return 1, err
+		if err := runExplain(w, file, format, budget, reg, keep); err != nil {
+			return 1, roots, err
 		}
 	}
 
 	if profile {
-		if err := runProfile(w, file, budget, reg); err != nil {
-			return 1, err
+		if err := runProfile(w, file, budget, reg, keep); err != nil {
+			return 1, roots, err
 		}
 	}
 
 	if advise {
 		// Parent every candidate-probe chase under one advise span so the
 		// trace stays one tree rather than hundreds of roots.
-		aSp := reg.StartSpan("depcheck.advise")
+		aSp := keep(reg.StartSpan("depcheck.advise"))
 		adv, err := lint.Advise(file.DB, file.Sigma, chase.Options{MaxTuples: budget, Obs: reg, Span: aSp})
 		aSp.End()
 		if err != nil {
-			return 1, err
+			return 1, roots, err
 		}
 		fmt.Fprintln(w, "=== design advice ===")
 		fmt.Fprintln(w, adv)
@@ -115,37 +125,41 @@ func run(w io.Writer, depsPath, dataDir, repairDir string, advise, explain, prof
 
 	if dataDir == "" {
 		if !advise && !explain && !profile {
-			return 1, fmt.Errorf("nothing to do: pass -data, -advise, -explain and/or -profile")
+			return 1, roots, fmt.Errorf("nothing to do: pass -data, -advise, -explain and/or -profile")
 		}
-		return 0, nil
+		return 0, roots, nil
 	}
 	db, err := data.LoadDir(file.DB, dataDir)
 	if err != nil {
-		return 1, err
+		return 1, roots, err
 	}
-	violations, err := lint.CheckObs(db, file.Sigma, reg)
+	cSp := keep(reg.StartSpan("depcheck.check"))
+	violations, err := lint.CheckObs(db, file.Sigma, reg, cSp)
+	cSp.End()
 	if err != nil {
-		return 1, err
+		return 1, roots, err
 	}
 	if len(violations) == 0 {
 		fmt.Fprintf(w, "OK: %d tuples satisfy all %d dependencies\n", db.Size(), len(file.Sigma))
-		return 0, nil
+		return 0, roots, nil
 	}
 	fmt.Fprintf(w, "%d violation(s):\n", len(violations))
 	for _, v := range violations {
 		fmt.Fprintf(w, "  %v\n", v)
 	}
 	if repairDir != "" {
-		repaired, added, err := lint.Repair(db, file.Sigma, opt)
+		rSp := keep(reg.StartSpan("depcheck.repair"))
+		repaired, added, err := lint.Repair(db, file.Sigma, chase.Options{MaxTuples: budget, Obs: reg, Span: rSp})
+		rSp.End()
 		if err != nil {
-			return 1, fmt.Errorf("repair failed: %w", err)
+			return 1, roots, fmt.Errorf("repair failed: %w", err)
 		}
 		if err := data.SaveDir(repaired, repairDir); err != nil {
-			return 1, err
+			return 1, roots, err
 		}
 		fmt.Fprintf(w, "repaired: %d tuple(s) added, written to %s\n", added, repairDir)
 	}
-	return 3, nil
+	return 3, roots, nil
 }
 
 // runProfile answers every query of the .dep file with profiling on and
@@ -153,7 +167,8 @@ func run(w io.Writer, depsPath, dataDir, repairDir string, advise, explain, prof
 // firings, tuples produced and scanned, scan time and rounds active per
 // member of Σ, hottest first. Queries the polynomial fd/unary closures
 // answer carry no profile (those engines do not iterate per member).
-func runProfile(w io.Writer, file *parser.File, budget int, reg *obs.Registry) error {
+// Each answer's span tree goes to keep.
+func runProfile(w io.Writer, file *parser.File, budget int, reg *obs.Registry, keep func(*obs.Span) *obs.Span) error {
 	if len(file.Queries) == 0 {
 		return fmt.Errorf("-profile needs at least one query (a `? goal` line) in the .dep file")
 	}
@@ -173,6 +188,7 @@ func runProfile(w io.Writer, file *parser.File, budget int, reg *obs.Registry) e
 		if err != nil {
 			return err
 		}
+		keep(a.Trace)
 		mode := "unrestricted"
 		if q.Mode == parser.Finite {
 			mode = "finite"
@@ -193,8 +209,9 @@ func runProfile(w io.Writer, file *parser.File, budget int, reg *obs.Registry) e
 // engine's explanation (ind/fd proof, chase derivation, unary
 // cardinality cycle, or counterexample); dot format renders the chase's
 // derivation DAG in Graphviz syntax and errors on answers that carry no
-// derivation (other engines, non-yes verdicts).
-func runExplain(w io.Writer, file *parser.File, format string, budget int, reg *obs.Registry) error {
+// derivation (other engines, non-yes verdicts). Each answer's span tree
+// goes to keep.
+func runExplain(w io.Writer, file *parser.File, format string, budget int, reg *obs.Registry, keep func(*obs.Span) *obs.Span) error {
 	if len(file.Queries) == 0 {
 		return fmt.Errorf("-explain needs at least one query (a `? goal` line) in the .dep file")
 	}
@@ -208,6 +225,7 @@ func runExplain(w io.Writer, file *parser.File, format string, budget int, reg *
 		if err != nil {
 			return err
 		}
+		keep(a.Trace)
 		if format == "dot" {
 			if a.Derivation == nil {
 				return fmt.Errorf("%v: no chase derivation to render as dot (verdict %v, engine %s)",

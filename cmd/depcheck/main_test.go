@@ -46,7 +46,7 @@ func setup(t *testing.T, custCSV, ordCSV string) (depPath, dataDir string) {
 func TestCleanData(t *testing.T) {
 	dep, dir := setup(t, "CID,NAME\nc1,ann\n", "OID,CID\no1,c1\n")
 	var out bytes.Buffer
-	code, err := run(&out, dep, dir, "", false, false, false, "text", 0, nil)
+	code, _, err := run(&out, dep, dir, "", false, false, false, "text", 0, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestViolationsAndRepair(t *testing.T) {
 	dep, dir := setup(t, "CID,NAME\nc1,ann\n", "OID,CID\no1,c1\no2,c9\n")
 	repairDir := filepath.Join(t.TempDir(), "fixed")
 	var out bytes.Buffer
-	code, err := run(&out, dep, dir, repairDir, false, false, false, "text", 0, nil)
+	code, _, err := run(&out, dep, dir, repairDir, false, false, false, "text", 0, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestViolationsAndRepair(t *testing.T) {
 	}
 	// The repaired data passes a second check.
 	var out2 bytes.Buffer
-	code, err = run(&out2, dep, repairDir, "", false, false, false, "text", 0, nil)
+	code, _, err = run(&out2, dep, repairDir, "", false, false, false, "text", 0, nil)
 	if err != nil {
 		t.Fatalf("re-check: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestViolationsAndRepair(t *testing.T) {
 func TestAdvise(t *testing.T) {
 	dep, _ := setup(t, "CID,NAME\n", "OID,CID\n")
 	var out bytes.Buffer
-	code, err := run(&out, dep, "", "", true, false, false, "text", 256, nil)
+	code, _, err := run(&out, dep, "", "", true, false, false, "text", 256, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -93,17 +93,17 @@ func TestAdvise(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	if _, err := run(&bytes.Buffer{}, "", "", "", false, false, false, "text", 0, nil); err == nil {
+	if _, _, err := run(&bytes.Buffer{}, "", "", "", false, false, false, "text", 0, nil); err == nil {
 		t.Errorf("missing -deps should error")
 	}
 	dep, _ := setup(t, "CID,NAME\n", "OID,CID\n")
-	if _, err := run(&bytes.Buffer{}, dep, "", "", false, false, false, "text", 0, nil); err == nil {
+	if _, _, err := run(&bytes.Buffer{}, dep, "", "", false, false, false, "text", 0, nil); err == nil {
 		t.Errorf("missing -data without -advise should error")
 	}
-	if _, err := run(&bytes.Buffer{}, dep, "/nonexistent-dir", "", false, false, false, "text", 0, nil); err == nil {
+	if _, _, err := run(&bytes.Buffer{}, dep, "/nonexistent-dir", "", false, false, false, "text", 0, nil); err == nil {
 		t.Errorf("bad data dir should error")
 	}
-	if _, err := run(&bytes.Buffer{}, "/nonexistent.dep", "", "", true, false, false, "text", 0, nil); err == nil {
+	if _, _, err := run(&bytes.Buffer{}, "/nonexistent.dep", "", "", true, false, false, "text", 0, nil); err == nil {
 		t.Errorf("bad deps path should error")
 	}
 }
@@ -113,7 +113,7 @@ func TestErrors(t *testing.T) {
 // chase, and the derivation's node lines and goal line are printed.
 func TestExplainLemma72Text(t *testing.T) {
 	var out bytes.Buffer
-	code, err := run(&out, filepath.Join("testdata", "lemma72.dep"), "", "", false, true, false, "text", 1024, nil)
+	code, _, err := run(&out, filepath.Join("testdata", "lemma72.dep"), "", "", false, true, false, "text", 1024, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestExplainLemma72Text(t *testing.T) {
 // FD/IND firings of Σ — renders identically on every run.
 func TestExplainLemma72DOTGolden(t *testing.T) {
 	var out bytes.Buffer
-	code, err := run(&out, filepath.Join("testdata", "lemma72.dep"), "", "", false, true, false, "dot", 1024, nil)
+	code, _, err := run(&out, filepath.Join("testdata", "lemma72.dep"), "", "", false, true, false, "dot", 1024, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -169,10 +169,10 @@ func TestExplainLemma72DOTGolden(t *testing.T) {
 // file with no query, and dot on an answer with no chase derivation.
 func TestExplainErrors(t *testing.T) {
 	dep, _ := setup(t, "CID,NAME\n", "OID,CID\n")
-	if _, err := run(&bytes.Buffer{}, dep, "", "", false, true, false, "svg", 0, nil); err == nil {
+	if _, _, err := run(&bytes.Buffer{}, dep, "", "", false, true, false, "svg", 0, nil); err == nil {
 		t.Errorf("bad -format should error")
 	}
-	if _, err := run(&bytes.Buffer{}, dep, "", "", false, true, false, "text", 0, nil); err == nil {
+	if _, _, err := run(&bytes.Buffer{}, dep, "", "", false, true, false, "text", 0, nil); err == nil {
 		t.Errorf("-explain without queries should error")
 	}
 	// An FD-only query answers via the fd engine (no chase derivation):
@@ -182,26 +182,27 @@ func TestExplainErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if _, err := run(&out, qdep, "", "", false, true, false, "text", 0, nil); err != nil {
+	if _, _, err := run(&out, qdep, "", "", false, true, false, "text", 0, nil); err != nil {
 		t.Fatalf("fd explain: %v", err)
 	}
 	if !strings.Contains(out.String(), "verdict: yes  (engine fd)") {
 		t.Errorf("fd explain output:\n%s", out.String())
 	}
-	if _, err := run(&bytes.Buffer{}, qdep, "", "", false, true, false, "dot", 0, nil); err == nil {
+	if _, _, err := run(&bytes.Buffer{}, qdep, "", "", false, true, false, "dot", 0, nil); err == nil {
 		t.Errorf("dot without a chase derivation should error")
 	}
 }
 
 func TestRunInstrumented(t *testing.T) {
 	// A violating dataset with a repair, fully instrumented: the registry
-	// collects lint check counters and chase repair counters, and the
-	// advise pass hangs its probe chases under one span.
+	// collects lint check counters and chase repair counters, and the run
+	// returns one root span per phase, the advise pass's probe chases and
+	// the repair's chase under theirs.
 	dep, dir := setup(t, "CID,NAME\nc1,ann\n", "OID,CID\no1,c1\no2,c9\n")
 	repairDir := filepath.Join(t.TempDir(), "fixed")
 	reg := obs.New()
 	var out bytes.Buffer
-	code, err := run(&out, dep, dir, repairDir, true, false, false, "text", 256, reg)
+	code, roots, err := run(&out, dep, dir, repairDir, true, false, false, "text", 256, reg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -215,18 +216,38 @@ func TestRunInstrumented(t *testing.T) {
 	if snap.Counters["chase.tuples_created"] == 0 {
 		t.Errorf("advise/repair chases left no chase counters: %v", snap.Counters)
 	}
+	if len(snap.Spans) != 0 {
+		t.Errorf("the registry kept %d spans", len(snap.Spans))
+	}
 	var names []string
-	for _, sp := range snap.Spans {
+	for _, sp := range roots {
 		names = append(names, sp.Name)
-	}
-	joined := strings.Join(names, " ")
-	if !strings.Contains(joined, "depcheck.advise") || !strings.Contains(joined, "lint.check") {
-		t.Errorf("root spans = %v", names)
-	}
-	for _, sp := range snap.Spans {
-		if sp.Name == "depcheck.advise" && len(sp.Children) == 0 {
-			t.Errorf("advise span has no probe children")
+		if sp.Running || len(sp.Children) == 0 {
+			t.Errorf("root %s: running=%v with %d children", sp.Name, sp.Running, len(sp.Children))
 		}
+	}
+	if got, want := strings.Join(names, " "), "depcheck.advise depcheck.check depcheck.repair"; got != want {
+		t.Errorf("root spans = %q, want %q", got, want)
+	}
+	if len(roots) == 3 {
+		if c := roots[1].Children[0]; c.Name != "lint.check" {
+			t.Errorf("check root's child = %s, want lint.check", c.Name)
+		}
+		if c := roots[2].Children[0]; c.Name != "chase.complete" {
+			t.Errorf("repair root's child = %s, want chase.complete", c.Name)
+		}
+	}
+	// Without a registry nothing is traced.
+	if _, roots, _ := run(&bytes.Buffer{}, dep, dir, "", true, false, false, "text", 256, nil); roots != nil {
+		t.Errorf("uninstrumented run returned %d roots", len(roots))
+	}
+	// -explain and -profile return each answered query's tree.
+	_, roots, err = run(&bytes.Buffer{}, filepath.Join("testdata", "lemma72.dep"), "", "", false, true, true, "text", 1024, obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(roots) != 2 || roots[0].Name != "core.query" || roots[1].Name != "core.query" {
+		t.Errorf("explain+profile roots = %+v, want two core.query trees", roots)
 	}
 }
 
@@ -235,7 +256,7 @@ func TestRunInstrumented(t *testing.T) {
 // firings to the members of Σ that the derivation uses.
 func TestProfileLemma72(t *testing.T) {
 	var out bytes.Buffer
-	code, err := run(&out, filepath.Join("testdata", "lemma72.dep"), "", "", false, false, true, "text", 1024, nil)
+	code, _, err := run(&out, filepath.Join("testdata", "lemma72.dep"), "", "", false, false, true, "text", 1024, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -258,7 +279,7 @@ func TestProfileLemma72(t *testing.T) {
 // file, and the no-profile note for engines that report none.
 func TestProfileErrors(t *testing.T) {
 	dep, _ := setup(t, "CID,NAME\n", "OID,CID\n")
-	if _, err := run(&bytes.Buffer{}, dep, "", "", false, false, true, "text", 0, nil); err == nil {
+	if _, _, err := run(&bytes.Buffer{}, dep, "", "", false, false, true, "text", 0, nil); err == nil {
 		t.Errorf("-profile without queries should error")
 	}
 	// An FD-only query answers via the fd engine, which has no profile.
@@ -267,7 +288,7 @@ func TestProfileErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if _, err := run(&out, qdep, "", "", false, false, true, "text", 0, nil); err != nil {
+	if _, _, err := run(&out, qdep, "", "", false, false, true, "text", 0, nil); err != nil {
 		t.Fatalf("fd profile: %v", err)
 	}
 	if !strings.Contains(out.String(), "no per-dependency profile") {

@@ -33,7 +33,8 @@
 //	GET  /metrics        Prometheus text exposition
 //	GET  /healthz        liveness
 //	GET  /readyz         readiness (armed once the listener is bound)
-//	GET  /debug/obs      full metrics + recent query traces as JSON
+//	GET  /debug/obs      full metrics snapshot as JSON (span trees are
+//	                     at /debug/traces)
 //	GET  /debug/otlp     spans + metrics as one OTLP/JSON document
 //	GET  /debug/traces   flight recorder: the last -trace-buf completed
 //	                     requests; every response's X-Trace-Id resolves
@@ -61,7 +62,8 @@
 // periodic metric snapshots as OTLP/JSON batches without ever blocking
 // the serve path. On SIGINT/SIGTERM the server drains in-flight
 // requests, flushes the exporter, then writes the -stats / -trace-json
-// / -memprofile end-of-run artifacts like the batch commands do.
+// / -memprofile end-of-run artifacts like the batch commands do (the
+// metrics only: query span trees are in the flight recorder).
 package main
 
 import (
@@ -82,11 +84,6 @@ import (
 	"indfd/internal/obs/tsdb"
 	"indfd/internal/serve"
 )
-
-// spanCap is how many root query spans the shared registry keeps for
-// /debug/obs: a sliding window of recent traces, bounded because the
-// server shares one registry across every request for its lifetime.
-const spanCap = 64
 
 func main() {
 	addr := flag.String("addr", ":8377", "listen address")
@@ -128,7 +125,6 @@ func run(logger *slog.Logger, addr string, deadline, maxDeadline, slow time.Dura
 	// The server always runs instrumented — /metrics is its point — so
 	// the registry does not depend on the -stats/-trace-json flags.
 	reg := obs.New()
-	reg.SetSpanCap(spanCap)
 	if err := obsFlags.StartPprof(); err != nil {
 		return err
 	}
@@ -238,5 +234,7 @@ func run(logger *slog.Logger, addr string, deadline, maxDeadline, slow time.Dura
 			return err
 		}
 	}
-	return obsFlags.Finish(reg)
+	// Query span trees live in the flight recorder, not the registry:
+	// the end-of-run report carries instruments only.
+	return obsFlags.Finish(reg, nil)
 }

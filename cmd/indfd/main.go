@@ -19,12 +19,12 @@
 //
 // With -v, proofs and counterexamples are printed. With -stats, each
 // query's engine cost (IND expansions, chase rounds and tuples) and a
-// full metrics/span report go to stderr; -trace-json FILE writes the
-// span tree as JSON, -pprof ADDR serves net/http/pprof, and
-// -memprofile FILE writes an end-of-run heap profile. The exit
-// status is 0 when every query was decided, 2 when some verdict was
-// unknown (the general FD+IND problem is undecidable and the chase is
-// budgeted), and 1 on input errors.
+// full metrics report with every query's span tree go to stderr;
+// -trace-json FILE writes the same report as JSON, -pprof ADDR serves
+// net/http/pprof, and -memprofile FILE writes an end-of-run heap
+// profile. The exit status is 0 when every query was decided, 2 when
+// some verdict was unknown (the general FD+IND problem is undecidable
+// and the chase is budgeted), and 1 on input errors.
 package main
 
 import (
@@ -70,8 +70,8 @@ func main() {
 		stats:   obsFlags.Stats,
 		statsW:  os.Stderr,
 	}
-	code, err := run(in, os.Stdout, cfg)
-	if ferr := obsFlags.Finish(cfg.obs); err == nil {
+	code, roots, err := run(in, os.Stdout, cfg)
+	if ferr := obsFlags.Finish(cfg.obs, roots); err == nil {
 		err = ferr
 	}
 	if err != nil {
@@ -91,8 +91,9 @@ type config struct {
 }
 
 // run parses the input, answers every query onto w, and returns the
-// process exit code.
-func run(in io.Reader, w io.Writer, cfg config) (int, error) {
+// process exit code and each core query's span tree, in query order
+// (none when cfg.obs is nil).
+func run(in io.Reader, w io.Writer, cfg config) (code int, roots []*obs.Span, err error) {
 	doExplain := cfg.explain
 	verbose := cfg.verbose
 	budget := cfg.budget
@@ -101,10 +102,10 @@ func run(in io.Reader, w io.Writer, cfg config) (int, error) {
 	}
 	file, err := parser.Parse(in)
 	if err != nil {
-		return 1, err
+		return 1, roots, err
 	}
 	if len(file.Queries) == 0 && len(file.TDQueries) == 0 {
-		return 1, fmt.Errorf("no queries (add lines starting with '?' or '?fin')")
+		return 1, roots, fmt.Errorf("no queries (add lines starting with '?' or '?fin')")
 	}
 
 	// Split Σ: EMVDs go to their own engine; everything else to the core
@@ -117,7 +118,7 @@ func run(in io.Reader, w io.Writer, cfg config) (int, error) {
 			continue
 		}
 		if err := sys.Add(d); err != nil {
-			return 1, err
+			return 1, roots, err
 		}
 	}
 
@@ -135,7 +136,7 @@ func run(in io.Reader, w io.Writer, cfg config) (int, error) {
 		}
 		res, err := td.Implies(file.DB, sigma, q.Goal, td.Options{MaxTuples: budget})
 		if err != nil {
-			return 1, err
+			return 1, roots, err
 		}
 		fmt.Fprintf(w, "%s Σ %s %v  [td chase]\n", verdictMark(res.Verdict.String()), mode, q.Goal)
 		if res.Verdict == td.Unknown {
@@ -153,7 +154,7 @@ func run(in io.Reader, w io.Writer, cfg config) (int, error) {
 		if e, ok := q.Goal.(deps.EMVD); ok {
 			res, err := emvd.Implies(file.DB, emvds, e, emvd.Options{MaxTuples: budget})
 			if err != nil {
-				return 1, err
+				return 1, roots, err
 			}
 			fmt.Fprintf(w, "%s Σ %s %v  [emvd chase]\n", verdictMark(res.Verdict.String()), mode, q.Goal)
 			if res.Verdict == emvd.Unknown {
@@ -175,7 +176,10 @@ func run(in io.Reader, w io.Writer, cfg config) (int, error) {
 			a, err = sys.Implies(q.Goal, opt)
 		}
 		if err != nil {
-			return 1, err
+			return 1, roots, err
+		}
+		if a.Trace != nil {
+			roots = append(roots, a.Trace)
 		}
 		if cfg.stats {
 			printQueryStats(cfg.statsW, q.Goal, a)
@@ -200,7 +204,7 @@ func run(in io.Reader, w io.Writer, cfg config) (int, error) {
 			}
 		}
 	}
-	return exit, nil
+	return exit, roots, nil
 }
 
 func fatal(err error) {

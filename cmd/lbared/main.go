@@ -9,9 +9,9 @@
 //	       [-stats] [-trace-json FILE] [-pprof ADDR] [-memprofile FILE]
 //
 // With -stats, the decision procedure's ind.* counters (expansions,
-// frontier high-water mark, chain length) and spans go to stderr;
-// -trace-json FILE writes the span tree as JSON, -pprof ADDR serves
-// net/http/pprof, and -memprofile FILE writes an end-of-run heap
+// frontier high-water mark, chain length) and the run's span tree go to
+// stderr; -trace-json FILE writes the same report as JSON, -pprof ADDR
+// serves net/http/pprof, and -memprofile FILE writes an end-of-run heap
 // profile — useful because the reduction's instances grow exponentially
 // in n (Theorem 3.3).
 package main
@@ -39,8 +39,8 @@ func main() {
 		fatal(err)
 	}
 	reg := obsFlags.Registry()
-	code, err := run(os.Stdout, *machine, *n, *show, *chain, reg)
-	if ferr := obsFlags.Finish(reg); err == nil {
+	code, sp, err := run(os.Stdout, *machine, *n, *show, *chain, reg)
+	if ferr := obsFlags.Finish(reg, []*obs.Span{sp}); err == nil {
 		err = ferr
 	}
 	if err != nil {
@@ -50,8 +50,8 @@ func main() {
 }
 
 // run executes the demonstration, writing to w, and returns the process
-// exit code.
-func run(w io.Writer, machine string, n int, show, chain bool, reg *obs.Registry) (int, error) {
+// exit code and the run's span tree (nil when reg is nil).
+func run(w io.Writer, machine string, n int, show, chain bool, reg *obs.Registry) (code int, sp *obs.Span, err error) {
 	var m *lba.Machine
 	switch machine {
 	case "eraser":
@@ -66,10 +66,10 @@ func run(w io.Writer, machine string, n int, show, chain bool, reg *obs.Registry
 		}
 		m.Rules = rules
 	default:
-		return 1, fmt.Errorf("unknown machine %q", machine)
+		return 1, nil, fmt.Errorf("unknown machine %q", machine)
 	}
 
-	sp := reg.StartSpan("lbared.reduction")
+	sp = reg.StartSpan("lbared.reduction")
 	defer sp.End()
 	sp.SetAttr("machine", machine)
 	sp.SetInt("n", int64(n))
@@ -79,7 +79,7 @@ func run(w io.Writer, machine string, n int, show, chain bool, reg *obs.Registry
 	accepts, err := m.Accepts(input, 0)
 	simSp.End()
 	if err != nil {
-		return 1, err
+		return 1, sp, err
 	}
 	fmt.Fprintf(w, "machine %s on input a^%d: accepts=%v (space bound %d)\n", machine, n, accepts, n)
 
@@ -87,7 +87,7 @@ func run(w io.Writer, machine string, n int, show, chain bool, reg *obs.Registry
 	inst, err := lba.Reduce(m, input)
 	redSp.End()
 	if err != nil {
-		return 1, err
+		return 1, sp, err
 	}
 	sch, _ := inst.DB.Scheme("R")
 	fmt.Fprintf(w, "reduction: 1 relation scheme, %d attributes, |Σ| = %d INDs of width %d, goal width %d\n",
@@ -103,7 +103,7 @@ func run(w io.Writer, machine string, n int, show, chain bool, reg *obs.Registry
 	res, err := ind.Decide(inst.DB, inst.Sigma, inst.Goal)
 	decSp.End()
 	if err != nil {
-		return 1, err
+		return 1, sp, err
 	}
 	res.Stats.Record(reg)
 	decSp.SetInt("expanded", int64(res.Stats.Expanded))
@@ -111,7 +111,7 @@ func run(w io.Writer, machine string, n int, show, chain bool, reg *obs.Registry
 	fmt.Fprintf(w, "IND decision procedure: implied=%v (expanded %d expressions, visited %d)\n",
 		res.Implied, res.Stats.Expanded, res.Stats.Visited)
 	if res.Implied != accepts {
-		return 1, fmt.Errorf("REDUCTION DISAGREES WITH SIMULATION")
+		return 1, sp, fmt.Errorf("REDUCTION DISAGREES WITH SIMULATION")
 	}
 	fmt.Fprintln(w, "reduction and simulation agree (Theorem 3.3)")
 	if chain && res.Implied {
@@ -120,7 +120,7 @@ func run(w io.Writer, machine string, n int, show, chain bool, reg *obs.Registry
 			fmt.Fprintf(w, "  %v\n", e)
 		}
 	}
-	return 0, nil
+	return 0, sp, nil
 }
 
 func fatal(err error) {

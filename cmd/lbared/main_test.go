@@ -10,7 +10,7 @@ import (
 
 func TestRunEraser(t *testing.T) {
 	var out bytes.Buffer
-	code, err := run(&out, "eraser", 3, true, true, nil)
+	code, _, err := run(&out, "eraser", 3, true, true, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -32,7 +32,7 @@ func TestRunEraser(t *testing.T) {
 
 func TestRunRejector(t *testing.T) {
 	var out bytes.Buffer
-	code, err := run(&out, "rejector", 2, false, false, nil)
+	code, _, err := run(&out, "rejector", 2, false, false, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -45,10 +45,10 @@ func TestRunRejector(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := run(&bytes.Buffer{}, "nope", 2, false, false, nil); err == nil {
+	if _, _, err := run(&bytes.Buffer{}, "nope", 2, false, false, nil); err == nil {
 		t.Errorf("unknown machine should error")
 	}
-	if _, err := run(&bytes.Buffer{}, "eraser", 1, false, false, nil); err == nil {
+	if _, _, err := run(&bytes.Buffer{}, "eraser", 1, false, false, nil); err == nil {
 		t.Errorf("n=1 should error (reduction needs n ≥ 2)")
 	}
 }
@@ -56,7 +56,7 @@ func TestRunErrors(t *testing.T) {
 func TestRunInstrumented(t *testing.T) {
 	reg := obs.New()
 	var out bytes.Buffer
-	code, err := run(&out, "eraser", 3, false, false, reg)
+	code, sp, err := run(&out, "eraser", 3, false, false, reg)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -70,11 +70,11 @@ func TestRunInstrumented(t *testing.T) {
 	if h, ok := snap.Histograms["ind.chain_length"]; !ok || h.Count == 0 {
 		t.Errorf("chain length histogram missing: %v", snap.Histograms)
 	}
-	if len(snap.Spans) != 1 || snap.Spans[0].Name != "lbared.reduction" {
-		t.Fatalf("root span wrong: %+v", snap.Spans)
+	if sp == nil || sp.Name != "lbared.reduction" || sp.Running {
+		t.Fatalf("root span wrong: %+v", sp)
 	}
 	var names []string
-	for _, c := range snap.Spans[0].Children {
+	for _, c := range sp.Children {
 		names = append(names, c.Name)
 	}
 	want := []string{"lba.simulate", "lba.reduce", "ind.decide"}

@@ -22,7 +22,6 @@ import (
 // chase statistics instead of a wedged worker.
 func TestDepserveEndToEnd(t *testing.T) {
 	reg := obs.New()
-	reg.SetSpanCap(8)
 	s := serve.New(serve.Config{
 		Reg:    reg,
 		Logger: slog.New(slog.NewJSONHandler(io.Discard, nil)),

@@ -65,6 +65,7 @@ func runCaptured(db *schema.Database, sigma []deps.Dependency, goal deps.Depende
 		_, _ = Implies(db, sigma, goal, prime)
 	}
 	opt.Obs = obs.New()
+	opt.Span = opt.Obs.StartSpan("capture")
 	res, err := Implies(db, sigma, goal, opt)
 	return captureRun{res, err, opt.Obs}
 }

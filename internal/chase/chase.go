@@ -135,8 +135,8 @@ type Options struct {
 	// holds nil instruments and every update is a no-op branch.
 	Obs *obs.Registry
 	// Span, when non-nil, is the parent under which the chase opens its
-	// span (with per-round child spans, capped at spanRoundCap). When Span
-	// is nil but Obs is set, the chase opens a root span on Obs.
+	// span (with per-round child spans, capped at spanRoundCap). With
+	// Span nil the chase opens no span.
 	Span *obs.Span
 }
 

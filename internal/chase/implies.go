@@ -16,16 +16,6 @@ import (
 // "rounds" attribute on the parent span.
 const spanRoundCap = 32
 
-// startSpan opens the chase's span for one entry point: a child of
-// opt.Span when a parent was provided, else a root span on opt.Obs (nil
-// when instrumentation is off).
-func (opt Options) startSpan(name string) *obs.Span {
-	if opt.Span != nil {
-		return opt.Span.StartSpan(name)
-	}
-	return opt.Obs.StartSpan(name)
-}
-
 // Result reports the outcome of a budgeted implication test.
 type Result struct {
 	Verdict Verdict
@@ -168,7 +158,7 @@ func implies[G interface {
 		return Result{}, err
 	}
 	// The goal is rendered only for the span or a derivation's header.
-	if e.cap.span = opt.startSpan(span); e.cap.span != nil || e.cap.prov {
+	if e.cap.span = opt.Span.StartSpan(span); e.cap.span != nil || e.cap.prov {
 		e.cap.goalDesc = goal.String()
 		e.cap.span.SetAttr("goal", e.cap.goalDesc)
 	}
@@ -310,7 +300,7 @@ func Complete(seed *data.Database, sigma []deps.Dependency, opt Options) (*data.
 }
 
 func (e *engine) complete(seed *data.Database, opt Options) (*data.Database, error) {
-	sp := opt.startSpan("chase.complete")
+	sp := opt.Span.StartSpan("chase.complete")
 	defer sp.End()
 	for _, rel := range seed.Scheme().Names() {
 		r, _ := seed.Relation(rel)

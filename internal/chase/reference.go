@@ -482,7 +482,7 @@ func ReferenceImpliesFD(db *schema.Database, sigma []deps.Dependency, goal deps.
 	if err != nil {
 		return Result{}, err
 	}
-	sp := opt.startSpan("chase.fd")
+	sp := opt.Span.StartSpan("chase.fd")
 	if sp != nil {
 		sp.SetAttr("goal", goal.String())
 	}
@@ -533,7 +533,7 @@ func ReferenceImpliesIND(db *schema.Database, sigma []deps.Dependency, goal deps
 	if err != nil {
 		return Result{}, err
 	}
-	sp := opt.startSpan("chase.ind")
+	sp := opt.Span.StartSpan("chase.ind")
 	if sp != nil {
 		sp.SetAttr("goal", goal.String())
 	}
@@ -577,7 +577,7 @@ func ReferenceImpliesRD(db *schema.Database, sigma []deps.Dependency, goal deps.
 	if err != nil {
 		return Result{}, err
 	}
-	sp := opt.startSpan("chase.rd")
+	sp := opt.Span.StartSpan("chase.rd")
 	if sp != nil {
 		sp.SetAttr("goal", goal.String())
 	}
@@ -630,7 +630,7 @@ func ReferenceComplete(seed *data.Database, sigma []deps.Dependency, opt Options
 	if err != nil {
 		return nil, err
 	}
-	sp := opt.startSpan("chase.complete")
+	sp := opt.Span.StartSpan("chase.complete")
 	defer sp.End()
 	for _, rel := range seed.Scheme().Names() {
 		r, _ := seed.Relation(rel)

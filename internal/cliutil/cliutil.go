@@ -1,8 +1,9 @@
 // Package cliutil wires the observability flags shared by the indfd,
 // depcheck, lbared and depserve commands: -stats (human-readable metrics
-// report on stderr), -trace-json (span-tree JSON export), -pprof (a
-// net/http/pprof listener for live profiling), and -memprofile (a heap
-// profile written at exit).
+// and span report on stderr), -trace-json (metrics and span trees as
+// JSON), -pprof (a net/http/pprof listener for live profiling), and
+// -memprofile (a heap profile written at exit). The registry keeps no
+// spans, so a command hands Finish the root span trees it started.
 package cliutil
 
 import (
@@ -70,12 +71,15 @@ func (of *ObsFlags) StartPprof() error {
 
 // Finish writes the requested end-of-run artifacts: the text report to
 // stderr under -stats and the JSON snapshot to the -trace-json file
-// (both skipped for a nil registry), and the heap profile to the
-// -memprofile file (written regardless of the registry — memory is a
-// property of the process, not of the instrumentation).
-func (of *ObsFlags) Finish(reg *obs.Registry) error {
+// (both skipped for a nil registry), each the registry's instruments
+// followed by roots, the ended root span trees the command started; and
+// the heap profile to the -memprofile file (written regardless of the
+// registry — memory is a property of the process, not of the
+// instrumentation).
+func (of *ObsFlags) Finish(reg *obs.Registry, roots []*obs.Span) error {
 	if reg != nil {
 		snap := reg.Snapshot()
+		snap.Spans = roots
 		if of.Stats {
 			if err := snap.WriteText(os.Stderr); err != nil {
 				return err

@@ -157,7 +157,7 @@ func TestAnswerCacheNilSafe(t *testing.T) {
 func TestAnswerCachePutStripsObservability(t *testing.T) {
 	c := NewAnswerCache(8, 0, nil)
 	reg := obs.New()
-	c.Put("k", CachedAnswer{Answer: Answer{Verdict: Yes, Trace: reg.StartSpan("s").Snapshot()}})
+	c.Put("k", CachedAnswer{Answer: Answer{Verdict: Yes, Trace: reg.StartSpan("s")}})
 	got, ok := c.Get("k")
 	if !ok {
 		t.Fatalf("miss")

@@ -53,7 +53,7 @@ func TestImpliesDeadlineMetricsAttached(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	reg := obs.New()
-	_, err := sys.Implies(goal, Options{Ctx: ctx, ChaseMaxTuples: 1 << 30, Obs: reg})
+	a, err := sys.Implies(goal, Options{Ctx: ctx, ChaseMaxTuples: 1 << 30, Obs: reg})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -61,8 +61,11 @@ func TestImpliesDeadlineMetricsAttached(t *testing.T) {
 	if snap.Counters["chase.rounds"] == 0 {
 		t.Errorf("registry missing chase.rounds after cancelled query: %v", snap.Counters)
 	}
-	if len(snap.Spans) == 0 {
-		t.Errorf("registry missing the core.query span")
+	if a.Trace == nil || a.Trace.Name != "core.query" || a.Trace.Running {
+		t.Fatalf("answer missing the ended core.query span: %+v", a.Trace)
+	}
+	if a.Trace.Attrs[len(a.Trace.Attrs)-1].Key != "error" {
+		t.Errorf("core.query span does not record the deadline: %+v", a.Trace.Attrs)
 	}
 }
 

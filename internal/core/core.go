@@ -86,8 +86,9 @@ type Answer struct {
 	// goal. Render it with String or DOT, check it with Verify.
 	Derivation *chase.Derivation
 	// Trace is this query's span tree (engine dispatch down to chase
-	// rounds), nil when no registry was supplied.
-	Trace *obs.SpanSnapshot
+	// rounds), nil when no registry was supplied. Its root has ended and
+	// nothing writes to the tree once the query returns.
+	Trace *obs.Span
 	// DepProfile is the per-dependency cost attribution, set when
 	// Options.Profile was on and the engine that ran supports profiling
 	// (chase and the Corollary 3.2 IND search; the polynomial fd/unary
@@ -530,9 +531,7 @@ func (s *System) query(goal deps.Dependency, opt Options, finite bool) (Answer, 
 		// what was spent before the deadline hit.
 		sp.SetAttr("error", err.Error())
 		sp.End()
-		if opt.Obs != nil {
-			a.Trace = sp.Snapshot()
-		}
+		a.Trace = sp
 		return a, err
 	}
 	// a.Engine can differ from the dispatch class: the general engine's
@@ -540,9 +539,7 @@ func (s *System) query(goal deps.Dependency, opt Options, finite bool) (Answer, 
 	sp.SetAttr("engine", a.Engine)
 	sp.SetAttr("verdict", a.Verdict.String())
 	sp.End()
-	if opt.Obs != nil {
-		a.Trace = sp.Snapshot()
-	}
+	a.Trace = sp
 	return a, nil
 }
 

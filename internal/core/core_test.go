@@ -368,7 +368,7 @@ func TestInstrumentedChaseQuery(t *testing.T) {
 	if snap.Counters["chase.tuples_created"] == 0 || snap.Gauges["chase.tuples_peak"] == 0 {
 		t.Errorf("chase tuple instruments missing: %+v", snap)
 	}
-	var chaseSpan *obs.SpanSnapshot
+	var chaseSpan *obs.Span
 	for _, c := range a.Trace.Children {
 		if c.Name == "chase.fd" {
 			chaseSpan = c

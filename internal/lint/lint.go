@@ -39,14 +39,15 @@ func (v Violation) String() string { return fmt.Sprintf("%v: %s", v.Dep, v.Detai
 // detail: for an FD the first conflicting tuple pair per left-hand value,
 // for an IND every dangling tuple, for an RD every offending tuple.
 func Check(db *data.Database, sigma []deps.Dependency) ([]Violation, error) {
-	return CheckObs(db, sigma, nil)
+	return CheckObs(db, sigma, nil, nil)
 }
 
 // CheckObs is Check publishing its work into reg under the "lint."
 // namespace (dependencies checked, violations found, per dependency
-// kind) inside a "lint.check" span. A nil registry costs nothing.
-func CheckObs(db *data.Database, sigma []deps.Dependency, reg *obs.Registry) ([]Violation, error) {
-	sp := reg.StartSpan("lint.check")
+// kind), inside a "lint.check" span opened under parent. A nil
+// registry and a nil parent cost nothing.
+func CheckObs(db *data.Database, sigma []deps.Dependency, reg *obs.Registry, parent *obs.Span) ([]Violation, error) {
+	sp := parent.StartSpan("lint.check")
 	defer sp.End()
 	cDeps := reg.Counter("lint.deps_checked")
 	cViol := reg.Counter("lint.violations")

@@ -86,7 +86,7 @@ func (s *Snapshot) WriteText(w io.Writer) error {
 	return nil
 }
 
-func writeSpanText(w io.Writer, sp *SpanSnapshot, depth int) error {
+func writeSpanText(w io.Writer, sp *Span, depth int) error {
 	if sp == nil {
 		return nil
 	}

@@ -214,11 +214,7 @@ func (e *Exporter) flushMetrics() {
 	if e.reg == nil {
 		return
 	}
-	snap := e.reg.Snapshot()
-	// Spans in the registry snapshot are served elsewhere (/debug/obs);
-	// the metrics document carries instruments only.
-	snap.Spans = nil
-	e.write(OTLPExport(snap, nil, e.res, time.Now()))
+	e.write(OTLPExport(e.reg.Snapshot(), nil, e.res, time.Now()))
 }
 
 // write sends one document to every configured sink, counting failures

@@ -25,44 +25,23 @@ import (
 	"sync/atomic"
 )
 
-// Registry is a named collection of instruments and root spans. The zero
-// value is not usable; create one with New. A nil *Registry is a valid
+// Registry is a named collection of instruments. The zero value is not
+// usable; create one with New. A nil *Registry is a valid
 // "instrumentation off" registry: every method on it (and on the nil
-// instruments it hands out) is a no-op.
+// instruments it hands out) is a no-op. It keeps no spans: a span tree
+// belongs to the caller that started its root (see Registry.StartSpan).
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	spans    []*Span // root spans, in StartSpan order
-	spanCap  int     // 0 = unbounded; else max root spans retained
 }
 
-// SetSpanCap bounds the number of root spans the registry retains: once
-// more than n root spans have been started, the oldest are evicted. A
-// long-running process (depserve) shares one registry across every
-// request; without a cap the span forest would grow without bound, so
-// servers set a small cap and the registry keeps a sliding window of
-// the most recent query traces. n <= 0 restores the unbounded default.
-// A nil receiver is a no-op.
-func (r *Registry) SetSpanCap(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.spanCap = n
-	r.trimSpansLocked()
-}
-
-// trimSpansLocked drops the oldest root spans beyond the cap.
-func (r *Registry) trimSpansLocked() {
-	if r.spanCap <= 0 || len(r.spans) <= r.spanCap {
-		return
-	}
-	keep := r.spans[len(r.spans)-r.spanCap:]
-	r.spans = append(r.spans[:0], keep...)
-}
+// SetSpanCap does nothing: the registry keeps no spans to bound.
+//
+// Deprecated: depbench's in-process replay still calls it; it goes
+// with that replay.
+func (r *Registry) SetSpanCap(int) {}
 
 // New creates an empty Registry.
 func New() *Registry {
@@ -292,12 +271,14 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Spans      []*SpanSnapshot              `json:"spans,omitempty"`
+	// Spans are ended root span trees a caller attaches for its report
+	// (the CLIs' -stats and -trace-json). Registry.Snapshot leaves it
+	// empty.
+	Spans []*Span `json:"spans,omitempty"`
 }
 
 // Snapshot copies the registry's current state. Returns nil for a nil
-// registry. Spans still running are included with their current duration
-// and running=true.
+// registry.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
@@ -323,16 +304,12 @@ func (r *Registry) Snapshot() *Snapshot {
 			s.Histograms[name] = h.snapshot()
 		}
 	}
-	for _, sp := range r.spans {
-		s.Spans = append(s.Spans, sp.Snapshot())
-	}
 	return s
 }
 
 // Merge adds src's instruments into r: counters add, gauges take the
 // higher of the two levels (every gauge an engine publishes is a
-// high-water mark), and histograms add bucket by bucket. src's root
-// spans are not copied. A server that runs one request's engines on a
+// high-water mark), and histograms add bucket by bucket. A server that runs one request's engines on a
 // registry of their own, to report exactly that request's work, merges
 // it into the shared registry afterwards so the process totals are the
 // same as if the engines had written to it directly. r and src must be

@@ -31,8 +31,8 @@ func TestNilSafety(t *testing.T) {
 	child.SetInt("n", 1)
 	child.End()
 	sp.End()
-	if sp.Snapshot() != nil {
-		t.Errorf("nil span snapshot should be nil")
+	if sp != nil || child != nil {
+		t.Errorf("a nil registry opened spans")
 	}
 	if r.Snapshot() != nil {
 		t.Errorf("nil registry snapshot should be nil")
@@ -47,8 +47,7 @@ func TestNilSafety(t *testing.T) {
 // that takes one batch of work itself and another through a merged
 // side registry ends up where a registry that took both batches itself
 // does — counters summed, gauges at the higher level, histograms summed
-// bucket by bucket with the larger max — and gets none of the side
-// registry's spans.
+// bucket by bucket with the larger max.
 func TestRegistryMerge(t *testing.T) {
 	first := func(r *Registry) {
 		r.Counter("c").Add(5)
@@ -63,7 +62,6 @@ func TestRegistryMerge(t *testing.T) {
 		r.Gauge("other").SetMax(6)
 		r.Histogram("h").Observe(3)
 		r.Histogram("h").ObserveExemplar(1000, "new")
-		r.StartSpan("side").End()
 	}
 	direct := New()
 	first(direct)
@@ -76,22 +74,19 @@ func TestRegistryMerge(t *testing.T) {
 	merged.Merge(nil)
 
 	want, got := direct.Snapshot(), merged.Snapshot()
-	if len(got.Spans) != 0 {
-		t.Errorf("Merge copied %d root spans", len(got.Spans))
-	}
-	want.Spans = nil
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("merged snapshot\n%+v\nwant\n%+v", got, want)
 	}
 }
 
-// TestConcurrentUpdates hammers one counter, gauge and histogram from many
-// goroutines; run under -race this is the data-race guard for the whole
-// instrument set.
+// TestConcurrentUpdates hammers one counter, gauge and histogram, and
+// one span's children, from many goroutines; run under -race this is
+// the data-race guard for the whole instrument set.
 func TestConcurrentUpdates(t *testing.T) {
 	r := New()
 	const workers = 16
 	const perWorker = 1000
+	root := r.StartSpan("root")
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -100,7 +95,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			c := r.Counter("shared.counter")
 			g := r.Gauge("shared.gauge")
 			h := r.Histogram("shared.hist")
-			sp := r.StartSpan("shared.span")
+			sp := root.StartSpan("shared.span")
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.SetMax(int64(w*perWorker + i))
@@ -111,6 +106,7 @@ func TestConcurrentUpdates(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	root.End()
 	s := r.Snapshot()
 	if got := s.Counters["shared.counter"]; got != workers*perWorker {
 		t.Errorf("counter = %d, want %d", got, workers*perWorker)
@@ -129,8 +125,11 @@ func TestConcurrentUpdates(t *testing.T) {
 	if total != h.Count {
 		t.Errorf("bucket sum %d != count %d", total, h.Count)
 	}
-	if len(s.Spans) != workers {
-		t.Errorf("got %d root spans, want %d", len(s.Spans), workers)
+	if len(root.Children) != workers {
+		t.Errorf("got %d child spans, want %d", len(root.Children), workers)
+	}
+	if len(s.Spans) != 0 {
+		t.Errorf("the registry kept %d spans", len(s.Spans))
 	}
 }
 
@@ -166,29 +165,31 @@ func TestSpanNesting(t *testing.T) {
 	b.End()
 	root.End()
 
-	s := r.Snapshot()
-	if len(s.Spans) != 1 {
-		t.Fatalf("got %d root spans", len(s.Spans))
+	if root.Name != "root" || root.Running || len(root.Children) != 2 {
+		t.Fatalf("root span %+v", root)
 	}
-	rs := s.Spans[0]
-	if rs.Name != "root" || rs.Running || len(rs.Children) != 2 {
-		t.Fatalf("root span %+v", rs)
+	if root.Children[0].Name != "a" || len(root.Children[0].Children) != 1 ||
+		root.Children[0].Children[0].Name != "aa" {
+		t.Errorf("nesting wrong: %+v", root.Children[0])
 	}
-	if rs.Children[0].Name != "a" || len(rs.Children[0].Children) != 1 ||
-		rs.Children[0].Children[0].Name != "aa" {
-		t.Errorf("nesting wrong: %+v", rs.Children[0])
+	if root.Children[1].Name != "b" || len(root.Children[1].Attrs) != 1 ||
+		root.Children[1].Attrs[0] != (Attr{"tuples", "42"}) {
+		t.Errorf("attrs wrong: %+v", root.Children[1])
 	}
-	if rs.Children[1].Name != "b" || len(rs.Children[1].Attrs) != 1 ||
-		rs.Children[1].Attrs[0] != (Attr{"tuples", "42"}) {
-		t.Errorf("attrs wrong: %+v", rs.Children[1])
+	if root.DurationNS < root.Children[0].DurationNS {
+		t.Errorf("parent duration %d < child duration %d", root.DurationNS, root.Children[0].DurationNS)
 	}
-	if rs.DurationNS < rs.Children[0].DurationNS {
-		t.Errorf("parent duration %d < child duration %d", rs.DurationNS, rs.Children[0].DurationNS)
-	}
-	// A snapshot before End reports the span as running.
+	// A span reports running until End; a second End keeps the first
+	// duration.
 	open := r.StartSpan("open")
-	if snap := open.Snapshot(); !snap.Running || snap.DurationNS < 0 {
-		t.Errorf("open span snapshot %+v", snap)
+	if !open.Running || open.DurationNS != 0 {
+		t.Errorf("open span %+v", open)
+	}
+	open.End()
+	d := open.DurationNS
+	open.End()
+	if open.Running || open.DurationNS != d {
+		t.Errorf("ended span %+v, want running=false and duration %d", open, d)
 	}
 }
 
@@ -206,16 +207,25 @@ func TestJSONRoundTrip(t *testing.T) {
 	root.End()
 
 	snap := r.Snapshot()
+	snap.Spans = []*Span{root}
 	var buf bytes.Buffer
 	if err := snap.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	want := buf.String()
 	back, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(snap, back) {
-		t.Errorf("round trip mismatch:\n%+v\n%+v", snap, back)
+	buf.Reset()
+	if err := back.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want {
+		t.Errorf("round trip mismatch:\n%s\n%s", want, buf.String())
+	}
+	if got := back.Spans[0].Children[0]; got.Name != "ind.decide" || got.Attrs[0] != (Attr{"visited", "9"}) {
+		t.Errorf("decoded child span %+v", got)
 	}
 }
 
@@ -228,8 +238,10 @@ func TestWriteText(t *testing.T) {
 	sp := r.StartSpan("root")
 	sp.StartSpan("child").End()
 	sp.End()
+	snap := r.Snapshot()
+	snap.Spans = []*Span{sp}
 	var buf bytes.Buffer
-	if err := r.Snapshot().WriteText(&buf); err != nil {
+	if err := snap.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -252,8 +252,8 @@ func otlpSpans(recs []*RequestRecord) []OTLPSpan {
 // appendRecordSpans encodes one request: the HTTP span carries the
 // wide-event attributes (route, status, goal, verdict, engine, cache);
 // the engine span tree hangs off it with synthesized span IDs. Child
-// spans inherit their parent's start — the snapshot keeps durations,
-// not offsets — which keeps every child inside its parent's interval.
+// spans inherit their parent's start — a span keeps durations, not
+// offsets — which keeps every child inside its parent's interval.
 func appendRecordSpans(out []OTLPSpan, rec *RequestRecord) []OTLPSpan {
 	traceID := OTLPTraceID(rec.TraceID)
 	rootID := rec.SpanID
@@ -295,12 +295,12 @@ func appendRecordSpans(out []OTLPSpan, rec *RequestRecord) []OTLPSpan {
 		Attributes:        attrs,
 		Status:            status,
 	})
-	return appendSnapshotSpans(out, rec.Trace, traceID, rootID, start, "0")
+	return appendTreeSpans(out, rec.Trace, traceID, rootID, start, "0")
 }
 
-// appendSnapshotSpans walks a SpanSnapshot tree depth-first, assigning
-// each node a deterministic span ID derived from (trace ID, tree path).
-func appendSnapshotSpans(out []OTLPSpan, sp *SpanSnapshot, traceID, parentID string, start int64, path string) []OTLPSpan {
+// appendTreeSpans walks a span tree depth-first, assigning each node a
+// deterministic span ID derived from (trace ID, tree path).
+func appendTreeSpans(out []OTLPSpan, sp *Span, traceID, parentID string, start int64, path string) []OTLPSpan {
 	if sp == nil {
 		return out
 	}
@@ -322,7 +322,7 @@ func appendSnapshotSpans(out []OTLPSpan, sp *SpanSnapshot, traceID, parentID str
 	}
 	out = append(out, span)
 	for i, c := range sp.Children {
-		out = appendSnapshotSpans(out, c, traceID, id, start, path+"."+itoa(int64(i)))
+		out = appendTreeSpans(out, c, traceID, id, start, path+"."+itoa(int64(i)))
 	}
 	return out
 }

@@ -41,11 +41,11 @@ func otlpFixture() (*Snapshot, []*RequestRecord) {
 		Verdict:      "yes",
 		Engine:       "chase",
 		Cache:        "miss",
-		Trace: &SpanSnapshot{
+		Trace: &Span{
 			Name:       "implies",
 			DurationNS: 2_000_000,
 			Attrs:      []Attr{{Key: "engine", Value: "chase"}},
-			Children: []*SpanSnapshot{
+			Children: []*Span{
 				{Name: "chase.round", DurationNS: 900_000},
 				{Name: "chase.round", DurationNS: 800_000, Running: true},
 			},

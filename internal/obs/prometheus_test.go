@@ -195,31 +195,6 @@ func TestSanitizeFamily(t *testing.T) {
 	}
 }
 
-func TestSpanCap(t *testing.T) {
-	reg := New()
-	reg.SetSpanCap(3)
-	for i := 0; i < 10; i++ {
-		sp := reg.StartSpan("q")
-		sp.SetInt("i", int64(i))
-		sp.End()
-	}
-	snap := reg.Snapshot()
-	if len(snap.Spans) != 3 {
-		t.Fatalf("retained %d spans, want 3", len(snap.Spans))
-	}
-	// The survivors are the most recent three (i = 7, 8, 9).
-	if got := snap.Spans[0].Attrs[0].Value; got != "7" {
-		t.Errorf("oldest retained span has i=%s, want 7", got)
-	}
-	// Lowering the cap trims retroactively; nil registry is a no-op.
-	reg.SetSpanCap(1)
-	if n := len(reg.Snapshot().Spans); n != 1 {
-		t.Errorf("after lowering cap: %d spans, want 1", n)
-	}
-	var nilReg *Registry
-	nilReg.SetSpanCap(5)
-}
-
 // TestWritePrometheusEmptyHistogram pins the exposition of a histogram
 // that was created but never observed: Prometheus requires the family
 // to be present with a zero +Inf bucket, zero sum, and zero count —

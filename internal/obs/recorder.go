@@ -8,8 +8,8 @@ import (
 
 // This file is the flight recorder: a bounded in-process store of the
 // last N completed request records, queryable while the process runs.
-// Metrics aggregate and spans vanish with the next eviction — the
-// recorder is the piece that lets an operator go from "the p99 moved"
+// Metrics aggregate and a response carries no span tree — the recorder
+// is the piece that lets an operator go from "the p99 moved"
 // to the exact request that moved it: latency-histogram exemplars (see
 // Histogram.ObserveExemplar) carry trace IDs, and the recorder resolves
 // a trace ID back to the full record — span tree, verdict, cache
@@ -48,9 +48,9 @@ type RequestRecord struct {
 	Cache   string `json:"cache,omitempty"`
 	// Attrs carries any further wide-event annotations.
 	Attrs []Attr `json:"attrs,omitempty"`
-	// Trace is the query's span tree (engine dispatch down to chase
-	// rounds), nil for requests that ran no engine.
-	Trace *SpanSnapshot `json:"trace,omitempty"`
+	// Trace is the query's span tree as core built it (engine dispatch
+	// down to chase rounds), nil for requests that ran no engine.
+	Trace *Span `json:"trace,omitempty"`
 	// DepProfile is the query's per-dependency cost attribution, set when
 	// the request asked for profiling.
 	DepProfile *DepProfile `json:"dep_profile,omitempty"`

@@ -9,26 +9,32 @@ import (
 // Span is one timed node of a hierarchical trace: a named interval of wall
 // clock with string attributes and child spans. A core.System.Implies call
 // produces one span tree covering engine dispatch, chase rounds, IND
-// frontier search, unary closure and search enumeration.
+// frontier search, unary closure and search enumeration, and returns it
+// as core.Answer.Trace.
 //
 // Spans follow the package's nil discipline: StartSpan on a nil *Registry
 // or nil *Span returns nil, and every method on a nil *Span is a no-op, so
 // callers thread a possibly-nil span without branching.
 //
-// A Span is shared between the goroutine running it and any goroutine
-// snapshotting the registry (a registered span is visible to
-// Registry.Snapshot while still running), so every mutable field — end
-// time, attributes, children — is guarded by the mutex. Sibling spans
-// may be created from concurrent goroutines (depserve's batch workers
-// each open one per goal).
+// A span tree belongs to whoever started its root, and its exported
+// fields are its only form: the flight recorder, the OTLP encoder, the
+// text report and every JSON reply hold and read the tree as built. The
+// mutex orders the writers (sibling spans may be opened from concurrent
+// goroutines). Readers take no lock: a tree is read only after its root
+// has ended and the tree was handed off through a mutex or a channel
+// (the recorder's shard lock, the exporter's queue), and nothing writes
+// to it after that.
 type Span struct {
-	name  string
-	start time.Time
+	Name string `json:"name"`
+	// DurationNS is the wall-clock time from start to End. It stays 0
+	// while the span runs, and Running is true until End.
+	DurationNS int64   `json:"duration_ns"`
+	Running    bool    `json:"running,omitempty"`
+	Attrs      []Attr  `json:"attrs,omitempty"`
+	Children   []*Span `json:"children,omitempty"`
 
-	mu       sync.Mutex
-	end      time.Time // zero while running
-	attrs    []Attr
-	children []*Span
+	start time.Time
+	mu    sync.Mutex
 }
 
 // Attr is one key/value annotation on a span.
@@ -37,18 +43,14 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// StartSpan opens a root span on the registry. The span is registered
-// immediately (a snapshot taken before End reports it as still running).
+// StartSpan opens a root span. The registry keeps no reference to it:
+// the tree is the caller's to hand on or drop. A nil registry returns
+// nil, so instrumentation-off callers build no tree.
 func (r *Registry) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	sp := &Span{name: name, start: time.Now()}
-	r.mu.Lock()
-	r.spans = append(r.spans, sp)
-	r.trimSpansLocked()
-	r.mu.Unlock()
-	return sp
+	return &Span{Name: name, Running: true, start: time.Now()}
 }
 
 // StartSpan opens a child span under s.
@@ -56,9 +58,9 @@ func (s *Span) StartSpan(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	child := &Span{name: name, start: time.Now()}
+	child := &Span{Name: name, Running: true, start: time.Now()}
 	s.mu.Lock()
-	s.children = append(s.children, child)
+	s.Children = append(s.Children, child)
 	s.mu.Unlock()
 	return child
 }
@@ -70,8 +72,9 @@ func (s *Span) End() {
 		return
 	}
 	s.mu.Lock()
-	if s.end.IsZero() {
-		s.end = time.Now()
+	if s.Running {
+		s.DurationNS = time.Since(s.start).Nanoseconds()
+		s.Running = false
 	}
 	s.mu.Unlock()
 }
@@ -82,7 +85,7 @@ func (s *Span) SetAttr(key, value string) {
 		return
 	}
 	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+	s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
 	s.mu.Unlock()
 }
 
@@ -92,37 +95,4 @@ func (s *Span) SetInt(key string, value int64) {
 		return
 	}
 	s.SetAttr(key, strconv.FormatInt(value, 10))
-}
-
-// SpanSnapshot is the exportable form of a span subtree. DurationNS is
-// wall-clock nanoseconds (up to "now" when the span is still running, in
-// which case Running is true).
-type SpanSnapshot struct {
-	Name       string          `json:"name"`
-	DurationNS int64           `json:"duration_ns"`
-	Running    bool            `json:"running,omitempty"`
-	Attrs      []Attr          `json:"attrs,omitempty"`
-	Children   []*SpanSnapshot `json:"children,omitempty"`
-}
-
-// Snapshot copies the span subtree. Returns nil for a nil span.
-func (s *Span) Snapshot() *SpanSnapshot {
-	if s == nil {
-		return nil
-	}
-	out := &SpanSnapshot{Name: s.name}
-	s.mu.Lock()
-	if s.end.IsZero() {
-		out.DurationNS = time.Since(s.start).Nanoseconds()
-		out.Running = true
-	} else {
-		out.DurationNS = s.end.Sub(s.start).Nanoseconds()
-	}
-	out.Attrs = append([]Attr(nil), s.attrs...)
-	children := append([]*Span(nil), s.children...)
-	s.mu.Unlock()
-	for _, c := range children {
-		out.Children = append(out.Children, c.Snapshot())
-	}
-	return out
 }

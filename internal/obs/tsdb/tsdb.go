@@ -7,7 +7,8 @@
 // Every other observability surface in this repository is a
 // point-in-time snapshot — /metrics, /debug/obs, /debug/digests all
 // answer "what is true now". The tsdb answers "what changed in the
-// last five minutes": each Sample tick turns the registry snapshot
+// last five minutes": each Sample tick turns the registry snapshot (its
+// instruments; the registry keeps no span trees, so a tick copies none)
 // into one point per series — counters delta-encode (the stored value
 // is the increment during the tick, so rate = value/resolution),
 // gauges store their last value, and histograms extract per-tick

@@ -148,10 +148,11 @@ func TestSubsetsPreorderStops(t *testing.T) {
 // increment search.exhaustive_skipped and mark the span.
 func TestExhaustiveSkippedCounter(t *testing.T) {
 	reg := obs.New()
+	root := reg.StartSpan("root")
 	db := schema.MustDatabase(schema.MustScheme("R", "A", "B"))
 	goal := deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B"))
 	_, _, err := Counterexample(db, nil, goal, Options{
-		Domain: 2, MaxTuples: 2, MaxExhaustive: 1, RandomTrials: 5, Obs: reg,
+		Domain: 2, MaxTuples: 2, MaxExhaustive: 1, RandomTrials: 5, Obs: reg, Span: root,
 	})
 	if err != nil {
 		t.Fatalf("Counterexample: %v", err)
@@ -164,7 +165,7 @@ func TestExhaustiveSkippedCounter(t *testing.T) {
 		t.Errorf("skipped phase still enumerated %d databases", s.Counters["search.databases_enumerated"])
 	}
 	var skipped bool
-	for _, sp := range s.Spans {
+	for _, sp := range root.Children {
 		for _, a := range sp.Attrs {
 			if a.Key == "exhaustive_skipped" && a.Value == "true" {
 				skipped = true
@@ -172,7 +173,7 @@ func TestExhaustiveSkippedCounter(t *testing.T) {
 		}
 	}
 	if !skipped {
-		t.Errorf("span not marked exhaustive_skipped: %+v", s.Spans)
+		t.Errorf("span not marked exhaustive_skipped: %+v", root.Children)
 	}
 }
 

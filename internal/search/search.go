@@ -53,8 +53,8 @@ type Options struct {
 	// "search." namespace (databases enumerated, random trials,
 	// satisfaction checks). A nil registry costs nothing.
 	Obs *obs.Registry
-	// Span, when non-nil, parents the search's span; with Span nil but Obs
-	// set, a root span is opened on Obs.
+	// Span, when non-nil, parents the search's span; with Span nil the
+	// search opens no span.
 	Span *obs.Span
 	// Ctx, when non-nil, is checked before every candidate database is
 	// tested; a cancelled or expired context aborts the search with the
@@ -89,12 +89,7 @@ func Counterexample(db *schema.Database, sigma []deps.Dependency, goal deps.Depe
 			return nil, false, err
 		}
 	}
-	var sp *obs.Span
-	if opt.Span != nil {
-		sp = opt.Span.StartSpan("search")
-	} else {
-		sp = opt.Obs.StartSpan("search")
-	}
+	sp := opt.Span.StartSpan("search")
 	defer sp.End()
 	cChecks := opt.Obs.Counter("search.checks")
 	cEnumerated := opt.Obs.Counter("search.databases_enumerated")

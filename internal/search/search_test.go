@@ -121,13 +121,15 @@ func TestRandomPhaseDeterminism(t *testing.T) {
 	}
 }
 
-// TestSearchObs checks the search publishes its work counters.
+// TestSearchObs checks the search publishes its work counters and opens
+// its span under the parent it is given.
 func TestSearchObs(t *testing.T) {
 	reg := obs.New()
+	root := reg.StartSpan("root")
 	db := rab()
 	sigma := []deps.Dependency{deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B"))}
 	goal := deps.NewFD("R", deps.Attrs("B"), deps.Attrs("A"))
-	_, found, err := Counterexample(db, sigma, goal, Options{Domain: 2, MaxTuples: 3, Obs: reg})
+	_, found, err := Counterexample(db, sigma, goal, Options{Domain: 2, MaxTuples: 3, Obs: reg, Span: root})
 	if err != nil || !found {
 		t.Fatalf("found=%v err=%v", found, err)
 	}
@@ -138,7 +140,7 @@ func TestSearchObs(t *testing.T) {
 	if s.Counters["search.hits"] != 1 {
 		t.Errorf("search.hits = %d, want 1", s.Counters["search.hits"])
 	}
-	if len(s.Spans) != 1 || s.Spans[0].Name != "search" {
-		t.Errorf("missing search span: %+v", s.Spans)
+	if len(root.Children) != 1 || root.Children[0].Name != "search" {
+		t.Errorf("missing search span: %+v", root.Children)
 	}
 }

@@ -28,6 +28,15 @@ func debugJSON(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// jsonList returns items, or an empty slice when items is nil, so a
+// /debug list with nothing in it encodes as [] rather than null.
+func jsonList[T any](items []T) []T {
+	if items == nil {
+		return []T{}
+	}
+	return items
+}
+
 // queryLimit reads the ?limit=N that bounds /debug/traces,
 // /debug/digests and /debug/alerts (absent = 0, no bound). A value that
 // is not a non-negative integer gets the 400 here, and ok is false.
@@ -88,16 +97,12 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 		}
 		opt.Step = d
 	}
-	series := s.ts.Query(opt)
-	if series == nil {
-		series = []tsdb.Series{}
-	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"enabled":       true,
 		"resolution_ms": s.ts.Resolution().Milliseconds(),
 		"retention_ms":  s.ts.Retention().Milliseconds(),
 		"series_count":  s.ts.SeriesCount(),
-		"series":        series,
+		"series":        jsonList(s.ts.Query(opt)),
 	})
 }
 
@@ -115,18 +120,10 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	active := s.wd.Active()
-	if active == nil {
-		active = []tsdb.Alert{}
-	}
-	events := s.wd.Events(limit)
-	if events == nil {
-		events = []tsdb.AlertEvent{}
-	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"enabled": true,
 		"rules":   s.wd.Rules(),
-		"active":  active,
-		"events":  events,
+		"active":  jsonList(s.wd.Active()),
+		"events":  jsonList(s.wd.Events(limit)),
 	})
 }

@@ -380,12 +380,10 @@ func TestFieldParseMatchesDocument(t *testing.T) {
 	}
 }
 
-// fuzzServer is one in-process server per fuzz target, with a bounded
-// span ring and the answer cache on so cached paths are exercised too.
+// fuzzServer is one in-process server per fuzz target, with the answer
+// cache on so cached paths are exercised too.
 func fuzzServer() *Server {
-	reg := obs.New()
-	reg.SetSpanCap(64)
-	s := New(Config{Reg: reg, Logger: slog.New(slog.NewJSONHandler(io.Discard, nil)), CacheSize: 256})
+	s := New(Config{Reg: obs.New(), Logger: slog.New(slog.NewJSONHandler(io.Discard, nil)), CacheSize: 256})
 	s.SetReady(true)
 	return s
 }

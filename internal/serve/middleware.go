@@ -89,7 +89,9 @@ func (w *statusWriter) Flush() {
 // not the raw URL path, so label cardinality stays bounded no matter
 // what clients request. Liveness probes (/healthz, /readyz) are not
 // recorded or exported — at typical probe rates they would evict every
-// interesting record — but still carry trace IDs and exemplars.
+// interesting record — but still carry trace IDs and exemplars. The
+// response traceparent's sampled flag says whether the request was
+// recorded.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	// The instruments are resolved once, not per request: the latency
 	// histogram here, each status code's request counter on its first
@@ -98,7 +100,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	requests := newCounterSet(func(code int) *obs.Counter {
 		return s.reg.Counter(obs.MetricName("http.requests", "path", route, "code", strconv.Itoa(code)))
 	})
-	recorded := route != "/healthz" && route != "/readyz"
+	recorded := route != "/healthz" && route != "/readyz" && (s.rec != nil || s.exp != nil)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := s.nextRequestID()
 		tc := traceContext{spanID: newSpanID()}
@@ -114,11 +116,11 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		}
 		w.Header().Set("X-Request-ID", id)
 		w.Header().Set("X-Trace-Id", tc.traceID)
-		w.Header().Set("traceparent", formatTraceparent(tc.traceID, tc.spanID))
+		w.Header().Set("traceparent", formatTraceparent(tc.traceID, tc.spanID, recorded))
 		ctx := context.WithValue(r.Context(), ridKey{}, id)
 		ctx = context.WithValue(ctx, traceKey{}, tc)
 		var rec *obs.RequestRecord
-		if recorded && (s.rec != nil || s.exp != nil) {
+		if recorded {
 			rec = &obs.RequestRecord{
 				TraceID:      tc.traceID,
 				SpanID:       tc.spanID,

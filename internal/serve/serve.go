@@ -34,7 +34,7 @@
 //	                    body with uptime and build identity)
 //	GET  /readyz        readiness (503 until SetReady(true))
 //	GET  /debug/obs     full obs.Snapshot as JSON (counters, gauges,
-//	                    histograms, recent query span trees)
+//	                    histograms; span trees are at /debug/traces)
 //	GET  /debug/otlp    the same telemetry as one OTLP/JSON document
 //	                    (resourceSpans from the flight recorder,
 //	                    resourceMetrics from the registry)
@@ -106,8 +106,8 @@ import (
 // server would defeat the point).
 type Config struct {
 	// Reg is the shared registry every request's engine work lands in;
-	// /metrics and /debug/obs expose it. Callers running a long-lived
-	// server should bound its span retention with Reg.SetSpanCap.
+	// /metrics and /debug/obs expose it. It holds instruments only: each
+	// query's span tree goes to the flight recorder with its request.
 	Reg *obs.Registry
 	// Logger receives one structured record per request (plus slow-query
 	// warnings). Defaults to JSON on stderr.
@@ -364,8 +364,8 @@ type ImpliesRequest struct {
 	// Explain and Provenance on.
 	Provenance bool `json:"provenance,omitempty"`
 	// IncludeMetrics attaches the metrics of this request's engine work:
-	// the engines run on a registry of their own, whose snapshot (without
-	// spans) is returned and then merged into the shared registry.
+	// the engines run on a registry of their own, whose snapshot is
+	// returned and then merged into the shared registry.
 	IncludeMetrics bool `json:"include_metrics,omitempty"`
 	// Profile attributes the engine's work — firings, tuples, scan time —
 	// to individual members of sigma and returns the attribution as
@@ -642,8 +642,7 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 	if req.IncludeMetrics {
 		// A registry of this request's own holds exactly its engine work
 		// whatever else the server runs; Merge below adds that work to
-		// the shared totals. Its span tree still reaches the flight
-		// recorder (a.Trace), not the shared registry's span ring.
+		// the shared totals.
 		opt.Obs = obs.New()
 	}
 	start := time.Now()
@@ -662,7 +661,6 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 	resp.Explanation = why
 	if req.IncludeMetrics {
 		resp.Metrics = opt.Obs.Snapshot()
-		resp.Metrics.Spans = nil
 		s.reg.Merge(opt.Obs)
 	}
 	if rec != nil {
@@ -791,7 +789,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTraces is GET /debug/traces: the flight recorder's retained
-// records, newest first; ?limit=N bounds the reply.
+// records, newest first; ?limit=N bounds the reply. An empty or disabled
+// recorder answers "traces": [].
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	limit, ok := s.queryLimit(w, r)
 	if !ok {
@@ -799,7 +798,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"capacity": s.rec.Cap(),
-		"traces":   s.rec.Recent(limit),
+		"traces":   jsonList(s.rec.Recent(limit)),
 	})
 }
 
@@ -824,7 +823,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // by total engine time (the hottest query shapes first), each with call
 // counts, error/cache-hit counts, a log₂ latency histogram and the
 // merged per-dependency profile of its profiled runs. ?limit=N bounds
-// the reply.
+// the reply. An empty or disabled store answers "digests": [].
 func (s *Server) handleDigests(w http.ResponseWriter, r *http.Request) {
 	limit, ok := s.queryLimit(w, r)
 	if !ok {
@@ -832,7 +831,7 @@ func (s *Server) handleDigests(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"capacity": s.dig.Cap(),
-		"digests":  s.dig.Snapshot(limit),
+		"digests":  jsonList(s.dig.Snapshot(limit)),
 	})
 }
 
@@ -910,7 +909,7 @@ POST /v1/schemas/{name}/algebra  {"op":"union|intersect|minimal-cover","with":"o
 GET  /metrics        Prometheus text exposition
 GET  /healthz        liveness
 GET  /readyz         readiness
-GET  /debug/obs      metrics + recent query traces as JSON
+GET  /debug/obs      metrics as JSON
 GET  /debug/otlp     spans + metrics as one OTLP/JSON document
 GET  /debug/traces   flight recorder: last N requests (X-Trace-Id resolves at /debug/traces/{id})
 GET  /debug/digests  query digests: hottest query shapes by total engine time

@@ -167,10 +167,10 @@ func TestParseTraceparentUnit(t *testing.T) {
 	if _, _, ok := parseTraceparent("00-" + sampleTrace + "-" + sampleParent + "-00"); !ok {
 		t.Errorf("flags 00 (unsampled) must still parse")
 	}
-	if tp := formatTraceparent(sampleTrace, sampleParent); tp != sampleTraceparent {
+	if tp := formatTraceparent(sampleTrace, sampleParent, true); tp != sampleTraceparent {
 		t.Errorf("formatTraceparent = %q, want %q", tp, sampleTraceparent)
 	}
-	if _, _, ok := parseTraceparent(formatTraceparent(newTraceID(), newSpanID())); !ok {
+	if _, _, ok := parseTraceparent(formatTraceparent(newTraceID(), newSpanID(), false)); !ok {
 		t.Errorf("minted IDs must round-trip through the parser")
 	}
 }
@@ -451,5 +451,69 @@ func TestMetricsUptimeGauge(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "process_build_info") {
 		t.Errorf("/metrics missing process_build_info:\n%.300s", body)
+	}
+}
+
+// TestDebugListsEmptyNotNull pins the empty /debug lists to [] — on a
+// fresh server, and with the flight recorder and the digest store off —
+// as every other JSON list the server returns.
+func TestDebugListsEmptyNotNull(t *testing.T) {
+	for _, cfg := range []Config{{}, {TraceBuffer: -1, DigestSize: -1}} {
+		_, _, ts := newTestServer(t, cfg)
+		// /debug/traces first: the recorder keeps the /debug/digests GET.
+		for _, key := range []string{"traces", "digests"} {
+			path := "/debug/" + key
+			_, body := getHdr(t, ts.URL+path, nil)
+			var reply map[string]json.RawMessage
+			if err := json.Unmarshal(body, &reply); err != nil {
+				t.Fatalf("%s: %v\n%s", path, err, body)
+			}
+			if got := string(reply[key]); got != "[]" {
+				t.Errorf("%s (trace buffer %d, digests %d): %q = %s, want []",
+					path, cfg.TraceBuffer, cfg.DigestSize, key, got)
+			}
+		}
+	}
+}
+
+// TestTraceparentSampledFlag pins the response traceparent's flags: 01
+// exactly when the middleware drafted a record (for the flight recorder
+// or the exporter), 00 for probes and on a server that keeps nothing.
+func TestTraceparentSampledFlag(t *testing.T) {
+	flags := func(ts *httptest.Server, path string) string {
+		t.Helper()
+		var resp *http.Response
+		if path == "/v1/implies" {
+			resp, _ = postJSON(t, ts.URL+path, fastImplies)
+		} else {
+			resp, _ = getHdr(t, ts.URL+path, nil)
+		}
+		tp := resp.Header.Get("traceparent")
+		if _, _, ok := parseTraceparent(tp); !ok {
+			t.Fatalf("%s: traceparent %q does not parse", path, tp)
+		}
+		return tp[len(tp)-2:]
+	}
+	_, _, recording := newTestServer(t, Config{})
+	for path, want := range map[string]string{"/v1/implies": "01", "/metrics": "01", "/healthz": "00", "/readyz": "00"} {
+		if got := flags(recording, path); got != want {
+			t.Errorf("recording server %s: flags %s, want %s", path, got, want)
+		}
+	}
+	_, _, off := newTestServer(t, Config{TraceBuffer: -1})
+	for _, path := range []string{"/v1/implies", "/metrics", "/healthz"} {
+		if got := flags(off, path); got != "00" {
+			t.Errorf("non-recording server %s: flags %s, want 00", path, got)
+		}
+	}
+	// An exporter alone still drafts records: sampled.
+	exp, err := obs.NewExporter(obs.ExporterConfig{FilePath: filepath.Join(t.TempDir(), "otlp.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { exp.Close() })
+	_, _, exporting := newTestServer(t, Config{TraceBuffer: -1, Exporter: exp})
+	if got := flags(exporting, "/v1/implies"); got != "01" {
+		t.Errorf("exporting server /v1/implies: flags %s, want 01", got)
 	}
 }

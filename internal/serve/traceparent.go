@@ -77,11 +77,15 @@ func parseTraceparent(h string) (traceID, parentSpanID string, ok bool) {
 }
 
 // formatTraceparent renders the response header: version 00, the
-// request's trace ID, this server's span ID, flags 01 (sampled — the
-// span was recorded, that is what the flight recorder and exporter
-// do).
-func formatTraceparent(traceID, spanID string) string {
-	return "00-" + traceID + "-" + spanID + "-01"
+// request's trace ID, this server's span ID, and the sampled flag: 01
+// when the request is recorded (the middleware drafted a record for the
+// flight recorder or the exporter), 00 when nothing keeps it — probes,
+// and every route on a server with both recording and export off.
+func formatTraceparent(traceID, spanID string, sampled bool) string {
+	if sampled {
+		return "00-" + traceID + "-" + spanID + "-01"
+	}
+	return "00-" + traceID + "-" + spanID + "-00"
 }
 
 // maxTracestateLen is the W3C tracestate size bound: the spec requires
