@@ -35,11 +35,15 @@ race:
 # evicts under them, every verdict checked; recorded queries and batches
 # against readers of /debug/traces, /debug/otlp, /metrics, a tsdb
 # sampler and a file exporter, pinning that a published span tree is
-# never written again; and 16 goroutines mixing tagged puts, gets and
-# invalidation sweeps on one answer cache.
+# never written again; 16 goroutines mixing tagged puts, gets and
+# invalidation sweeps on one answer cache; and 8 goroutines sharing one
+# engine pool and one registry, whose chase.* totals must equal the sum
+# of the same runs on private registries (each run flushes its counts
+# once, when it ends).
 race-hammer:
 	$(GO) test -race -cpu 1,2,8 -run 'TestRegistryRaceHammer|TestCompileMemoRaceHammer|TestTraceTreeRaceHammer' -count=1 ./internal/serve/
 	$(GO) test -race -cpu 1,2,8 -run 'TestAnswerCacheInvalidateRace' -count=1 ./internal/core/
+	$(GO) test -race -cpu 1,2,8 -run 'TestPoolConcurrentCountsExact' -count=1 ./internal/chase/
 
 # The zero-cost-when-off gate: the chase with instrumentation and
 # provenance disabled must stay under its pinned allocation ceiling, and
@@ -51,7 +55,9 @@ race-hammer:
 # into a full shard at zero. The last pins an instrumented
 # System.Implies on a warm pool, whose span tree is built once and never
 # copied: within 15 allocations on an fd goal and 22 on the Proposition
-# 4.1 chase. They skip themselves under -race too.
+# 4.1 chase. The last pins one ind.Decide call on width-2 IND chains,
+# whose frontier is keyed by int32 relation and attribute IDs. They skip
+# themselves under -race too.
 # -count=1 defeats the test cache — an allocation regression must fail
 # here even when no _test.go file changed.
 zeroalloc:
@@ -60,17 +66,21 @@ zeroalloc:
 	$(GO) test -run TestProverProofAllocs -count=1 ./internal/fd/
 	$(GO) test -run TestDigestAdmissionAllocFree -count=1 ./internal/obs/
 	$(GO) test -run TestImpliesObsAllocs -count=1 ./internal/core/
+	$(GO) test -run TestDecideAllocs -count=1 ./internal/ind/
 
 # A short native-fuzzing run per input surface (plain `go test` only
 # replays the seed corpora): FuzzParse checks the .dep reader and its
 # single-entry parsers line by line; FuzzImplies and FuzzBatch drive
 # depserve's handlers with arbitrary schema, sigma and goal strings and
-# accept only 200, 400 or 503. A failing input lands in the package's
-# testdata/fuzz directory for `go test` to replay.
+# accept only 200, 400 or 503; FuzzTable checks the int32-tuple interner
+# the chase and the IND frontier key by against a map model, across
+# resets, growth and the epoch wrap. A failing input lands in the
+# package's testdata/fuzz directory for `go test` to replay.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzImplies$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzBatch$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s ./internal/intern/
 
 bench:
 	$(GO) test -bench . -benchmem ./...

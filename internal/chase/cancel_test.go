@@ -8,6 +8,7 @@ import (
 
 	"indfd/internal/data"
 	"indfd/internal/deps"
+	"indfd/internal/obs"
 	"indfd/internal/schema"
 )
 
@@ -75,6 +76,28 @@ func TestImpliesFDDeadline(t *testing.T) {
 	}
 	if res.Rounds == 0 || res.Tuples == 0 {
 		t.Errorf("partial stats missing: rounds=%d tuples=%d", res.Rounds, res.Tuples)
+	}
+}
+
+// A deadline-killed run adds its partial counts to the registry when it
+// is killed: the registry's rounds are the Result's.
+func TestDeadlineKillFlushesCounts(t *testing.T) {
+	db, sigma, goal := divergentInstance()
+	reg := obs.New()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	res, err := ImpliesFD(db, sigma, goal, Options{Ctx: ctx, MaxTuples: 1 << 30, Obs: reg, Pool: NewEnginePool(nil)})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if res.Rounds == 0 {
+		t.Fatal("the killed run reports no rounds")
+	}
+	if got := reg.Counter("chase.rounds").Value(); got != int64(res.Rounds) {
+		t.Errorf("chase.rounds = %d, Result.Rounds = %d", got, res.Rounds)
+	}
+	if got := reg.Counter("chase.tuples_created").Value(); got < int64(res.Tuples) {
+		t.Errorf("chase.tuples_created = %d, fewer than the %d live tuples", got, res.Tuples)
 	}
 }
 

@@ -20,8 +20,8 @@
 //
 //   - every tuple carries its canonical key (the vector of union-find
 //     roots of its values) as a dense integer from a per-relation
-//     intern.Table, so duplicate detection on insert is one map probe
-//     instead of a linear rescan;
+//     intern.Table keyed by those int32 roots, so duplicate detection on
+//     insert is one table probe instead of a linear rescan;
 //   - each IND keeps a refcounted witness index over its right-hand
 //     projection, updated on insert, re-key, and dedup-removal, and scans
 //     only the left-hand tuples added since its last pass (witnesses are
@@ -36,7 +36,10 @@
 //     would have chosen, keeping trace output byte-identical.
 //
 // Verdicts, traces, counterexamples, and the chase.* counters are exactly
-// those of the reference engine; differential tests pin all four.
+// those of the reference engine; differential tests pin all four. The
+// hot loops count into plain engine fields, and a run adds its counts to
+// Options.Obs once, when it ends (flush), so concurrent runs sharing a
+// registry never contend on its counters mid-run.
 //
 // What a run records beyond its verdict — trace lines, provenance,
 // per-member aggregates, per-round spans — is opt-in and goes through
@@ -131,8 +134,10 @@ type Options struct {
 	Pool *EnginePool
 	// Obs, when non-nil, receives the chase's work counters under the
 	// "chase." namespace (rounds, tuples created, union-find merges,
-	// fixpoint passes, ...). A nil registry costs nothing: the engine
-	// holds nil instruments and every update is a no-op branch.
+	// fixpoint passes, ...) and the chase.tuples_peak gauge. The run
+	// counts in engine fields and adds them to Obs once, when it ends —
+	// on every exit, a killed run's partial counts included. A nil
+	// registry costs nothing.
 	Obs *obs.Registry
 	// Span, when non-nil, is the parent under which the chase opens its
 	// span (with per-round child spans, capped at spanRoundCap). With
@@ -196,8 +201,8 @@ type engine struct {
 	// are re-keyed in bulk by processDirty before dedup and the IND pass.
 	dirty []int32
 
-	keyBuf []byte // scratch for key assembly (reused, never retained)
-	tmp    []int32
+	key []int32 // scratch for key assembly (reused, never retained)
+	tmp []int32
 
 	// cap holds the opt-in capture channels (capture.go).
 	cap capture
@@ -225,27 +230,34 @@ type engine struct {
 	// bucket's stack (down is older), newer/older along the pool's LRU.
 	up, down, newer, older *engine
 
-	// Possibly-nil instruments, fetched once per chase call; the hot
-	// loops touch them unconditionally (a nil receiver is a no-op).
-	cRounds   *obs.Counter // chase rounds (IND pass + FD fixpoint)
-	cTuples   *obs.Counter // tableau tuples created (seeds included)
-	cUnions   *obs.Counter // union-find merges performed
-	cFDFires  *obs.Counter // FD applications that equated values
-	cRDFires  *obs.Counter // RD applications that equated values
-	cINDAdds  *obs.Counter // IND applications that added a tuple
-	cFixpoint *obs.Counter // FD fixpoint passes
-	cDelta    *obs.Counter // tuples scanned by delta-driven IND passes
-	cRekeyed  *obs.Counter // tuples re-keyed after class merges
-	cSkips    *obs.Counter // FD/RD scans skipped by the version gate
-	gTuples   *obs.Gauge   // high-water mark of live tableau tuples
+	// The run's work, counted by the hot loops and added to reg by
+	// flush; reg is Options.Obs of the current run, nil when idle.
+	n   counts
+	reg *obs.Registry
+}
+
+// counts is one run's chase.* work, in plain fields.
+type counts struct {
+	rounds   int64 // chase.rounds: rounds (IND pass + FD fixpoint)
+	tuples   int64 // chase.tuples_created: tableau tuples created (seeds included)
+	unions   int64 // chase.unions: union-find merges performed
+	fdFires  int64 // chase.fd_applications: FD applications that equated values
+	rdFires  int64 // chase.rd_applications: RD applications that equated values
+	indAdds  int64 // chase.ind_applications: IND applications that added a tuple
+	fixpoint int64 // chase.fixpoint_passes: FD fixpoint passes
+	delta    int64 // chase.delta_tuples: tuples scanned by delta-driven IND passes
+	rekeyed  int64 // chase.rekeyed_tuples: tuples re-keyed after class merges
+	skips    int64 // chase.scans_skipped: FD/RD scans skipped by the version gate
+	peak     int   // chase.tuples_peak: high-water mark of live tableau tuples
 }
 
 // fdState is an FD of sigma compiled for repeated firing: its position
 // at in sigma, resolved attribute positions, a persistent intern table
-// for X-projection group keys, and generation-stamped member lists
-// (reset lazily per pass, so steady-state passes allocate nothing). cleanAt is rels[ri].version+1 as of the last
-// scan that fired nothing, or 0; the scan is skipped while the version
-// matches.
+// for X-projection group keys (the class labels of the X values), and
+// generation-stamped member lists (reset lazily per pass, so
+// steady-state passes allocate nothing). cleanAt is rels[ri].version+1
+// as of the last scan that fired nothing, or 0; the scan is skipped
+// while the version matches.
 type fdState struct {
 	d       deps.FD
 	at      int32
@@ -303,7 +315,7 @@ func newEngine(db *schema.Database, sigma []deps.Dependency) (*engine, error) {
 	e.relIdx = make(map[string]int32, len(names))
 	for i, n := range names {
 		sch, _ := db.Scheme(n)
-		e.rels[i] = relState{name: n, width: sch.Width(), keys: intern.New(16)}
+		e.rels[i] = relState{name: n, width: sch.Width(), keys: intern.New(sch.Width(), 16)}
 		e.relIdx[n] = int32(i)
 	}
 	// INDs with the same right-hand relation and projection share one
@@ -328,7 +340,7 @@ func newEngine(db *schema.Database, sigma []deps.Dependency) (*engine, error) {
 				return nil, err
 			}
 			e.fds = append(e.fds, fdState{
-				d: dd, at: at, ri: e.relIdx[dd.Rel], xs: xs, ys: ys, keys: intern.New(16),
+				d: dd, at: at, ri: e.relIdx[dd.Rel], xs: xs, ys: ys, keys: intern.New(len(xs), 16),
 			})
 		case deps.IND:
 			ls, _ := db.Scheme(dd.LRel)
@@ -345,7 +357,7 @@ func newEngine(db *schema.Database, sigma []deps.Dependency) (*engine, error) {
 			wkey := fmt.Sprintf("%d:%v", rri, ys)
 			pi := witnessIdx[wkey]
 			if pi == nil {
-				pi = &projIndex{pos: ys, keys: intern.New(16)}
+				pi = &projIndex{pos: ys, keys: intern.New(len(ys), 16)}
 				e.rels[rri].watchers = append(e.rels[rri].watchers, pi)
 				witnessIdx[wkey] = pi
 			}
@@ -371,26 +383,38 @@ func newEngine(db *schema.Database, sigma []deps.Dependency) (*engine, error) {
 }
 
 // arm readies an engine (fresh or pooled) for one run: budget, context,
-// instruments and opt-in capture state. Everything arm touches is
-// per-run; the compiled structure (positions, shared witness indexes) is
-// untouched.
+// zeroed counts, the registry they go to, and opt-in capture state.
+// Everything arm touches is per-run; the compiled structure (positions,
+// shared witness indexes) is untouched.
 func (e *engine) arm(opt Options) {
 	e.max = opt.maxTuples()
 	e.ctx = opt.Ctx
-
-	e.cRounds = opt.Obs.Counter("chase.rounds")
-	e.cTuples = opt.Obs.Counter("chase.tuples_created")
-	e.cUnions = opt.Obs.Counter("chase.unions")
-	e.cFDFires = opt.Obs.Counter("chase.fd_applications")
-	e.cRDFires = opt.Obs.Counter("chase.rd_applications")
-	e.cINDAdds = opt.Obs.Counter("chase.ind_applications")
-	e.cFixpoint = opt.Obs.Counter("chase.fixpoint_passes")
-	e.cDelta = opt.Obs.Counter("chase.delta_tuples")
-	e.cRekeyed = opt.Obs.Counter("chase.rekeyed_tuples")
-	e.cSkips = opt.Obs.Counter("chase.scans_skipped")
-	e.gTuples = opt.Obs.Gauge("chase.tuples_peak")
-
+	e.n = counts{}
+	e.reg = opt.Obs
 	e.cap.arm(opt, len(e.sigma))
+}
+
+// flush adds the run's counts to its registry, once, and forgets the
+// registry, so an idle pooled engine keeps no request's registry alive.
+// release calls it on every exit, so a killed run adds its partial
+// counts too.
+func (e *engine) flush() {
+	r := e.reg
+	if r == nil {
+		return
+	}
+	e.reg = nil
+	r.Counter("chase.rounds").Add(e.n.rounds)
+	r.Counter("chase.tuples_created").Add(e.n.tuples)
+	r.Counter("chase.unions").Add(e.n.unions)
+	r.Counter("chase.fd_applications").Add(e.n.fdFires)
+	r.Counter("chase.rd_applications").Add(e.n.rdFires)
+	r.Counter("chase.ind_applications").Add(e.n.indAdds)
+	r.Counter("chase.fixpoint_passes").Add(e.n.fixpoint)
+	r.Counter("chase.delta_tuples").Add(e.n.delta)
+	r.Counter("chase.rekeyed_tuples").Add(e.n.rekeyed)
+	r.Counter("chase.scans_skipped").Add(e.n.skips)
+	r.Gauge("chase.tuples_peak").SetMax(int64(e.n.peak))
 }
 
 // acquireEngine returns an armed engine for db and sigma: a pooled one
@@ -420,15 +444,17 @@ func acquireEngine(db *schema.Database, sigma []deps.Dependency, opt Options) (*
 	return e, nil
 }
 
-// release ends a run: a pooled engine is structurally reset and
-// returned to its pool — unless the run errored (deadline, cancellation,
-// contradiction, or any other mid-round kill), in which case its state
-// is partial and it is discarded so no later request can observe it. A
-// budget-exhausted Unknown verdict is not an error: that chase stopped
-// at a clean round boundary. An engine whose run created more than
-// DefaultMaxTuples tuples is discarded too: a caller-raised budget must
-// not leave its grown arrays resident in the pool.
+// release ends a run: the run's counts are flushed, and a pooled engine
+// is structurally reset and returned to its pool — unless the run
+// errored (deadline, cancellation, contradiction, or any other mid-round
+// kill), in which case its state is partial and it is discarded so no
+// later request can observe it. A budget-exhausted Unknown verdict is
+// not an error: that chase stopped at a clean round boundary. An engine
+// whose run created more than DefaultMaxTuples tuples is discarded too:
+// a caller-raised budget must not leave its grown arrays resident in the
+// pool.
 func (e *engine) release(err error) {
+	e.flush()
 	if e.pool == nil {
 		return
 	}
@@ -442,9 +468,9 @@ func (e *engine) release(err error) {
 
 // reset returns the engine to its just-compiled state while keeping
 // every backing allocation: slices are truncated in place, interners
-// start a new epoch (cached key strings stay warm), and per-dependency
-// scan state is rewound. A reset engine re-running the same query
-// performs the same work with zero steady-state allocations.
+// start a new epoch (their arenas and slots stay warm), and
+// per-dependency scan state is rewound. A reset engine re-running the
+// same query performs the same work with zero steady-state allocations.
 func (e *engine) reset() {
 	e.parent = e.parent[:0]
 	e.label = e.label[:0]
@@ -524,12 +550,12 @@ func positionsOf(s *schema.Scheme, attrs []schema.Attribute) ([]int, error) {
 func (e *engine) applyFDs() (changed bool, err error) {
 	for again := true; again; {
 		again = false
-		e.cFixpoint.Inc()
+		e.n.fixpoint++
 		var fired bool
 		for i := range e.rds {
 			ds := &e.rds[i]
 			if ds.cleanAt == e.rels[ds.ri].version+1 {
-				e.cSkips.Inc()
+				e.n.skips++
 				continue
 			}
 			f, err := e.scanRD(i)
@@ -541,7 +567,7 @@ func (e *engine) applyFDs() (changed bool, err error) {
 		for i := range e.fds {
 			fs := &e.fds[i]
 			if fs.cleanAt == e.rels[fs.ri].version+1 {
-				e.cSkips.Inc()
+				e.n.skips++
 				continue
 			}
 			f, err := e.scanFD(i)
@@ -572,7 +598,7 @@ func (e *engine) scanRD(i int) (fired bool, err error) {
 			}
 			if ch {
 				fired = true
-				e.cRDFires.Inc()
+				e.n.rdFires++
 				if e.cap.on {
 					e.noteRD(i, tid, t[ds.xs[j]], t[ds.ys[j]])
 				}
@@ -603,9 +629,7 @@ func (e *engine) scanFD(i int) (fired bool, err error) {
 		// the reference engine groups by its own (label) roots, and
 		// mid-pass root changes make grouping sensitive to the
 		// representative choice.
-		b := e.appendLabelProjKey(e.keyBuf[:0], t, fs.xs)
-		kid, fresh := fs.keys.Intern(b)
-		e.keyBuf = b
+		kid, fresh := fs.keys.Intern(e.labelProjKey(t, fs.xs))
 		if fresh {
 			fs.addGroup()
 		}
@@ -622,7 +646,7 @@ func (e *engine) scanFD(i int) (fired bool, err error) {
 				}
 				if ch {
 					fired = true
-					e.cFDFires.Inc()
+					e.n.fdFires++
 					if e.cap.on {
 						e.noteFD(i, tid, uid, t[y], u[y])
 					}
@@ -672,7 +696,7 @@ func (e *engine) run() (done bool, err error) {
 		if err := e.cancelled(); err != nil {
 			return false, err
 		}
-		e.cRounds.Inc()
+		e.n.rounds++
 		e.cap.beginRound()
 		fdChanged, err := e.applyFDs()
 		if err != nil {

@@ -22,9 +22,7 @@ func (e *engine) processDirty() {
 		}
 		rs := &e.rels[e.tupRel[tid]]
 		t := e.tupleVals(tid)
-		b := e.appendRootsKey(e.keyBuf[:0], t)
-		kid, fresh := rs.keys.Intern(b)
-		e.keyBuf = b
+		kid, fresh := rs.keys.Intern(e.rootsKey(t))
 		if fresh {
 			rs.count = append(rs.count, 0)
 			rs.seen = append(rs.seen, 0)
@@ -40,7 +38,7 @@ func (e *engine) processDirty() {
 		for _, pi := range rs.watchers {
 			pi.rekey(e, tid, t)
 		}
-		e.cRekeyed.Inc()
+		e.n.rekeyed++
 	}
 	e.dirty = e.dirty[:0]
 }
@@ -105,7 +103,7 @@ func (e *engine) applyINDs() (changed bool, err error) {
 		for k := start; k < len(order); k++ {
 			tid := order[k]
 			t := e.tupleVals(tid)
-			e.cDelta.Inc()
+			e.n.delta++
 			if is.pi.witnessed(e, t, is.xs) {
 				continue
 			}
@@ -157,7 +155,7 @@ func (e *engine) fireIND(i int, tid int32, t []int32) (added bool, err error) {
 		return false, err
 	}
 	if added {
-		e.cINDAdds.Inc()
+		e.n.indAdds++
 		if e.cap.on {
 			e.noteIND(i, tid, t, u)
 		}

@@ -306,11 +306,25 @@ func TestDifferentialComplete(t *testing.T) {
 	compareCounters(t, "complete", regNew, regRef)
 
 	// A seed whose FD equates the distinct constants b and e: both engines
-	// must report the same contradiction.
+	// must report the same contradiction, with the same partial counts.
 	bad := []deps.Dependency{deps.NewFD("F", deps.Attrs("A"), deps.Attrs("B"))}
-	_, gotErr = Complete(seed, bad, Options{})
-	_, wantErr = ReferenceComplete(seed, bad, Options{})
+	regNew, regRef = obs.New(), obs.New()
+	_, gotErr = Complete(seed, bad, Options{Obs: regNew})
+	_, wantErr = ReferenceComplete(seed, bad, Options{Obs: regRef})
 	if gotErr == nil || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("contradiction error %v, reference %v", gotErr, wantErr)
 	}
+	compareCounters(t, "contradiction", regNew, regRef)
+
+	// A context cancelled before the run: both engines count the seeds
+	// and stop before the first round.
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	regNew, regRef = obs.New(), obs.New()
+	_, gotErr = Complete(seed, sigma, Options{Obs: regNew, Ctx: dead})
+	_, wantErr = ReferenceComplete(seed, sigma, Options{Obs: regRef, Ctx: dead})
+	if gotErr == nil || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("cancelled error %v, reference %v", gotErr, wantErr)
+	}
+	compareCounters(t, "cancelled", regNew, regRef)
 }

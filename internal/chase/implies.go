@@ -86,7 +86,7 @@ func (e *engine) runToGoal() (Result, error) {
 			return e.seal(res, err)
 		}
 		res.Rounds++
-		e.cRounds.Inc()
+		e.n.rounds++
 		e.cap.beginRound()
 		if _, err := e.applyFDs(); err != nil {
 			e.cap.span.End()
@@ -227,11 +227,10 @@ func (e *engine) seedIND(goal deps.IND) (err error) {
 	// both the object and the popped watcher slot.
 	rri := e.relIdx[goal.RRel]
 	if e.gpi == nil {
-		e.gpi = &projIndex{keys: intern.New(16)}
-	} else {
-		e.gpi.reset()
+		e.gpi = &projIndex{keys: intern.New(len(e.goalYs), 16)}
 	}
 	e.gpi.pos = e.goalYs
+	e.gpi.reset()
 	e.rels[rri].watchers = append(e.rels[rri].watchers, e.gpi)
 	e.gpiRel = rri
 	e.goalT1 = resizeI32(e.goalT1, ls.Width())

@@ -7,9 +7,10 @@
 //   - watch[r] contains every live tuple whose canonical key involves
 //     class r, so a union knows exactly which tuples to re-key (the
 //     losing side's watchers) and which relations' versions to bump;
-//   - tupKey[tid] is the interned canonical key of the tuple, current
-//     whenever the dirty queue is empty (processDirty drains it before
-//     every dedup and IND pass), making duplicate detection one probe;
+//   - tupKey[tid] is the interned canonical key of the tuple — the
+//     int32 roots of its values — current whenever the dirty queue is
+//     empty (processDirty drains it before every dedup and IND pass),
+//     making duplicate detection one probe;
 //   - each projIndex refcounts live tuples per interned projection key,
 //     so "does a witness exist" is one probe too.
 
@@ -58,9 +59,7 @@ func (pi *projIndex) ensure(tid int32) {
 
 // add records a newly inserted tuple of the indexed relation.
 func (pi *projIndex) add(e *engine, tid int32, t []int32) {
-	b := e.appendProjKey(e.keyBuf[:0], t, pi.pos)
-	kid, fresh := pi.keys.Intern(b)
-	e.keyBuf = b
+	kid, fresh := pi.keys.Intern(e.projKey(t, pi.pos))
 	if fresh {
 		pi.count = append(pi.count, 0)
 	}
@@ -71,9 +70,7 @@ func (pi *projIndex) add(e *engine, tid int32, t []int32) {
 
 // rekey moves a tuple's contribution after its classes merged.
 func (pi *projIndex) rekey(e *engine, tid int32, t []int32) {
-	b := e.appendProjKey(e.keyBuf[:0], t, pi.pos)
-	kid, fresh := pi.keys.Intern(b)
-	e.keyBuf = b
+	kid, fresh := pi.keys.Intern(e.projKey(t, pi.pos))
 	if fresh {
 		pi.count = append(pi.count, 0)
 	}
@@ -93,9 +90,10 @@ func (pi *projIndex) remove(tid int32) {
 }
 
 // reset rewinds the index to empty while keeping its backing
-// allocations warm (pool reuse).
+// allocations warm (pool reuse). The keys take the width of pos, which
+// an IND goal's index sets anew for every run.
 func (pi *projIndex) reset() {
-	pi.keys.Reset()
+	pi.keys.ResetWidth(len(pi.pos))
 	pi.count = pi.count[:0]
 	pi.contrib = pi.contrib[:0]
 }
@@ -104,43 +102,43 @@ func (pi *projIndex) reset() {
 // t's projection at pos. Sound whenever the dirty queue is drained: all
 // keys then reflect current roots, so key equality is canonical equality.
 func (pi *projIndex) witnessed(e *engine, t []int32, pos []int) bool {
-	b := e.appendProjKey(e.keyBuf[:0], t, pos)
-	kid, ok := pi.keys.Lookup(b)
-	e.keyBuf = b
+	kid, ok := pi.keys.Lookup(e.projKey(t, pos))
 	return ok && pi.count[kid] > 0
 }
 
-// appendRoot appends the 4-byte little-endian encoding of a root ID —
-// the same encoding the reference engine's string keys use.
-func appendRoot(b []byte, r int32) []byte {
-	return append(b, byte(r), byte(r>>8), byte(r>>16), byte(r>>24))
-}
-
-// appendRootsKey appends the canonical key of a whole tuple.
-func (e *engine) appendRootsKey(b []byte, t []int32) []byte {
+// rootsKey assembles the canonical key of a whole tuple, the roots of
+// its values, in the engine's scratch key; it is valid until the next
+// key is assembled.
+func (e *engine) rootsKey(t []int32) []int32 {
+	k := e.key[:0]
 	for _, v := range t {
-		b = appendRoot(b, e.find(v))
+		k = append(k, e.find(v))
 	}
-	return b
+	e.key = k
+	return k
 }
 
-// appendProjKey appends the canonical key of a tuple's projection.
-func (e *engine) appendProjKey(b []byte, t []int32, pos []int) []byte {
+// projKey assembles the canonical key of a tuple's projection at pos.
+func (e *engine) projKey(t []int32, pos []int) []int32 {
+	k := e.key[:0]
 	for _, p := range pos {
-		b = appendRoot(b, e.find(t[p]))
+		k = append(k, e.find(t[p]))
 	}
-	return b
+	e.key = k
+	return k
 }
 
-// appendLabelProjKey is appendProjKey rendered through class labels — the
-// exact bytes the reference engine's projKey would produce. FD grouping
-// uses it because grouping happens mid-pass, across root changes, and so
-// observably depends on the representative choice.
-func (e *engine) appendLabelProjKey(b []byte, t []int32, pos []int) []byte {
+// labelProjKey is projKey through class labels: the representatives the
+// reference engine's projKey encodes. FD grouping uses it because
+// grouping happens mid-pass, across root changes, and so observably
+// depends on the representative choice.
+func (e *engine) labelProjKey(t []int32, pos []int) []int32 {
+	k := e.key[:0]
 	for _, p := range pos {
-		b = appendRoot(b, e.label[e.find(t[p])])
+		k = append(k, e.label[e.find(t[p])])
 	}
-	return b
+	e.key = k
+	return k
 }
 
 func (e *engine) newValue(name string) int32 {
@@ -219,7 +217,7 @@ func (e *engine) union(a, b int32) (changed bool, err error) {
 	// contents are dead, but the backing array stays warm for the slot's
 	// next life after a pool reset.
 	e.watch[rb] = e.watch[rb][:0]
-	e.cUnions.Inc()
+	e.n.unions++
 	return true, nil
 }
 
@@ -245,23 +243,25 @@ func (e *engine) tupleVals(tid int32) []int32 {
 // insert adds a tuple of value IDs to the relation if no canonically-equal
 // tuple is already present — one interned-key probe, not a linear rescan.
 // It enforces the tuple budget (probing first, like the reference: a
-// duplicate at the budget boundary is a no-op, not an exhaustion). The
+// duplicate at the budget boundary is a no-op, not an exhaustion; at the
+// budget the probe is a Lookup, so the failed insert mints no key). The
 // new tuple is registered with the class watch lists and every witness
 // index on the relation.
 func (e *engine) insert(ri int32, t []int32) (added bool, err error) {
 	rs := &e.rels[ri]
-	b := e.appendRootsKey(e.keyBuf[:0], t)
-	e.keyBuf = b
-	if kid, ok := rs.keys.Lookup(b); ok && rs.count[kid] > 0 {
-		return false, nil
-	}
+	key := e.rootsKey(t)
 	if e.tuples >= e.max {
+		if kid, ok := rs.keys.Lookup(key); ok && rs.count[kid] > 0 {
+			return false, nil
+		}
 		return false, errBudget
 	}
-	kid, fresh := rs.keys.Intern(b)
+	kid, fresh := rs.keys.Intern(key)
 	if fresh {
 		rs.count = append(rs.count, 0)
 		rs.seen = append(rs.seen, 0)
+	} else if rs.count[kid] > 0 {
+		return false, nil
 	}
 	tid := int32(len(e.tupOff))
 	e.tupOff = append(e.tupOff, int32(len(e.vals)))
@@ -274,8 +274,8 @@ func (e *engine) insert(ri int32, t []int32) (added bool, err error) {
 	rs.order = append(rs.order, tid)
 	rs.version++
 	e.tuples++
-	e.cTuples.Inc()
-	e.gTuples.SetMax(int64(e.tuples))
+	e.n.tuples++
+	e.n.peak = max(e.n.peak, e.tuples)
 	tv := e.tupleVals(tid)
 	for _, v := range tv {
 		r := e.find(v)

@@ -5,8 +5,10 @@
 // allocation churn. An EnginePool keyed by a fingerprint of the schema
 // and sigma recycles structurally reset engines across runs: a warm hit
 // re-runs the same query shape with zero steady-state allocations (the
-// interners keep their key strings across epochs, every slice keeps its
-// backing array — TestZeroAlloc pins this).
+// interners keep their key arenas and slots across epochs, every slice
+// keeps its backing array — TestZeroAlloc pins this). A run's counts
+// reach its registry before the engine is parked, and a parked engine
+// holds no registry.
 //
 // Correctness over the fingerprint: the hash picks the bucket, but a
 // pooled engine is only handed out after a field-by-field comparison of

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"indfd/internal/data"
 	"indfd/internal/deps"
 	"indfd/internal/obs"
 	"indfd/internal/schema"
@@ -391,5 +392,135 @@ func TestPoolConcurrent(t *testing.T) {
 	}
 	if lru != pool.idle || stacked != pool.idle || pool.idle > poolMaxIdle {
 		t.Errorf("idle set: %d counted, %d on the LRU, %d in buckets (bound %d)", pool.idle, lru, stacked, poolMaxIdle)
+	}
+}
+
+// chaseCounters are every chase.* counter the semi-naive engine flushes.
+var chaseCounters = append(slices.Clone(refCounters),
+	"chase.delta_tuples", "chase.rekeyed_tuples", "chase.scans_skipped")
+
+// chaseCounts reads the chase.* counters of reg.
+func chaseCounts(reg *obs.Registry) []int64 {
+	out := make([]int64, len(chaseCounters))
+	for i, name := range chaseCounters {
+		out[i] = reg.Counter(name).Value()
+	}
+	return out
+}
+
+// countJob is one chase run whose counts the pool tests add up: an
+// implication goal, or, with seed set, a Complete.
+type countJob struct {
+	db    *schema.Database
+	sigma []deps.Dependency
+	goal  deps.Dependency
+	seed  *data.Database
+	opt   Options
+}
+
+func (j countJob) run(pool *EnginePool, reg *obs.Registry) {
+	opt := j.opt
+	opt.Pool, opt.Obs = pool, reg
+	// The errors are dropped: a contradiction and a cancellation are
+	// exits whose counts the tests add up like any other.
+	if j.seed != nil {
+		_, _ = Complete(j.seed, j.sigma, opt)
+		return
+	}
+	_, _ = Implies(j.db, j.sigma, j.goal, opt)
+}
+
+// countJobs covers every exit a run can take: implied, not implied,
+// unknown at the budget, cancelled, contradiction, and a Complete that
+// reaches its fixpoint.
+func countJobs() []countJob {
+	db, sigma := prop41Fixture()
+	dbDiv, sigmaDiv, goalDiv := divergentInstance()
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	dbF := schema.MustDatabase(schema.MustScheme("F", "A", "B", "C"), schema.MustScheme("G", "A", "B"))
+	seed := dataSeed(dbF, map[string][][]string{"F": {{"a", "b", "c"}, {"a", "e", "f"}, {"g", "b", "c"}}})
+	return []countJob{
+		{db: db, sigma: sigma, goal: deps.NewFD("R", deps.Attrs("X"), deps.Attrs("Y"))},
+		{db: db, sigma: sigma, goal: deps.NewIND("R", deps.Attrs("X"), "S", deps.Attrs("T"))},
+		{db: db, sigma: sigma, goal: deps.NewFD("S", deps.Attrs("U"), deps.Attrs("T"))},
+		{db: dbDiv, sigma: sigmaDiv, goal: goalDiv, opt: Options{MaxTuples: 64}},
+		{db: dbDiv, sigma: sigmaDiv, goal: goalDiv, opt: Options{MaxTuples: 64, Ctx: dead}},
+		{sigma: []deps.Dependency{deps.NewFD("F", deps.Attrs("A"), deps.Attrs("B"))}, seed: seed},
+		{sigma: []deps.Dependency{
+			deps.NewIND("F", deps.Attrs("A", "B"), "G", deps.Attrs("A", "B")),
+			deps.NewIND("G", deps.Attrs("B"), "F", deps.Attrs("A")),
+		}, seed: seed},
+	}
+}
+
+// TestPoolRunsAddCountsExactly runs each job K times on one pool and one
+// registry: the registry must hold exactly K times the counts of one
+// unpooled run, so no run's counts leak into the next pooled run and
+// none is dropped, and the tuple peak must be the single run's.
+func TestPoolRunsAddCountsExactly(t *testing.T) {
+	const K = 5
+	for i, j := range countJobs() {
+		one := obs.New()
+		j.run(nil, one)
+		want := chaseCounts(one)
+		reg := obs.New()
+		pool := NewEnginePool(nil)
+		for k := 0; k < K; k++ {
+			j.run(pool, reg)
+		}
+		got := chaseCounts(reg)
+		for c, name := range chaseCounters {
+			if got[c] != K*want[c] {
+				t.Errorf("job %d: %s = %d after %d pooled runs, want %d × %d", i, name, got[c], K, K, want[c])
+			}
+		}
+		if g, w := reg.Gauge("chase.tuples_peak").Value(), one.Gauge("chase.tuples_peak").Value(); g != w {
+			t.Errorf("job %d: chase.tuples_peak = %d, one run's %d", i, g, w)
+		}
+	}
+}
+
+// TestPoolConcurrentCountsExact shares one pool and one registry among 8
+// goroutines (run it under -race): the registry's totals must equal the
+// sum of the same runs' counts on private registries.
+func TestPoolConcurrentCountsExact(t *testing.T) {
+	jobs := countJobs()
+	const workers, perWorker = 8, 35
+	shared := obs.New()
+	pool := NewEnginePool(nil)
+	sums := make([][]int64, workers)
+	peaks := make([]int64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sums[w] = make([]int64, len(chaseCounters))
+			for i := 0; i < perWorker; i++ {
+				j := jobs[(w+i)%len(jobs)]
+				j.run(pool, shared)
+				private := obs.New()
+				j.run(nil, private)
+				for c, v := range chaseCounts(private) {
+					sums[w][c] += v
+				}
+				peaks[w] = max(peaks[w], private.Gauge("chase.tuples_peak").Value())
+			}
+		}(w)
+	}
+	wg.Wait()
+	got := chaseCounts(shared)
+	for c, name := range chaseCounters {
+		var want int64
+		for w := range sums {
+			want += sums[w][c]
+		}
+		if got[c] != want {
+			t.Errorf("%s = %d on the shared registry, %d summed over private ones", name, got[c], want)
+		}
+	}
+	if g, w := shared.Gauge("chase.tuples_peak").Value(), slices.Max(peaks); g != w {
+		t.Errorf("chase.tuples_peak = %d on the shared registry, %d over private ones", g, w)
 	}
 }

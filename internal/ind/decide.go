@@ -17,6 +17,7 @@ package ind
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"indfd/internal/deps"
@@ -158,15 +159,10 @@ func decide(ctx context.Context, db *schema.Database, sigma []deps.IND, goal dep
 			}
 		}
 	}
-	start := Expression{Rel: goal.LRel, Attrs: goal.X}
-	target := Expression{Rel: goal.RRel, Attrs: goal.Y}
-	startKey := start.key()
-	targetKey := target.key()
-
-	// Compile sigma once: per-IND projection maps and left-hand Bloom
-	// masks, indexed by left-hand relation name, so successor generation
-	// only touches applicable INDs and pays no per-apply map construction.
-	byLRel := compileSigma(sigma)
+	// Compile sigma once: relations and attributes numbered, per-IND
+	// attribute IDs and left-hand masks, grouped by left-hand relation,
+	// so successor generation only touches applicable INDs.
+	f := compileSigma(sigma, goal)
 
 	var prof []indAgg
 	if profile {
@@ -187,98 +183,88 @@ func decide(ctx context.Context, db *schema.Database, sigma []deps.IND, goal dep
 		return p
 	}
 
-	// node is an arena entry; node i is the expression the interner
-	// assigned ID i, so the visited set, the arena, and the BFS frontier
+	// node i is the expression the table assigned ID i, whose key is the
+	// table's key i, so the visited set, the arena, and the BFS frontier
 	// share one dense index space.
 	type node struct {
-		expr   Expression
-		mask   uint64 // Bloom mask of expr.Attrs
-		parent int32  // arena index; -1 for the root
-		via    int32  // index into sigma of the IND used to reach this node
+		parent int32 // node index; -1 for the root
+		via    int32 // index into f.appliers of the IND used to reach this node
 	}
-	nodes := []node{{expr: start, mask: attrMask(start.Attrs), parent: -1, via: -1}}
-	in := intern.New(64)
-	var buf []byte
-	buf = appendKey(buf, start.Rel, start.Attrs)
-	in.Intern(buf) // ID 0 == arena index 0
+	nodes := []node{{parent: -1, via: -1}}
+	in := intern.New(len(f.start), 64)
+	in.Intern(f.start) // ID 0 == node 0
+	succ := make([]int32, len(f.start))
 	var st Stats
 	st.Visited = 1
 	st.FrontierPeak = 1
 
-	finish := func(i int) Result {
-		// Reconstruct the chain from the node trail.
-		var rev []int32
-		for j := int32(i); j != -1; j = nodes[j].parent {
-			rev = append(rev, j)
+	finish := func(i int32) Result {
+		// Reconstruct the chain from the node trail, last step first.
+		n := 1
+		for j := i; nodes[j].parent != -1; j = nodes[j].parent {
+			n++
 		}
-		chain := make([]Expression, len(rev))
-		via := make([]deps.IND, 0, len(rev)-1)
-		for k := range rev {
-			n := nodes[rev[len(rev)-1-k]]
-			chain[k] = n.expr
-			if n.via >= 0 {
-				via = append(via, sigma[n.via])
-			}
+		chain := make([]Expression, n)
+		via := make([]deps.IND, n-1)
+		chain[0] = Expression{Rel: goal.LRel, Attrs: goal.X}
+		for j, k := i, n-1; k > 0; j, k = nodes[j].parent, k-1 {
+			a := &f.appliers[nodes[j].via]
+			chain[k] = Expression{Rel: a.d.RRel, Attrs: a.succAttrs(in.Key(nodes[j].parent))}
+			via[k-1] = a.d
 		}
-		st.ChainLength = len(chain)
+		st.ChainLength = n
 		return Result{Implied: true, Chain: chain, Via: via, Stats: st, Profile: buildProf()}
 	}
 
-	if startKey == targetKey {
+	if slices.Equal(f.start, f.target) {
 		return finish(0), nil
 	}
-	for head := 0; head < len(nodes); head++ {
+	for head := int32(0); int(head) < len(nodes); head++ {
 		if ctx != nil && head&ctxCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{Stats: st, Profile: buildProf()}, err
 			}
 		}
-		// Copy what the successor loop reads out of the arena: appends
-		// below may grow the backing array.
-		curRel, curAttrs, curMask := nodes[head].expr.Rel, nodes[head].expr.Attrs, nodes[head].mask
+		// cur stays valid while Intern grows the arena: growth copies,
+		// and the old array is never written again.
+		cur := in.Key(head)
+		curMask := idMask(cur[1:])
 		st.Expanded++
-		appliers := byLRel[curRel]
-		for ai := range appliers {
-			a := &appliers[ai]
+		first, group := f.groups[cur[0]], f.of(cur[0])
+		for ai := range group {
+			a := &group[ai]
 			if prof != nil {
 				prof[a.si].scanned++
 			}
 			if curMask&^a.mask != 0 {
-				// Some attribute of the expression hashes outside the
-				// IND's left-hand side: IND2 cannot apply. The mask is a
-				// necessary test only; survivors still probe the map.
+				// Some attribute of the expression is not on the IND's
+				// left-hand side: IND2 cannot apply. The mask is a
+				// necessary test only; survivors still check each
+				// attribute.
 				continue
 			}
-			key, ok := a.appendSuccKey(buf[:0], curAttrs)
-			buf = key[:0]
-			if !ok {
+			if !a.succ(succ, cur) {
 				continue
 			}
 			st.Generated++
 			if prof != nil {
 				prof[a.si].firings++
 			}
-			if _, fresh := in.Intern(key); !fresh {
+			if _, fresh := in.Intern(succ); !fresh {
 				continue
 			}
 			st.Visited++
 			if prof != nil {
 				prof[a.si].produced++
 			}
-			succAttrs := a.succAttrs(curAttrs)
-			nodes = append(nodes, node{
-				expr:   Expression{Rel: a.d.RRel, Attrs: succAttrs},
-				mask:   attrMask(succAttrs),
-				parent: int32(head),
-				via:    int32(a.si),
-			})
+			nodes = append(nodes, node{parent: head, via: first + int32(ai)})
 			// The frontier is every visited-but-unexpanded node; head has
 			// been expanded, nodes beyond it have not.
-			if frontier := len(nodes) - head - 1; frontier > st.FrontierPeak {
+			if frontier := len(nodes) - int(head) - 1; frontier > st.FrontierPeak {
 				st.FrontierPeak = frontier
 			}
-			if string(key) == targetKey {
-				return finish(len(nodes) - 1), nil
+			if slices.Equal(succ, f.target) {
+				return finish(int32(len(nodes) - 1)), nil
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package ind
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"indfd/internal/deps"
@@ -10,35 +11,85 @@ import (
 	"indfd/internal/schema"
 )
 
+// TestInternerDenseIDs: expressions keyed as (relation ID, attribute
+// IDs) tuples intern to dense IDs in first-seen order, and equal keys
+// are exactly equal expressions.
 func TestInternerDenseIDs(t *testing.T) {
-	in := intern.New(4)
-	keys := []string{"R[A]", "S[A,B]", "R[A]", "T[C]", "S[A,B]"}
-	wantID := []int32{0, 1, 0, 2, 1}
-	wantFresh := []bool{true, true, false, true, false}
+	sigma := []deps.IND{
+		deps.NewIND("R", deps.Attrs("A", "B"), "S", deps.Attrs("A", "B")),
+		deps.NewIND("S", deps.Attrs("B", "A"), "T", deps.Attrs("C", "A")),
+	}
+	f := compileSigma(sigma, deps.NewIND("R", deps.Attrs("A", "B"), "T", deps.Attrs("C", "A")))
+	in := intern.New(len(f.start), 4)
+	r, s, tt := f.start[0], f.appliers[0].rrel, f.target[0]
+	a, b, c := f.start[1], f.start[2], f.target[1]
+	keys := [][]int32{{r, a, b}, {s, a, b}, {r, a, b}, {tt, c, a}, {s, a, b}, {s, b, a}}
+	wantID := []int32{0, 1, 0, 2, 1, 3}
+	wantFresh := []bool{true, true, false, true, false, true}
 	for i, k := range keys {
-		id, fresh := in.Intern([]byte(k))
+		id, fresh := in.Intern(k)
 		if id != wantID[i] || fresh != wantFresh[i] {
-			t.Errorf("Intern(%q) = (%d, %v), want (%d, %v)", k, id, fresh, wantID[i], wantFresh[i])
+			t.Errorf("Intern(%v) = (%d, %v), want (%d, %v)", k, id, fresh, wantID[i], wantFresh[i])
 		}
 	}
-	if id, ok := in.Lookup([]byte("T[C]")); !ok || id != 2 {
-		t.Errorf("Lookup(T[C]) = (%d, %v), want (2, true)", id, ok)
+	if id, ok := in.Lookup(f.target); !ok || id != 2 {
+		t.Errorf("Lookup(target) = (%d, %v), want (2, true)", id, ok)
 	}
-	if _, ok := in.Lookup([]byte("T[D]")); ok {
-		t.Errorf("Lookup(T[D]) found a key never interned")
+	if _, ok := in.Lookup([]int32{tt, a, c}); ok {
+		t.Errorf("Lookup(T[A,C]) found a key never interned")
 	}
 }
 
-func TestAppendKeyMatchesExpressionKey(t *testing.T) {
-	exprs := []Expression{
-		{Rel: "R", Attrs: deps.Attrs("A")},
-		{Rel: "S", Attrs: deps.Attrs("A", "B", "C")},
-		{Rel: "T", Attrs: nil},
+// TestCompileSigmaKeys: the start and target keys name the goal's two
+// sides, every applier lands in its left-hand relation's group in sigma
+// order, and equal keys are exactly equal expressions.
+func TestCompileSigmaKeys(t *testing.T) {
+	sigma := []deps.IND{
+		deps.NewIND("S", deps.Attrs("A"), "R", deps.Attrs("B")),
+		deps.NewIND("R", deps.Attrs("A"), "S", deps.Attrs("A")),
+		deps.NewIND("S", deps.Attrs("B"), "T", deps.Attrs("C")),
 	}
-	for _, e := range exprs {
-		got := string(appendKey(nil, e.Rel, e.Attrs))
-		if got != e.key() {
-			t.Errorf("appendKey = %q, want %q", got, e.key())
+	for _, tc := range []struct {
+		goal deps.IND
+		same bool
+	}{
+		{deps.NewIND("R", deps.Attrs("A"), "R", deps.Attrs("A")), true},
+		{deps.NewIND("R", deps.Attrs("A"), "R", deps.Attrs("B")), false},
+		{deps.NewIND("R", deps.Attrs("A"), "S", deps.Attrs("A")), false},
+		{deps.NewIND("U", deps.Attrs("D", "E"), "U", deps.Attrs("D", "E")), true},
+	} {
+		f := compileSigma(sigma, tc.goal)
+		if got := slices.Equal(f.start, f.target); got != tc.same {
+			t.Errorf("%v: start %v target %v equal=%v, want %v", tc.goal, f.start, f.target, got, tc.same)
+		}
+		if len(f.start) != 1+len(tc.goal.X) {
+			t.Errorf("%v: start key %v, want width %d", tc.goal, f.start, 1+len(tc.goal.X))
+		}
+		grouped := 0
+		for r := 0; r+1 < len(f.groups); r++ {
+			group := f.of(int32(r))
+			for i := range group {
+				if group[i].d.LRel != group[0].d.LRel || (i > 0 && group[i-1].si >= group[i].si) {
+					t.Errorf("%v: relation %d's group %v mixes relations or leaves sigma order", tc.goal, r, group)
+				}
+			}
+			grouped += len(group)
+		}
+		if grouped != len(sigma) {
+			t.Errorf("%v: %d appliers grouped, want %d", tc.goal, grouped, len(sigma))
+		}
+		var fromStart []int
+		for _, a := range f.of(f.start[0]) {
+			fromStart = append(fromStart, a.si)
+		}
+		var want []int
+		for i, d := range sigma {
+			if d.LRel == tc.goal.LRel {
+				want = append(want, i)
+			}
+		}
+		if !slices.Equal(fromStart, want) {
+			t.Errorf("%v: appliers of the goal's relation %v, want members %v", tc.goal, fromStart, want)
 		}
 	}
 }
@@ -46,14 +97,17 @@ func TestAppendKeyMatchesExpressionKey(t *testing.T) {
 func TestAttrMaskIsSubsetTest(t *testing.T) {
 	// mask(X) &^ mask(Y) == 0 must hold whenever X ⊆ Y (the mask is a
 	// necessary condition; false positives are fine, false negatives are
-	// a soundness bug in the precheck).
-	x := deps.Attrs("A", "B")
-	y := deps.Attrs("A", "B", "C")
-	if attrMask(x)&^attrMask(y) != 0 {
+	// a soundness bug in the precheck). IDs 64 apart share a bit.
+	x := []int32{0, 1, 70}
+	y := []int32{0, 1, 2, 6}
+	if idMask(x)&^idMask(y) != 0 {
 		t.Fatalf("mask rejects a genuine subset")
 	}
-	if attrMask(y)&^attrMask(y) != 0 {
+	if idMask(y)&^idMask(y) != 0 {
 		t.Fatalf("mask rejects itself")
+	}
+	if idMask([]int32{3})&^idMask(y) == 0 {
+		t.Fatalf("mask accepts an attribute the set lacks")
 	}
 }
 
@@ -83,22 +137,25 @@ func TestApplierAgreesWithApply(t *testing.T) {
 		}
 
 		want, wantOK := apply(e, d)
-		appliers := compileSigma([]deps.IND{d})["R"]
-		a := &appliers[0]
-		if attrMask(e.Attrs)&^a.mask != 0 && wantOK {
+		// The goal e ⊆ want numbers e as the start key and, when d
+		// applies, want as the target key.
+		f := compileSigma([]deps.IND{d}, deps.IND{LRel: e.Rel, X: e.Attrs, RRel: want.Rel, Y: want.Attrs})
+		a := &f.appliers[0]
+		if idMask(f.start[1:])&^a.mask != 0 && wantOK {
 			t.Fatalf("trial %d: mask precheck rejected an applicable IND: %v to %v", trial, d, e)
 		}
-		key, ok := a.appendSuccKey(nil, e.Attrs)
+		key := make([]int32, len(f.start))
+		ok := a.succ(key, f.start)
 		if ok != wantOK {
-			t.Fatalf("trial %d: appendSuccKey ok=%v, apply ok=%v (%v to %v)", trial, ok, wantOK, d, e)
+			t.Fatalf("trial %d: succ ok=%v, apply ok=%v (%v to %v)", trial, ok, wantOK, d, e)
 		}
 		if !ok {
 			continue
 		}
-		if string(key) != want.key() {
-			t.Errorf("trial %d: key %q, want %q", trial, key, want.key())
+		if !slices.Equal(key, f.target) {
+			t.Errorf("trial %d: key %v, want %v (%v)", trial, key, f.target, want)
 		}
-		succ := a.succAttrs(e.Attrs)
+		succ := a.succAttrs(f.start)
 		if !schema.EqualSeq(succ, want.Attrs) {
 			t.Errorf("trial %d: succAttrs %v, want %v", trial, succ, want.Attrs)
 		}
