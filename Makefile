@@ -55,9 +55,11 @@ race-hammer:
 # into a full shard at zero. The last pins an instrumented
 # System.Implies on a warm pool, whose span tree is built once and never
 # copied: within 15 allocations on an fd goal and 22 on the Proposition
-# 4.1 chase. The last pins one ind.Decide call on width-2 IND chains,
-# whose frontier is keyed by int32 relation and attribute IDs. They skip
-# themselves under -race too.
+# 4.1 chase. The next pins one ind.Decide call on width-2 IND chains,
+# whose frontier is keyed by int32 relation and attribute IDs. The last
+# pins one early-hit counterexample search at core's fallback bounds
+# (Domain 3, MaxTuples 3, RandomTrials 300), which runs on its caller's
+# goroutine. They skip themselves under -race too.
 # -count=1 defeats the test cache — an allocation regression must fail
 # here even when no _test.go file changed.
 zeroalloc:
@@ -67,6 +69,7 @@ zeroalloc:
 	$(GO) test -run TestDigestAdmissionAllocFree -count=1 ./internal/obs/
 	$(GO) test -run TestImpliesObsAllocs -count=1 ./internal/core/
 	$(GO) test -run TestDecideAllocs -count=1 ./internal/ind/
+	$(GO) test -run TestSearchAllocs -count=1 ./internal/search/
 
 # A short native-fuzzing run per input surface (plain `go test` only
 # replays the seed corpora): FuzzParse checks the .dep reader and its
@@ -88,7 +91,7 @@ bench:
 # Machine-readable per-engine counters and wall times from the
 # reference workloads (see internal/benchws): regenerates the committed
 # BENCH_engines.json baseline, after running the hot-path benchmarks
-# (interned IND frontier, exhaustive search sharding) as a smoke check.
+# (interned IND frontier, a full exhaustive search scan) as a smoke check.
 # CI runs this to keep the baseline honest.
 bench-json:
 	$(GO) test -run TestMain -bench 'BenchmarkChaseObs$$|BenchmarkChaseProfile$$|BenchmarkChasePool$$|BenchmarkINDDecide$$|BenchmarkSearchExhaustive$$|BenchmarkBatchImplies$$|BenchmarkFootprintCache$$' -benchjson BENCH_engines.json .

@@ -641,8 +641,8 @@ func BenchmarkINDDecide(b *testing.B) {
 
 // BenchmarkSearchExhaustive scans a full Domain=3/MaxTuples=3 exhaustive
 // space (the goal is trivially satisfied, so no early hit cuts the scan
-// short). Run with -cpu 1,2,8 to see the worker sharding; the candidate
-// order contract keeps the result deterministic at any width.
+// short): 3,304 candidate databases, checked one after another on the
+// benchmark's goroutine.
 func BenchmarkSearchExhaustive(b *testing.B) {
 	db := schema.MustDatabase(schema.MustScheme("R", "A", "B", "C"))
 	sigma := []deps.Dependency{deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B"))}

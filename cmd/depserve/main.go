@@ -107,6 +107,9 @@ func main() {
 	flag.Parse()
 
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
+	// Packages that log through slog.Default (the counterexample search's
+	// skip warning) must land in the same JSON stream as the access log.
+	slog.SetDefault(logger)
 	if err := run(logger, *addr, *deadline, *maxDeadline, *slow, *budget, *search,
 		*cacheSize, *cacheTTL, *traceBuf, *digestSize, *otlpFile, *otlpEndpoint,
 		*maxBatch, *batchFanout,

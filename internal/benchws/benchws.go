@@ -9,11 +9,6 @@
 // shrinks the number, never grows it). The counters are exact and
 // machine-independent: cmd/benchdiff fails on any drift from the
 // committed baseline, and prints the _ns gauges beside it for reading.
-//
-// The search workloads pin Workers to 1: the parallel search's work
-// counters (databases enumerated, checks) are timing-dependent under
-// early cancellation, and a baseline that drifts with the scheduler
-// would make every diff noisy.
 package benchws
 
 import (
@@ -288,7 +283,7 @@ func searchWorkload(reg *obs.Registry) error {
 	_, found, err := search.Counterexample(db,
 		[]deps.Dependency{deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B"))},
 		deps.NewFD("R", deps.Attrs("B"), deps.Attrs("A")),
-		search.Options{Domain: 2, MaxTuples: 3, Workers: 1, Obs: reg})
+		search.Options{Domain: 2, MaxTuples: 3, Obs: reg})
 	if err != nil || !found {
 		return fmt.Errorf("search workload wrong: %v %v", found, err)
 	}
@@ -303,7 +298,7 @@ func searchExhaustiveWorkload(reg *obs.Registry) error {
 	_, found, err := search.Counterexample(db,
 		[]deps.Dependency{deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B"))},
 		deps.NewIND("R", deps.Attrs("A"), "R", deps.Attrs("A")),
-		search.Options{Domain: 3, MaxTuples: 3, Workers: 1, Obs: reg})
+		search.Options{Domain: 3, MaxTuples: 3, Obs: reg})
 	if err != nil || found {
 		return fmt.Errorf("trivial goal cannot have a counterexample: %v %v", found, err)
 	}

@@ -18,6 +18,7 @@ package chase
 
 import (
 	"fmt"
+	"slices"
 
 	"indfd/internal/intern"
 )
@@ -51,9 +52,16 @@ type projIndex struct {
 	contrib []int32 // per tuple ID: interned key, or -1
 }
 
+// ensure extends contrib to cover tuple ID tid in one step, marking the
+// new slots -1; slices.Grow keeps append's amortized growth.
 func (pi *projIndex) ensure(tid int32) {
-	for int32(len(pi.contrib)) <= tid {
-		pi.contrib = append(pi.contrib, -1)
+	n := len(pi.contrib)
+	if int(tid) < n {
+		return
+	}
+	pi.contrib = slices.Grow(pi.contrib, int(tid)+1-n)[:tid+1]
+	for i := n; i <= int(tid); i++ {
+		pi.contrib[i] = -1
 	}
 }
 

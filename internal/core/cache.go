@@ -5,8 +5,9 @@
 // lower bounds (PSPACE-hard IND implication, undecidable FD+IND
 // implication) make re-deriving it arbitrarily expensive. A resident
 // server therefore caches complete answers behind a canonical
-// fingerprint: textually different but semantically identical requests —
-// Σ reordered, relations declared in another order — hit the same entry.
+// fingerprint: requests that differ only in the order of Σ or of the
+// relations hit the same entry. The goal is keyed as spelled, because
+// the proof an answer carries names it that way.
 //
 // The cache is a fixed array of mutex-striped LRU shards, so concurrent
 // clients contend only when their fingerprints collide on a shard.
@@ -38,23 +39,27 @@ import (
 
 // QueryFingerprint is the canonical cache key of an implication query:
 // a SHA-256 over the sorted relation schemes, the sorted canonical keys
-// of Σ, the goal's canonical key, the semantics mode, and any extra
+// of Σ, the goal as spelled (its String, since a proof names the goal
+// the way the query did), the semantics mode, and any extra
 // answer-shaping knobs the caller appends (budget, search fallback,
-// explain). Two queries with equal fingerprints have byte-identical
-// complete answers.
+// explain). Two queries with equal fingerprints get the same verdict
+// from the same engine. The proof, counterexample and stats of a cached
+// answer come from the Σ ordering that filled the entry; they are valid
+// for any Σ with the same members, but another ordering may have
+// derived another proof.
 func QueryFingerprint(db *schema.Database, sigma []deps.Dependency, goal deps.Dependency, mode string, extras ...string) string {
 	keys := make([]string, len(sigma))
 	for i, d := range sigma {
 		keys[i] = d.Key()
 	}
 	sort.Strings(keys)
-	return fingerprintHash(db.Canonical(), keys, goal.Key(), mode, extras)
+	return fingerprintHash(db.Canonical(), keys, goal.String(), mode, extras)
 }
 
 // The fingerprint's byte layout is every field followed by a NUL: the
 // scheme's canonical render, "|sigma", the sorted member keys, then
-// "|goal", the goal key, the mode and the extras. The first three depend
-// only on the component, so System.QueryKey hashes them once per
+// "|goal", the goal's String, the mode and the extras. The first three
+// depend only on the component, so System.QueryKey hashes them once per
 // component (keyPrefix) and resumes from that state per goal.
 
 // appendField appends one fingerprint field and its NUL terminator.
@@ -73,9 +78,9 @@ func appendSigmaFields(buf []byte, canon string, sortedKeys []string) []byte {
 }
 
 // appendGoalFields appends the query's part of the layout.
-func appendGoalFields(buf []byte, goalKey, mode string, extras []string) []byte {
+func appendGoalFields(buf []byte, goal, mode string, extras []string) []byte {
 	buf = appendField(buf, "|goal")
-	buf = appendField(buf, goalKey)
+	buf = appendField(buf, goal)
 	buf = appendField(buf, mode)
 	for _, e := range extras {
 		buf = appendField(buf, e)
@@ -85,9 +90,9 @@ func appendGoalFields(buf []byte, goalKey, mode string, extras []string) []byte 
 
 // fingerprintHash hashes the whole layout in one pass: QueryFingerprint,
 // and QueryKey on an index without a valid prefix.
-func fingerprintHash(canon string, sortedKeys []string, goalKey, mode string, extras []string) string {
+func fingerprintHash(canon string, sortedKeys []string, goal, mode string, extras []string) string {
 	buf := appendSigmaFields(nil, canon, sortedKeys)
-	sum := sha256.Sum256(appendGoalFields(buf, goalKey, mode, extras))
+	sum := sha256.Sum256(appendGoalFields(buf, goal, mode, extras))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -133,14 +138,14 @@ func (s *System) QueryKey(goal deps.Dependency, mode string, extras ...string) s
 	ci := s.relevantIndex(goal)
 	canon := s.db.Canonical()
 	if ci.prefix == nil || ci.prefix.canon != canon {
-		return fingerprintHash(canon, ci.keys, goal.Key(), mode, extras)
+		return fingerprintHash(canon, ci.keys, goal.String(), mode, extras)
 	}
 	h := sha256.New()
 	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(ci.prefix.state); err != nil {
-		return fingerprintHash(canon, ci.keys, goal.Key(), mode, extras)
+		return fingerprintHash(canon, ci.keys, goal.String(), mode, extras)
 	}
 	var small [256]byte
-	buf := appendGoalFields(small[:0], goal.Key(), mode, extras)
+	buf := appendGoalFields(small[:0], goal.String(), mode, extras)
 	h.Write(buf)
 	var out [2 * sha256.Size]byte
 	hex.Encode(out[:], h.Sum(buf[:0]))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"indfd/internal/deps"
+	"indfd/internal/fd"
 	"indfd/internal/schema"
 )
 
@@ -157,7 +158,7 @@ func TestQueryKeyMatchesFingerprint(t *testing.T) {
 	if err := s.Add(chain.sigma...); err != nil {
 		t.Fatal(err)
 	}
-	const golden = "a7dad328a155962273e385011a8625166433d42e353460283752033266e6f848"
+	const golden = "7df3231d9256bf797715d6762be9197b15f619a60d27be2bd79c42f7a46668d2"
 	if got := s.QueryKey(chain.goals[0], "unrestricted", keyExtras[1]...); got != golden {
 		t.Errorf("FD chain A0 -> A31, serve's default extras: QueryKey = %s, want %s", got, golden)
 	}
@@ -194,6 +195,67 @@ func TestQueryKeyMatchesFingerprint(t *testing.T) {
 			}
 			check(t, s, inst.goals)
 		})
+	}
+}
+
+// TestQueryKeyGoalAsSpelled: two spellings of one FD goal get two keys,
+// because the proof a cached answer carries names the goal as the
+// filling request spelled it.
+func TestQueryKeyGoalAsSpelled(t *testing.T) {
+	s := NewSystem(schema.MustDatabase(schema.MustScheme("R", "A", "B", "C")))
+	if err := s.Add(deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B")), deps.NewFD("R", deps.Attrs("A"), deps.Attrs("C"))); err != nil {
+		t.Fatal(err)
+	}
+	bc := deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B", "C"))
+	cb := deps.NewFD("R", deps.Attrs("A"), deps.Attrs("C", "B"))
+	if s.QueryKey(bc, "unrestricted") == s.QueryKey(cb, "unrestricted") {
+		t.Errorf("goals %v and %v share a key", bc, cb)
+	}
+}
+
+// TestCachedProofValidAcrossSigmaOrder: Σ orderings with the same
+// members share a key, so the proof one ordering derived may be served
+// to the other. Each proof must then verify against the other Σ, even
+// though the two differ (one step against two).
+func TestCachedProofValidAcrossSigmaOrder(t *testing.T) {
+	db := schema.MustDatabase(schema.MustScheme("R", "A", "B", "C"))
+	ab := deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B"))
+	bc := deps.NewFD("R", deps.Attrs("B"), deps.Attrs("C"))
+	ac := deps.NewFD("R", deps.Attrs("A"), deps.Attrs("C"))
+	orders := [][]deps.FD{{ac, ab, bc}, {ab, bc, ac}}
+	goal := ac
+	var keys []string
+	var proofs []fd.Proof
+	for _, sigma := range orders {
+		s := NewSystem(db)
+		for _, d := range sigma {
+			if err := s.Add(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ans, err := s.Implies(goal, Options{})
+		if err != nil || ans.Verdict != Yes || ans.Engine != "fd" {
+			t.Fatalf("Σ %v: verdict %v engine %s err %v; want yes/fd", sigma, ans.Verdict, ans.Engine, err)
+		}
+		p, ok := s.relevantIndex(goal).prover("R").Prove(goal, nil)
+		if !ok || p.String() != ans.Proof {
+			t.Fatalf("Σ %v: prover proof %q, answer proof %q", sigma, p.String(), ans.Proof)
+		}
+		keys = append(keys, s.QueryKey(goal, "unrestricted"))
+		proofs = append(proofs, p)
+	}
+	if keys[0] != keys[1] {
+		t.Errorf("Σ orderings with the same members got different keys")
+	}
+	if len(proofs[0].Steps) != 1 || len(proofs[1].Steps) != 2 {
+		t.Errorf("proof steps = %d, %d; want 1, 2 (the orderings derive different proofs)",
+			len(proofs[0].Steps), len(proofs[1].Steps))
+	}
+	for i, p := range proofs {
+		other := orders[1-i]
+		if err := p.Verify(other); err != nil {
+			t.Errorf("proof from Σ %v does not verify against Σ %v: %v", orders[i], other, err)
+		}
 	}
 }
 

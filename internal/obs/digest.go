@@ -8,8 +8,8 @@ import (
 
 // This file is the query-digest aggregator: a sharded, bounded top-K
 // store of per-query-shape workload statistics, keyed by the canonical
-// query fingerprint (core.QueryFingerprint — semantically identical
-// queries share a key no matter how the request spelled them). Where
+// query fingerprint (core.QueryFingerprint — queries that differ only in
+// the order of Σ or of the relations share a key). Where
 // the flight recorder answers "what did request X do", the digest store
 // answers "what does this WORKLOAD do": which query shapes dominate
 // total engine time, how their latency distributes, how often they err

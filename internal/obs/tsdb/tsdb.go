@@ -1,5 +1,5 @@
 // Package tsdb retains telemetry history inside the process: a
-// fixed-memory, lock-striped ring of time series sampled from an
+// fixed-memory ring of time series behind one mutex, sampled from an
 // obs.Registry on a ticker, plus a watchdog (watchdog.go) that
 // evaluates SLO rules over the rings and raises alerts while the
 // process runs.
@@ -26,12 +26,10 @@
 package tsdb
 
 import (
-	"hash/maphash"
 	"math"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"indfd/internal/obs"
@@ -102,17 +100,7 @@ type Series struct {
 	Points []Point `json:"points"`
 }
 
-// storeShards stripes the series map so Query during a Sample tick
-// contends on one stripe, not the store.
-const storeShards = 16
-
-type storeShard struct {
-	mu     sync.Mutex
-	series map[string]*series
-}
-
-// series is one ring pair. All fields are guarded by the owning
-// shard's mutex.
+// series is one ring pair. All fields are guarded by Store.mu.
 type series struct {
 	name string
 	kind Kind
@@ -149,21 +137,17 @@ type Store struct {
 	coarseSlots int
 	maxSeries   int
 
-	shards  [storeShards]storeShard
-	nSeries atomic.Int64
-
-	// histMu guards hists; only the Sample caller touches it, but Query
-	// never needs it, so a plain mutex is enough.
-	histMu sync.Mutex
-	hists  map[string]*histState
-
-	lastTickMS atomic.Int64 // unix millis of the latest Sample
+	// mu guards the fields below. The traffic is one Sample per tick,
+	// the watchdog's window reads on that tick and an occasional Query,
+	// so one lock is enough.
+	mu         sync.Mutex
+	series     map[string]*series
+	hists      map[string]*histState
+	lastTickMS int64 // unix millis of the latest Sample
 
 	cSamples *obs.Counter
 	cDropped *obs.Counter
 	gSeries  *obs.Gauge
-
-	seed maphash.Seed
 }
 
 // New builds a Store. cfg.Resolution <= 0 returns nil — the off store —
@@ -198,20 +182,17 @@ func New(cfg Config) *Store {
 		coarseStep:  cfg.CoarseStep,
 		coarseSlots: int(cfg.CoarseRetention / cfg.CoarseStep),
 		maxSeries:   cfg.MaxSeries,
+		series:      make(map[string]*series),
 		hists:       make(map[string]*histState),
 		cSamples:    cfg.Reg.Counter("tsdb.samples"),
 		cDropped:    cfg.Reg.Counter("tsdb.series_dropped"),
 		gSeries:     cfg.Reg.Gauge("tsdb.series"),
-		seed:        maphash.MakeSeed(),
 	}
 	if s.slots < 1 {
 		s.slots = 1
 	}
 	if s.coarseSlots < 1 {
 		s.coarseSlots = 1
-	}
-	for i := range s.shards {
-		s.shards[i].series = make(map[string]*series)
 	}
 	return s
 }
@@ -238,7 +219,9 @@ func (s *Store) LastTick() time.Time {
 	if s == nil {
 		return time.Time{}
 	}
-	ms := s.lastTickMS.Load()
+	s.mu.Lock()
+	ms := s.lastTickMS
+	s.mu.Unlock()
 	if ms == 0 {
 		return time.Time{}
 	}
@@ -255,24 +238,24 @@ func (s *Store) Sample(snap *obs.Snapshot, now time.Time) {
 		return
 	}
 	slot := now.UnixNano() / int64(s.res)
+	s.mu.Lock()
 	for name, v := range snap.Counters {
 		s.observe(name, KindDelta, float64(v), slot)
 	}
 	for name, v := range snap.Gauges {
 		s.observe(name, KindGauge, float64(v), slot)
 	}
-	s.histMu.Lock()
 	for name, h := range snap.Histograms {
 		s.observeHistogram(name, h, slot)
 	}
-	s.histMu.Unlock()
-	s.lastTickMS.Store(now.UnixMilli())
+	s.lastTickMS = now.UnixMilli()
+	s.mu.Unlock()
 	s.cSamples.Inc()
 }
 
 // observeHistogram turns the cumulative histogram into a per-tick
 // delta histogram and lands its quantile/mean/count series. Caller
-// holds histMu.
+// holds mu.
 func (s *Store) observeHistogram(name string, h obs.HistogramSnapshot, slot int64) {
 	st, ok := s.hists[name]
 	if !ok {
@@ -316,14 +299,11 @@ func (s *Store) observeHistogram(name string, h obs.HistogramSnapshot, slot int6
 const KindDelta2 = Kind(3)
 
 // observe lands one raw value in the named series at the absolute fine
-// slot.
+// slot. Caller holds mu.
 func (s *Store) observe(name string, kind Kind, raw float64, slot int64) {
-	sh := &s.shards[maphash.String(s.seed, name)%storeShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	se, ok := sh.series[name]
+	se, ok := s.series[name]
 	if !ok {
-		if int(s.nSeries.Load()) >= s.maxSeries {
+		if len(s.series) >= s.maxSeries {
 			s.cDropped.Inc()
 			return
 		}
@@ -346,8 +326,8 @@ func (s *Store) observe(name string, kind Kind, raw float64, slot int64) {
 		for i := range se.coarse {
 			se.coarse[i] = math.NaN()
 		}
-		sh.series[name] = se
-		s.gSeries.Set(s.nSeries.Add(1))
+		s.series[name] = se
+		s.gSeries.Set(int64(len(s.series)))
 	}
 
 	v := raw
@@ -438,8 +418,10 @@ func (s *Store) Query(opt QueryOptions) []Series {
 	if s == nil {
 		return nil
 	}
-	lastMS := s.lastTickMS.Load()
+	s.mu.Lock()
+	lastMS := s.lastTickMS
 	if lastMS == 0 {
+		s.mu.Unlock()
 		return nil
 	}
 	fine := true
@@ -449,21 +431,17 @@ func (s *Store) Query(opt QueryOptions) []Series {
 		res = s.coarseStep
 	}
 	var out []Series
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, se := range sh.series {
-			if opt.Match != "" && !strings.Contains(se.name, opt.Match) {
-				continue
-			}
-			pts := s.points(se, fine, opt.Since)
-			if len(pts) == 0 {
-				continue
-			}
-			out = append(out, Series{Name: se.name, Kind: se.kind.String(), Points: pts})
+	for _, se := range s.series {
+		if opt.Match != "" && !strings.Contains(se.name, opt.Match) {
+			continue
 		}
-		sh.mu.Unlock()
+		pts := s.points(se, fine, opt.Since)
+		if len(pts) == 0 {
+			continue
+		}
+		out = append(out, Series{Name: se.name, Kind: se.kind.String(), Points: pts})
 	}
+	s.mu.Unlock()
 	if opt.Step > res {
 		step := opt.Step.Round(res)
 		if step < res {
@@ -478,8 +456,7 @@ func (s *Store) Query(opt QueryOptions) []Series {
 }
 
 // points copies one series' tier into a Point slice, oldest first,
-// skipping NaN gaps and points before since. Caller holds the shard
-// mutex.
+// skipping NaN gaps and points before since. Caller holds mu.
 func (s *Store) points(se *series, fine bool, since time.Time) []Point {
 	ring, last, step := se.ring, se.lastSlot, int64(s.res)
 	if !fine {
@@ -566,10 +543,9 @@ func (s *Store) window(name string, window time.Duration, avg bool) (float64, bo
 	if s == nil {
 		return 0, false
 	}
-	sh := &s.shards[maphash.String(s.seed, name)%storeShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	se, ok := sh.series[name]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	se, ok := s.series[name]
 	if !ok || se.lastSlot < 0 {
 		return 0, false
 	}
@@ -607,5 +583,7 @@ func (s *Store) SeriesCount() int {
 	if s == nil {
 		return 0
 	}
-	return int(s.nSeries.Load())
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.series)
 }

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -369,5 +370,69 @@ func TestNoNaNLeaks(t *testing.T) {
 				t.Errorf("series %s leaked NaN", se.Name)
 			}
 		}
+	}
+}
+
+// TestSampleConcurrentReaders runs a Sample loop against Query,
+// WindowSum and SeriesCount readers (run it under -race). Every tick
+// adds one to counter "c", so any window of it sums to at most its
+// slot count, and the series population only grows, up to its cap.
+func TestSampleConcurrentReaders(t *testing.T) {
+	const ticks, maxSeries = 300, 8
+	s, _ := newStore(t, maxSeries)
+	reg := obs.New()
+	c, g, h := reg.Counter("c"), reg.Gauge("g"), reg.Histogram("h")
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(read func() string) {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if msg := read(); msg != "" {
+				t.Error(msg)
+				return
+			}
+		}
+	}
+	wg.Add(3)
+	go reader(func() string {
+		for _, se := range s.Query(QueryOptions{}) {
+			for i := 1; i < len(se.Points); i++ {
+				if se.Points[i].T <= se.Points[i-1].T {
+					return "Query returned points out of order in " + se.Name
+				}
+			}
+		}
+		return ""
+	})
+	go reader(func() string {
+		if sum, ok := s.WindowSum("c", 5*time.Second); ok && (sum < 0 || sum > 5) {
+			return "WindowSum over 5 ticks of +1 left [0, 5]"
+		}
+		return ""
+	})
+	last := 0
+	go reader(func() string {
+		n := s.SeriesCount()
+		if n < last || n > maxSeries {
+			return "SeriesCount shrank or passed its cap"
+		}
+		last = n
+		return ""
+	})
+	for i := 0; i < ticks; i++ {
+		c.Inc()
+		g.Set(int64(i))
+		h.Observe(int64(i))
+		s.Sample(reg.Snapshot(), base.Add(time.Duration(i)*time.Second))
+	}
+	close(done)
+	wg.Wait()
+	if sum, ok := s.WindowSum("c", 10*time.Second); !ok || sum != 10 {
+		t.Errorf("final WindowSum(c, 10s) = %v, %v; want 10, true", sum, ok)
 	}
 }

@@ -1,10 +1,15 @@
 package search
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
+	"log/slog"
 	"runtime"
+	"strings"
 	"testing"
 
 	"indfd/internal/data"
@@ -13,9 +18,8 @@ import (
 	"indfd/internal/schema"
 )
 
-// runAt runs Counterexample with GOMAXPROCS pinned to p (and Workers
-// unset, so the search derives its worker count from it, as production
-// callers do).
+// runAt runs Counterexample with GOMAXPROCS pinned to p. The search runs
+// on its caller's goroutine, so p must change nothing.
 func runAt(t *testing.T, p int, db *schema.Database, sigma []deps.Dependency, goal deps.Dependency, opt Options) (*data.Database, bool) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(p)
@@ -27,11 +31,11 @@ func runAt(t *testing.T, p int, db *schema.Database, sigma []deps.Dependency, go
 	return ce, found
 }
 
-// TestExhaustiveDeterministicAcrossCPUs is the determinism contract for
-// the exhaustive phase: the returned counterexample is the lowest-index
-// candidate of the canonical enumeration, so GOMAXPROCS must not change
-// it.
-func TestExhaustiveDeterministicAcrossCPUs(t *testing.T) {
+// twoRelations is R(A,B), S(C,D) with Σ = {R: A -> B, R[A] ⊆ S[C]} and
+// the goal S: C -> D. Its first counterexample is the third candidate of
+// the exhaustive order: R and S empty, then S = {(0,0)}, then S =
+// {(0,0),(0,1)}.
+func twoRelations() (*schema.Database, []deps.Dependency, deps.Dependency) {
 	db := schema.MustDatabase(
 		schema.MustScheme("R", "A", "B"),
 		schema.MustScheme("S", "C", "D"),
@@ -40,45 +44,49 @@ func TestExhaustiveDeterministicAcrossCPUs(t *testing.T) {
 		deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B")),
 		deps.NewIND("R", deps.Attrs("A"), "S", deps.Attrs("C")),
 	}
-	goal := deps.NewFD("S", deps.Attrs("C"), deps.Attrs("D"))
-	opt := Options{Domain: 2, MaxTuples: 2}
+	return db, sigma, deps.NewFD("S", deps.Attrs("C"), deps.Attrs("D"))
+}
 
-	var want string
+// TestExhaustiveDeterministicAcrossCPUs is the determinism contract for
+// the exhaustive phase: the returned counterexample is the first
+// candidate of the canonical enumeration, so GOMAXPROCS must not change
+// it.
+func TestExhaustiveDeterministicAcrossCPUs(t *testing.T) {
+	db, sigma, goal := twoRelations()
+	opt := Options{Domain: 2, MaxTuples: 2}
+	const want = "R(A,B)\nS(C,D)\n  (0,0)\n  (0,1)"
 	for _, p := range []int{1, 2, 8} {
 		ce, found := runAt(t, p, db, sigma, goal, opt)
 		if !found {
 			t.Fatalf("GOMAXPROCS=%d: no counterexample", p)
 		}
-		got := ce.String()
-		if want == "" {
-			want = got
-			continue
-		}
-		if got != want {
+		if got := ce.String(); got != want {
 			t.Errorf("GOMAXPROCS=%d drifted:\ngot:\n%s\nwant:\n%s", p, got, want)
 		}
 	}
 }
 
 // TestRandomDeterministicAcrossCPUs does the same for the random phase
-// over several seeds: trial t draws from stream (Seed, t), so worker
-// count must not change which database a given seed produces.
+// over several seeds: trial t draws from stream (Seed, t), so GOMAXPROCS
+// must not change which database a given seed produces. The goldens are
+// the databases the earlier worker-sharded search returned.
 func TestRandomDeterministicAcrossCPUs(t *testing.T) {
 	db := schema.MustDatabase(schema.MustScheme("R", "A", "B", "C", "D"))
 	sigma := []deps.Dependency{deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B"))}
 	goal := deps.NewFD("R", deps.Attrs("B"), deps.Attrs("A"))
-	for _, seed := range []int64{1, 7, 42, 31337} {
+	golden := map[int64]string{
+		1:     "R(A,B,C,D)\n  (0,1,1,1)\n  (1,1,0,0)\n  (1,1,0,1)",
+		7:     "R(A,B,C,D)\n  (0,0,1,0)\n  (1,0,1,1)",
+		42:    "R(A,B,C,D)\n  (0,0,1,1)\n  (1,0,0,1)",
+		31337: "R(A,B,C,D)\n  (0,1,0,0)\n  (1,1,0,1)",
+	}
+	for seed, want := range golden {
 		opt := Options{Domain: 2, MaxTuples: 3, RandomTrials: 400, Seed: seed, MaxExhaustive: 1}
-		var want string
 		for _, p := range []int{1, 2, 8} {
 			ce, found := runAt(t, p, db, sigma, goal, opt)
 			got := "<miss>"
 			if found {
 				got = ce.String()
-			}
-			if want == "" {
-				want = got
-				continue
 			}
 			if got != want {
 				t.Errorf("seed %d, GOMAXPROCS=%d drifted:\ngot:\n%s\nwant:\n%s", seed, p, got, want)
@@ -87,66 +95,86 @@ func TestRandomDeterministicAcrossCPUs(t *testing.T) {
 	}
 }
 
-// TestWorkersOptionDeterministic pins the explicit Workers knob: a
-// serial run and heavily oversubscribed runs must agree exactly.
-func TestWorkersOptionDeterministic(t *testing.T) {
-	db := schema.MustDatabase(schema.MustScheme("R", "A", "B"))
-	sigma := []deps.Dependency{deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B"))}
-	goal := deps.NewFD("R", deps.Attrs("B"), deps.Attrs("A"))
-	var want string
-	for _, w := range []int{1, 2, 3, 16} {
-		ce, found, err := Counterexample(db, sigma, goal, Options{Domain: 2, MaxTuples: 3, Workers: w})
-		if err != nil || !found {
-			t.Fatalf("Workers=%d: found=%v err=%v", w, found, err)
-		}
-		if want == "" {
-			want = ce.String()
-		} else if got := ce.String(); got != want {
-			t.Errorf("Workers=%d drifted:\ngot:\n%s\nwant:\n%s", w, got, want)
+// TestSearchCountsExact: the work counters count exactly the candidates
+// the canonical order visits before its first hit, on every run and at
+// any GOMAXPROCS.
+func TestSearchCountsExact(t *testing.T) {
+	db, sigma, goal := twoRelations()
+	for _, p := range []int{1, 2, 8} {
+		for run := 0; run < 50; run++ {
+			reg := obs.New()
+			opt := Options{Domain: 3, MaxTuples: 3, RandomTrials: 300, Obs: reg}
+			if _, found := runAt(t, p, db, sigma, goal, opt); !found {
+				t.Fatalf("GOMAXPROCS=%d run %d: no counterexample", p, run)
+			}
+			c := reg.Snapshot().Counters
+			if c["search.checks"] != 3 || c["search.databases_enumerated"] != 3 || c["search.random_trials"] != 0 {
+				t.Fatalf("GOMAXPROCS=%d run %d: checks %d, databases_enumerated %d, random_trials %d; want 3, 3, 0",
+					p, run, c["search.checks"], c["search.databases_enumerated"], c["search.random_trials"])
+			}
 		}
 	}
+}
+
+// visitOrder runs the exhaustive enumerator over one unary relation with
+// universe {0, 1, 2} and returns each visited subset, rendered as its
+// values, until hit reports true.
+func visitOrder(maxTuples int, hit func(n int) bool) []string {
+	s := &searcher{
+		db:        schema.MustDatabase(schema.MustScheme("R", "A")),
+		names:     []string{"R"},
+		universes: [][]data.Tuple{{{"0"}, {"1"}, {"2"}}},
+		choice:    make([][]data.Tuple, 1),
+		maxTuples: maxTuples,
+	}
+	var got []string
+	s.check = func(*data.Database) (bool, error) {
+		v := ""
+		for _, tp := range s.choice[0] {
+			v += string(tp[0])
+		}
+		got = append(got, v)
+		return hit(len(got)), nil
+	}
+	s.enumerate(0)
+	return got
 }
 
 // TestSubsetsPreorderMatchesSerialOrder pins the canonical enumeration
 // order the determinism contract is defined against: each subset comes
 // before its extensions, extensions are by increasing universe index.
 func TestSubsetsPreorderMatchesSerialOrder(t *testing.T) {
-	universe := []data.Tuple{{"0"}, {"1"}, {"2"}}
-	var got []string
-	subsetsPreorder(universe, 2, func(idx int64, subset []data.Tuple) bool {
-		if idx != int64(len(got)) {
-			t.Fatalf("idx %d out of order (have %d items)", idx, len(got))
-		}
-		s := ""
-		for _, tp := range subset {
-			s += string(tp[0])
-		}
-		got = append(got, s)
-		return true
-	})
+	got := visitOrder(2, func(int) bool { return false })
 	want := []string{"", "0", "01", "02", "1", "12", "2"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("preorder = %v, want %v", got, want)
 	}
 }
 
-// TestSubsetsPreorderStops checks the early-stop path the best-index
-// pruning relies on.
+// TestSubsetsPreorderStops checks that the enumeration stops at its
+// first hit.
 func TestSubsetsPreorderStops(t *testing.T) {
-	universe := []data.Tuple{{"0"}, {"1"}, {"2"}}
-	calls := 0
-	subsetsPreorder(universe, 3, func(idx int64, subset []data.Tuple) bool {
-		calls++
-		return idx < 2
-	})
-	if calls != 3 {
-		t.Errorf("emit called %d times, want 3 (stop after idx 2)", calls)
+	got := visitOrder(3, func(n int) bool { return n == 3 })
+	if want := []string{"", "0", "01"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("visited %v, want %v (stop at the third candidate)", got, want)
 	}
 }
 
 // TestExhaustiveSkippedCounter: a space beyond MaxExhaustive must
-// increment search.exhaustive_skipped and mark the span.
+// increment search.exhaustive_skipped, mark the span and log one warning
+// through the default logger.
 func TestExhaustiveSkippedCounter(t *testing.T) {
+	var logged bytes.Buffer
+	oldLogger, oldOut, oldFlags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&logged, nil)))
+	defer func() {
+		// Restoring slog's default handler leaves the log package writing
+		// through the replaced one; restore that too.
+		slog.SetDefault(oldLogger)
+		log.SetOutput(oldOut)
+		log.SetFlags(oldFlags)
+	}()
+
 	reg := obs.New()
 	root := reg.StartSpan("root")
 	db := schema.MustDatabase(schema.MustScheme("R", "A", "B"))
@@ -175,6 +203,22 @@ func TestExhaustiveSkippedCounter(t *testing.T) {
 	if !skipped {
 		t.Errorf("span not marked exhaustive_skipped: %+v", root.Children)
 	}
+	lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("default logger got %d records, want 1:\n%s", len(lines), logged.String())
+	}
+	var rec map[string]any
+	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
+		t.Fatalf("record is not JSON: %v\n%s", err, lines[0])
+	}
+	if rec["level"] != "WARN" {
+		t.Errorf("level = %v, want WARN", rec["level"])
+	}
+	for _, k := range []string{"space", "max_exhaustive"} {
+		if _, ok := rec[k]; !ok {
+			t.Errorf("warning lacks %q: %s", k, lines[0])
+		}
+	}
 }
 
 // TestExhaustiveNotSkippedCounterAbsent: within the bound, the skip
@@ -192,15 +236,15 @@ func TestExhaustiveNotSkippedCounterAbsent(t *testing.T) {
 	}
 }
 
-// TestParallelCancellation: a pre-cancelled context aborts the parallel
-// search with the context's error from every phase.
+// TestParallelCancellation: a pre-cancelled context aborts the search
+// with the context's error before it tests a candidate.
 func TestParallelCancellation(t *testing.T) {
 	db := schema.MustDatabase(schema.MustScheme("R", "A", "B", "C"))
 	goal := deps.NewIND("R", deps.Attrs("A"), "R", deps.Attrs("A"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, found, err := Counterexample(db, nil, goal, Options{
-		Domain: 3, MaxTuples: 3, RandomTrials: 100, Ctx: ctx, Workers: 4,
+		Domain: 3, MaxTuples: 3, RandomTrials: 100, Ctx: ctx,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -211,23 +255,19 @@ func TestParallelCancellation(t *testing.T) {
 }
 
 // TestParallelAgreesWithExpectedWinner: on a space where several
-// counterexamples exist, the parallel search must return the serial
-// enumeration's first, not just any.
+// counterexamples exist, the search must return the canonical
+// enumeration's first, not just any, at any GOMAXPROCS.
 func TestParallelAgreesWithExpectedWinner(t *testing.T) {
 	db := schema.MustDatabase(schema.MustScheme("R", "A", "B"))
 	goal := deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B"))
-	// Serial reference at Workers=1.
-	ref, found, err := Counterexample(db, nil, goal, Options{Domain: 3, MaxTuples: 3, Workers: 1})
-	if err != nil || !found {
-		t.Fatalf("serial: found=%v err=%v", found, err)
-	}
-	for _, w := range []int{2, 4, 8} {
-		ce, found, err := Counterexample(db, nil, goal, Options{Domain: 3, MaxTuples: 3, Workers: w})
-		if err != nil || !found {
-			t.Fatalf("Workers=%d: found=%v err=%v", w, found, err)
+	const want = "R(A,B)\n  (0,0)\n  (0,1)"
+	for _, p := range []int{1, 2, 8} {
+		ce, found := runAt(t, p, db, nil, goal, Options{Domain: 3, MaxTuples: 3})
+		if !found {
+			t.Fatalf("GOMAXPROCS=%d: no counterexample", p)
 		}
-		if ce.String() != ref.String() {
-			t.Errorf("Workers=%d returned a different counterexample:\ngot:\n%s\nwant:\n%s", w, ce.String(), ref.String())
+		if got := ce.String(); got != want {
+			t.Errorf("GOMAXPROCS=%d returned a different counterexample:\ngot:\n%s\nwant:\n%s", p, got, want)
 		}
 	}
 }

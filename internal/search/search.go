@@ -6,13 +6,24 @@
 // hold while unrestricted fails, and undecidability rules out any complete
 // search). The core facade uses this as a refutation fallback when the
 // chase diverges.
+//
+// A search runs on its caller's goroutine and visits candidates in one
+// fixed order, so for fixed Options the returned database and every
+// search.* counter are the same on every run:
+//
+//   - Exhaustive phase: relation 0's tuple subsets of at most MaxTuples
+//     members in pre-order (each subset before its extensions by later
+//     tuples), and under each of them the later relations' subsets the
+//     same way, depth-first. The first hit wins.
+//   - Random phase: trials 0, 1, ... in order, trial t drawing from the
+//     PCG stream (Seed, t). The first hit wins.
 package search
 
 import (
 	"context"
-	"fmt"
 	"log/slog"
-	"runtime"
+	"math/rand/v2"
+	"strconv"
 
 	"indfd/internal/data"
 	"indfd/internal/deps"
@@ -37,18 +48,9 @@ type Options struct {
 	// MaxExhaustive bounds the number of databases the exhaustive phase
 	// may enumerate; beyond it the phase is skipped (default 1 << 22).
 	// A skip is loud: it increments search.exhaustive_skipped and logs a
-	// warning, because a miss of a truncated search proves nothing about
-	// the bounded space.
+	// warning through slog.Default(), because a miss of a truncated
+	// search proves nothing about the bounded space.
 	MaxExhaustive int
-	// Workers is the number of goroutines each phase shards its
-	// candidates across (0 = runtime.GOMAXPROCS(0), 1 = serial). The
-	// result is bit-identical at any worker count: candidates carry
-	// canonical indexes and the lowest-index hit wins — see parallel.go
-	// for the determinism contract.
-	Workers int
-	// Logger receives the exhaustive-phase-skipped warning; nil uses
-	// slog.Default().
-	Logger *slog.Logger
 	// Obs, when non-nil, receives the search's work counters under the
 	// "search." namespace (databases enumerated, random trials,
 	// satisfaction checks). A nil registry costs nothing.
@@ -113,10 +115,6 @@ func Counterexample(db *schema.Database, sigma []deps.Dependency, goal deps.Depe
 		return !sat, nil
 	}
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	names := db.Names()
 	universes := make([][]data.Tuple, len(names))
 	total := 1.0
@@ -134,20 +132,18 @@ func Counterexample(db *schema.Database, sigma []deps.Dependency, goal deps.Depe
 		}
 		total *= float64(subsets)
 	}
-	eng := &searcher{db: db, names: names, universes: universes,
-		maxTuples: opt.MaxTuples, workers: workers}
+	s := &searcher{db: db, names: names, universes: universes,
+		choice: make([][]data.Tuple, len(names)), maxTuples: opt.MaxTuples}
 
 	// Exhaustive phase: enumerate tuple subsets per relation, with at most
-	// MaxTuples tuples each, over the value domain, sharded across the
-	// workers (lowest-index hit wins; see parallel.go).
+	// MaxTuples tuples each, over the value domain.
 	if total <= float64(opt.MaxExhaustive) {
 		exSp := sp.StartSpan("search.exhaustive")
-		exSp.SetInt("workers", int64(workers))
-		eng.check = func(cand *data.Database) (bool, error) {
+		s.check = func(cand *data.Database) (bool, error) {
 			cEnumerated.Inc()
 			return check(cand)
 		}
-		cand, found, err := eng.exhaustive()
+		cand, found, err := s.enumerate(0)
 		exSp.End()
 		if err != nil {
 			return nil, false, err
@@ -162,37 +158,115 @@ func Counterexample(db *schema.Database, sigma []deps.Dependency, goal deps.Depe
 		// never scanned; say so, loudly and measurably.
 		opt.Obs.Counter("search.exhaustive_skipped").Inc()
 		sp.SetAttr("exhaustive_skipped", "true")
-		logger := opt.Logger
-		if logger == nil {
-			logger = slog.Default()
-		}
-		logger.Warn("search: exhaustive phase skipped, space exceeds MaxExhaustive; a miss no longer proves the bounded space is clear",
+		slog.Warn("search: exhaustive phase skipped, space exceeds MaxExhaustive; a miss no longer proves the bounded space is clear",
 			"space", total, "max_exhaustive", opt.MaxExhaustive,
 			"domain", opt.Domain, "max_tuples", opt.MaxTuples)
 	}
 
-	// Random phase: per-trial PCG streams keep trial t's candidate a pure
-	// function of (Seed, t) at any worker count.
+	// Random phase: trial t's candidate is a pure function of (Seed, t).
 	if opt.RandomTrials > 0 {
 		rndSp := sp.StartSpan("search.random")
 		defer rndSp.End()
-		rndSp.SetInt("workers", int64(workers))
 		seed := opt.Seed
 		if seed == 0 {
 			seed = 1
 		}
-		eng.check = check
-		cand, trial, found, err := eng.random(seed, opt.RandomTrials, cTrials.Inc)
+		s.check = check
+		cand, trial, found, err := s.random(seed, opt.RandomTrials, cTrials.Inc)
 		if err != nil {
 			return nil, false, err
 		}
 		if found {
 			cHits.Inc()
-			rndSp.SetInt("trials", trial+1)
+			rndSp.SetInt("trials", int64(trial+1))
 			return cand, true, nil
 		}
 	}
 	return nil, false, nil
+}
+
+// searcher carries the inputs both phases share and the exhaustive
+// phase's current choice of tuples per relation.
+type searcher struct {
+	db        *schema.Database
+	names     []string
+	universes [][]data.Tuple
+	choice    [][]data.Tuple
+	maxTuples int
+	// check reports whether a candidate is a counterexample (satisfies Σ,
+	// violates the goal).
+	check func(*data.Database) (bool, error)
+}
+
+// enumerate holds relations 0..rel-1 at their current choice, enumerates
+// every subset of at most maxTuples tuples for relations rel..n-1 in the
+// package doc's order, and returns the first counterexample.
+func (s *searcher) enumerate(rel int) (*data.Database, bool, error) {
+	if rel == len(s.names) {
+		cand := data.NewDatabase(s.db)
+		for i, name := range s.names {
+			for _, t := range s.choice[i] {
+				cand.MustInsert(name, t)
+			}
+		}
+		ok, err := s.check(cand)
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		return cand, true, nil
+	}
+	return s.extend(rel, 0, s.maxTuples)
+}
+
+// extend tries relation rel's current choice under every choice of the
+// later relations, then each extension of it by one tuple at or after
+// universe index start, while left more tuples fit.
+func (s *searcher) extend(rel, start, left int) (*data.Database, bool, error) {
+	if cand, found, err := s.enumerate(rel + 1); err != nil || found {
+		return cand, found, err
+	}
+	if left == 0 {
+		return nil, false, nil
+	}
+	universe := s.universes[rel]
+	for i := start; i < len(universe); i++ {
+		s.choice[rel] = append(s.choice[rel], universe[i])
+		cand, found, err := s.extend(rel, i+1, left-1)
+		s.choice[rel] = s.choice[rel][:len(s.choice[rel])-1]
+		if err != nil || found {
+			return cand, found, err
+		}
+	}
+	return nil, false, nil
+}
+
+// random runs trials 0..trials-1 in order and returns the first
+// counterexample with its trial index. Trial t draws from the PCG stream
+// (seed, t): one source, reseeded per trial, so a trial's candidate
+// depends on nothing but seed and t. onTrial is invoked once per trial
+// generated (the work counter).
+func (s *searcher) random(seed int64, trials int, onTrial func()) (*data.Database, int, bool, error) {
+	src := rand.NewPCG(uint64(seed), 0)
+	r := rand.New(src)
+	for t := 0; t < trials; t++ {
+		onTrial()
+		src.Seed(uint64(seed), uint64(t))
+		cand := data.NewDatabase(s.db)
+		for i, name := range s.names {
+			n := r.IntN(s.maxTuples + 1)
+			for j := 0; j < n; j++ {
+				cand.MustInsert(name, s.universes[i][r.IntN(len(s.universes[i]))])
+			}
+		}
+		ok, err := s.check(cand)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		if ok {
+			return cand, t, true, nil
+		}
+	}
+	return nil, 0, false, nil
 }
 
 // allTuples enumerates every tuple of the given width over the domain
@@ -205,7 +279,7 @@ func allTuples(width, domain int) []data.Tuple {
 		if i == width {
 			row := make(data.Tuple, width)
 			for j, v := range t {
-				row[j] = data.Value(fmt.Sprintf("%d", v))
+				row[j] = data.Value(strconv.Itoa(v))
 			}
 			out = append(out, row)
 			return

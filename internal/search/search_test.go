@@ -144,3 +144,28 @@ func TestSearchObs(t *testing.T) {
 		t.Errorf("missing search span: %+v", root.Children)
 	}
 }
+
+// TestSearchAllocs pins the allocations of one early-hit search: R(A,B),
+// Σ = {R: A -> B}, goal R: B -> A, at core's fallback bounds. The
+// exhaustive phase hits at its 18th candidate, so the random phase never
+// runs. Measured 428 allocations (Go 1.24, linux/amd64); the earlier
+// worker-sharded search took 473 with one worker and 480 to 498 with two.
+func TestSearchAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("allocation counts are not exact under -race")
+	}
+	db := rab()
+	sigma := []deps.Dependency{deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B"))}
+	goal := deps.NewFD("R", deps.Attrs("B"), deps.Attrs("A"))
+	opt := Options{Domain: 3, MaxTuples: 3, RandomTrials: 300}
+	got := testing.AllocsPerRun(50, func() {
+		if _, found, err := Counterexample(db, sigma, goal, opt); err != nil || !found {
+			t.Fatalf("found=%v err=%v", found, err)
+		}
+	})
+	t.Logf("%.1f allocs/search", got)
+	const ceiling = 428
+	if got > ceiling {
+		t.Errorf("%.1f allocs/search, ceiling %d", got, ceiling)
+	}
+}

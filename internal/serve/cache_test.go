@@ -90,6 +90,32 @@ func TestImpliesCacheCanonicalKey(t *testing.T) {
 	}
 }
 
+// TestImpliesCacheGoalSpelling: two spellings of one FD goal are two
+// cache entries, and each answer's proof names its own goal. A shared
+// entry would hand the second request a proof of the first spelling.
+func TestImpliesCacheGoalSpelling(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{CacheSize: 64})
+	body := func(goal string) string {
+		return `{"schema":["R(A,B,C)"],"sigma":["R: A -> B","R: A -> C"],"goal":"` + goal + `"}`
+	}
+	for _, goal := range []string{"R: A -> B,C", "R: A -> C,B"} {
+		r, b := postJSON(t, ts.URL+"/v1/implies", body(goal))
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("goal %q: status = %d; body %s", goal, r.StatusCode, b)
+		}
+		if got := r.Header.Get("X-Cache"); got != "MISS" {
+			t.Errorf("goal %q: X-Cache = %q, want MISS (each spelling keys its own entry)", goal, got)
+		}
+		var resp ImpliesResponse
+		if err := json.Unmarshal(b, &resp); err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		if resp.Goal != goal || !strings.HasPrefix(resp.Proof, "goal: "+goal+"\n") {
+			t.Errorf("goal %q: response goal %q, proof %q", goal, resp.Goal, resp.Proof)
+		}
+	}
+}
+
 // TestImpliesCacheExplainDistinct: explain changes the answer shape, so
 // it must be part of the key — and a cached explain answer must carry
 // the explanation.

@@ -35,6 +35,16 @@ const fdImplies = `{
 	"goal": "R: A -> C"
 }`
 
+// searchFallback runs a cyclic binary IND into a 48-tuple budget; the
+// bounded counterexample search then refutes the goal.
+const searchFallback = `{
+	"schema": ["R(A, B, C)"],
+	"sigma": ["R[A,B] <= R[B,C]"],
+	"goal": "R: A -> B",
+	"budget": 48,
+	"search": true
+}`
+
 // withIncludeMetrics returns body with "include_metrics": true added.
 func withIncludeMetrics(t *testing.T, body string) string {
 	t.Helper()
@@ -184,5 +194,35 @@ func TestIncludeMetricsKeepsTotals(t *testing.T) {
 	}
 	if !reflect.DeepEqual(on, off) {
 		t.Errorf("engine metrics with include_metrics\n%+v\nwithout\n%+v", on, off)
+	}
+}
+
+// TestIncludeMetricsSearchExact: the counterexample search visits its
+// candidates on the request's goroutine in one fixed order, so every
+// repeat of a fallback query reports the same search.* counters.
+func TestIncludeMetricsSearchExact(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{})
+	var want map[string]int64
+	for i := 0; i < 20; i++ {
+		out := postMetrics(t, ts.URL, searchFallback)
+		if out.Verdict != "no" || out.Engine != "chase+search" {
+			t.Fatalf("repeat %d: verdict %s engine %s, want no from chase+search", i, out.Verdict, out.Engine)
+		}
+		got := make(map[string]int64)
+		for k, v := range out.Metrics.Counters {
+			if strings.HasPrefix(k, "search.") {
+				got[k] = v
+			}
+		}
+		if i == 0 {
+			if got["search.checks"] == 0 || got["search.hits"] != 1 {
+				t.Fatalf("search counters missing: %v", got)
+			}
+			want = got
+			continue
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("repeat %d: search counters %v, want %v", i, got, want)
+		}
 	}
 }
