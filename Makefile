@@ -51,15 +51,22 @@ race-hammer:
 # chase package's own pins without -race (the pool pin skips itself
 # under the race detector, so `make race` never runs it). The next two
 # pin the per-goal path: a compiled fd proof (Prove plus String of a
-# 14-step chain) within 16 allocations, and a query-digest admission
-# into a full shard at zero. The last pins an instrumented
+# 14-step chain, its closure scratch on the stack) within 3
+# allocations, and a query-digest admission into a full shard at zero.
+# The next pins an instrumented
 # System.Implies on a warm pool, whose span tree is built once and never
-# copied: within 15 allocations on an fd goal and 22 on the Proposition
-# 4.1 chase. The next pins one ind.Decide call on width-2 IND chains,
-# whose frontier is keyed by int32 relation and attribute IDs. The last
-# pins one early-hit counterexample search at core's fallback bounds
-# (Domain 3, MaxTuples 3, RandomTrials 300), which runs on its caller's
-# goroutine. They skip themselves under -race too.
+# copied, and whose goal is rendered once: within 10 allocations on an
+# fd goal and 20 on the Proposition 4.1 chase. The next pins one
+# ind.Decide call on width-2 IND chains, whose frontier is keyed by
+# int32 relation and attribute IDs, and the next one early-hit
+# counterexample search at core's fallback bounds (Domain 3, MaxTuples
+# 3, RandomTrials 300), which runs on its caller's goroutine. The last
+# pins the serving path through the whole handler: a goal of a 64-goal
+# batch against a registered 32-attribute FD chain, within 8
+# allocations when every goal is cached and 10 when none is (each goal
+# parsed and rendered once, no span tree, a pooled key hash), and a
+# repeated inline /v1/implies whose fields hit the compiled-system memo
+# by their raw bytes, within 84. They skip themselves under -race too.
 # -count=1 defeats the test cache — an allocation regression must fail
 # here even when no _test.go file changed.
 zeroalloc:
@@ -70,6 +77,7 @@ zeroalloc:
 	$(GO) test -run TestImpliesObsAllocs -count=1 ./internal/core/
 	$(GO) test -run TestDecideAllocs -count=1 ./internal/ind/
 	$(GO) test -run TestSearchAllocs -count=1 ./internal/search/
+	$(GO) test -run 'TestBatchGoalAllocs|TestMemoHitImpliesAllocs' -count=1 ./internal/serve/
 
 # A short native-fuzzing run per input surface (plain `go test` only
 # replays the seed corpora): FuzzParse checks the .dep reader and its

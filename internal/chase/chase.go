@@ -132,6 +132,13 @@ type Options struct {
 	// only after an error-free run; a chase killed mid-round (deadline,
 	// cancellation, contradiction) is poisoned and discarded.
 	Pool *EnginePool
+	// PoolKey, when non-zero, is PoolKey(db, sigma), computed by a
+	// caller that runs many chases over one compiled schema and sigma
+	// (core computes it once per component), so a pooled run does not
+	// hash the whole schema and sigma again. A wrong key costs a pool
+	// miss, never a wrong answer: get matches every engine against the
+	// request before handing it out.
+	PoolKey uint64
 	// Obs, when non-nil, receives the chase's work counters under the
 	// "chase." namespace (rounds, tuples created, union-find merges,
 	// fixpoint passes, ...) and the chase.tuples_peak gauge. The run
@@ -423,7 +430,10 @@ func (e *engine) flush() {
 // must pair it with e.release(err).
 func acquireEngine(db *schema.Database, sigma []deps.Dependency, opt Options) (*engine, error) {
 	if opt.Pool != nil {
-		key := poolFingerprint(db, sigma)
+		key := opt.PoolKey
+		if key == 0 {
+			key = poolFingerprint(db, sigma)
+		}
 		if e := opt.Pool.get(key, db, sigma); e != nil {
 			e.arm(opt)
 			return e, nil

@@ -156,11 +156,17 @@ func (p *EnginePool) discard(*engine) {
 // matches reports whether the engine was compiled from exactly this
 // schema and sigma — relation names, attribute sequences, and every
 // dependency field-by-field, in order. It allocates nothing (it runs on
-// the pooled hot path).
+// the pooled hot path). An engine compiled from the very database and
+// sigma slice requested matches without the comparison: core hands
+// every chase over a component that component's own members slice,
+// which nothing writes after Add, and a database only grows.
 func (e *engine) matches(db *schema.Database, sigma []deps.Dependency) bool {
 	names := db.Names()
 	if len(names) != len(e.rels) {
 		return false
+	}
+	if db == e.db && len(sigma) == len(e.sigma) && (len(sigma) == 0 || &sigma[0] == &e.sigma[0]) {
+		return true
 	}
 	for i, n := range names {
 		if e.rels[i].name != n {
@@ -223,6 +229,12 @@ func hashAttrs(h uint64, attrs []schema.Attribute) uint64 {
 		h = hashByte(h, 0xfe)
 	}
 	return hashByte(h, 0xfd)
+}
+
+// PoolKey is the engine pool's bucket key for db and sigma, for
+// Options.PoolKey.
+func PoolKey(db *schema.Database, sigma []deps.Dependency) uint64 {
+	return poolFingerprint(db, sigma)
 }
 
 // poolFingerprint hashes the pool bucket key: every relation name and

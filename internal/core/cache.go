@@ -26,6 +26,7 @@ import (
 	"crypto/sha256"
 	"encoding"
 	"encoding/hex"
+	"hash"
 	"slices"
 	"sort"
 	"strconv"
@@ -60,7 +61,7 @@ func QueryFingerprint(db *schema.Database, sigma []deps.Dependency, goal deps.De
 // scheme's canonical render, "|sigma", the sorted member keys, then
 // "|goal", the goal's String, the mode and the extras. The first three
 // depend only on the component, so System.QueryKey hashes them once per
-// component (keyPrefix) and resumes from that state per goal.
+// component (compIndex.prefix) and resumes from that state per goal.
 
 // appendField appends one fingerprint field and its NUL terminator.
 func appendField(buf []byte, s string) []byte {
@@ -96,17 +97,10 @@ func fingerprintHash(canon string, sortedKeys []string, goal, mode string, extra
 	return hex.EncodeToString(sum[:])
 }
 
-// keyPrefix is the SHA-256 state after the component's part of the
-// layout, marshaled, together with the canonical render it hashed.
-type keyPrefix struct {
-	canon string
-	state []byte
-}
-
-// newKeyPrefix hashes canon and the sorted member keys once. It returns
-// nil when the hash cannot marshal its state, and QueryKey then hashes
-// in full.
-func newKeyPrefix(canon string, sortedKeys []string) *keyPrefix {
+// prefixState hashes canon and the sorted member keys once and returns
+// the hash's marshaled state, or nil when it cannot marshal its state;
+// QueryKey then hashes in full.
+func prefixState(canon string, sortedKeys []string) []byte {
 	h := sha256.New()
 	h.Write(appendSigmaFields(nil, canon, sortedKeys))
 	m, ok := h.(encoding.BinaryMarshaler)
@@ -117,8 +111,20 @@ func newKeyPrefix(canon string, sortedKeys []string) *keyPrefix {
 	if err != nil {
 		return nil
 	}
-	return &keyPrefix{canon: canon, state: state}
+	return state
 }
+
+// keyHasher is GoalKey's scratch: a SHA-256 hash to resume a
+// component's prefix state into, and the buffer the goal's fields and
+// the sum are laid out in. Pooled, so a key allocates only its text.
+type keyHasher struct {
+	h   hash.Hash
+	buf []byte
+}
+
+var keyHashers = sync.Pool{New: func() any {
+	return &keyHasher{h: sha256.New(), buf: make([]byte, 0, 256)}
+}}
 
 // QueryKey is the footprint-aware fingerprint computed from the
 // precompiled component index: byte-identical to
@@ -135,20 +141,27 @@ func newKeyPrefix(canon string, sortedKeys []string) *keyPrefix {
 // after Add, a bridging IND goal's merged index and a component Σ does
 // not name all take the full hash.
 func (s *System) QueryKey(goal deps.Dependency, mode string, extras ...string) string {
-	ci := s.relevantIndex(goal)
-	canon := s.db.Canonical()
-	if ci.prefix == nil || ci.prefix.canon != canon {
-		return fingerprintHash(canon, ci.keys, goal.String(), mode, extras)
+	return s.GoalKey(Goal{Dep: goal}, mode, extras...)
+}
+
+// GoalKey is QueryKey for a goal whose text its caller already
+// rendered: the key hashes that text as the goal's field.
+func (s *System) GoalKey(g Goal, mode string, extras ...string) string {
+	ci := s.relevantIndex(g.Dep)
+	text := g.text()
+	if !ci.current(s.db) || ci.prefix == nil {
+		return fingerprintHash(s.db.Canonical(), ci.keys, text, mode, extras)
 	}
-	h := sha256.New()
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(ci.prefix.state); err != nil {
-		return fingerprintHash(canon, ci.keys, goal.String(), mode, extras)
+	kh := keyHashers.Get().(*keyHasher)
+	defer keyHashers.Put(kh)
+	if err := kh.h.(encoding.BinaryUnmarshaler).UnmarshalBinary(ci.prefix); err != nil {
+		return fingerprintHash(s.db.Canonical(), ci.keys, text, mode, extras)
 	}
-	var small [256]byte
-	buf := appendGoalFields(small[:0], goal.String(), mode, extras)
-	h.Write(buf)
+	kh.buf = appendGoalFields(kh.buf[:0], text, mode, extras)
+	kh.h.Write(kh.buf)
+	kh.buf = kh.h.Sum(kh.buf[:0])
 	var out [2 * sha256.Size]byte
-	hex.Encode(out[:], h.Sum(buf[:0]))
+	hex.Encode(out[:], kh.buf)
 	return string(out[:])
 }
 
@@ -173,6 +186,10 @@ func FingerprintOptions(opt Options) []string {
 type CachedAnswer struct {
 	Answer      Answer
 	Explanation string
+	// Counterexample is Answer.Counterexample's text as its caller
+	// rendered it when the answer entered the cache, so that every hit
+	// serves that text rather than rendering the database again.
+	Counterexample string
 }
 
 // cacheShards is the stripe count. 16 shards keep 32 concurrent clients

@@ -134,6 +134,11 @@ type Options struct {
 	// histograms for this query and gives the Answer a span tree. A nil
 	// registry makes instrumentation free (see internal/obs).
 	Obs *obs.Registry
+	// NoTrace builds no span tree even when Obs is set: Answer.Trace
+	// stays nil, and the engines' counters still reach Obs. A caller
+	// that keeps no tree for the query (depserve's batch goals, or any
+	// request the flight recorder will not retain) sets it.
+	NoTrace bool
 	// Ctx, when non-nil, imposes a cooperative deadline on the engines
 	// whose cost the paper proves can blow up: the chase (checked once
 	// per round), the Corollary 3.2 IND search (checked every few
@@ -152,6 +157,24 @@ type Options struct {
 	ChasePool *chase.EnginePool
 }
 
+// Goal is an implication goal together with its text, Dep.String(),
+// rendered once by a caller that shows the goal anyway (a response, a
+// log line). GoalKey, ImpliesGoal and ExplainGoal reuse the text for
+// the cache key, the span attribute and an fd proof's header instead
+// of rendering the goal again. An empty Text is rendered on demand.
+type Goal struct {
+	Dep  deps.Dependency
+	Text string
+}
+
+// text returns the goal's text, rendering it when the caller did not.
+func (g Goal) text() string {
+	if g.Text != "" {
+		return g.Text
+	}
+	return g.Dep.String()
+}
+
 // compIndex is one IND-connected component of Σ with everything a query
 // over it needs precomputed: the members (Σ insertion order), their
 // kind projections, and their canonical keys sorted — the fingerprint
@@ -168,10 +191,17 @@ type compIndex struct {
 	// indexes built per bridging-IND query skip the compile because an
 	// IND goal never consults an FD prover.
 	provers map[string]*fd.Prover
-	// prefix is the fingerprint's hashed component part (see QueryKey),
-	// set on the indexes reindex stores; nil on the per-query merged
-	// indexes and on emptyComp, whose keys hash in full.
-	prefix *keyPrefix
+	// canon is the database's canonical render when reindex compiled
+	// the index; "" on the per-query merged indexes and on emptyComp.
+	// prefix and poolKey hold only while the database still renders so
+	// (current): a scheme added after Add changes it.
+	canon string
+	// prefix is the SHA-256 state after the fingerprint's component part
+	// (see QueryKey), marshaled; nil when the hash cannot marshal it.
+	prefix []byte
+	// poolKey is chase.PoolKey(db, members), the chase engine pool's
+	// bucket for this component, handed to every chase over it.
+	poolKey uint64
 	// Fragment flags over the members alone (the goal folds in at
 	// dispatch): vacuously true when the component is empty.
 	allINDs, allFDs, allUnary bool
@@ -237,6 +267,12 @@ func (ci *compIndex) prover(rel string) *fd.Prover {
 		return fd.NewProver(rel, ci.fds)
 	}
 	return nil
+}
+
+// current reports whether the index's precomputed keys still describe
+// db: it was stored by reindex, and no scheme was added since.
+func (ci *compIndex) current(db *schema.Database) bool {
+	return ci.canon != "" && ci.canon == db.Canonical()
 }
 
 // emptyComp is the index of a goal component Σ says nothing about.
@@ -329,9 +365,12 @@ func (s *System) reindex() {
 		byRoot[root] = append(byRoot[root], d)
 	}
 	s.comps = make(map[string]*compIndex, len(byRoot))
+	canon := s.db.Canonical()
 	for root, members := range byRoot {
 		ci := buildCompIndex(members).compile()
-		ci.prefix = newKeyPrefix(s.db.Canonical(), ci.keys)
+		ci.canon = canon
+		ci.prefix = prefixState(canon, ci.keys)
+		ci.poolKey = chase.PoolKey(s.db, ci.members)
 		s.comps[root] = ci
 	}
 }
@@ -480,10 +519,19 @@ func classify(ci *compIndex, goal deps.Dependency) string {
 	}
 }
 
+// chasePoolKey is the engine pool key of a chase over ci's members:
+// the one reindex computed while it is current, else computed now.
+func (s *System) chasePoolKey(ci *compIndex) uint64 {
+	if ci.current(s.db) {
+		return ci.poolKey
+	}
+	return chase.PoolKey(s.db, ci.members)
+}
+
 // Implies answers whether Σ implies the goal over all (possibly infinite)
 // databases.
 func (s *System) Implies(goal deps.Dependency, opt Options) (Answer, error) {
-	return s.query(goal, opt, false)
+	return s.query(Goal{Dep: goal}, opt, false)
 }
 
 // ImpliesFinite answers whether Σ implies the goal over finite databases.
@@ -493,18 +541,32 @@ func (s *System) Implies(goal deps.Dependency, opt Options) (Answer, error) {
 // for finite implication too) and finite counterexamples give No answers,
 // with Unknown otherwise.
 func (s *System) ImpliesFinite(goal deps.Dependency, opt Options) (Answer, error) {
-	return s.query(goal, opt, true)
+	return s.query(Goal{Dep: goal}, opt, true)
 }
 
-func (s *System) query(goal deps.Dependency, opt Options, finite bool) (Answer, error) {
+// ImpliesGoal is Implies (finite false) or ImpliesFinite (finite true)
+// for a goal whose text its caller already rendered.
+func (s *System) ImpliesGoal(g Goal, opt Options, finite bool) (Answer, error) {
+	return s.query(g, opt, finite)
+}
+
+func (s *System) query(g Goal, opt Options, finite bool) (Answer, error) {
+	goal := g.Dep
 	if err := goal.Validate(s.db); err != nil {
 		return Answer{}, err
 	}
 	ci := s.relevantIndex(goal)
 	relevant := ci.members
 	engine := classify(ci, goal)
-	sp := opt.Obs.StartSpan("core.query")
-	sp.SetAttr("goal", goal.String())
+	var sp *obs.Span
+	if !opt.NoTrace {
+		sp = opt.Obs.StartSpan("core.query")
+	}
+	if sp != nil {
+		// Rendered at most once per query: an fd proof's header reuses it.
+		g.Text = g.text()
+		sp.SetAttr("goal", g.Text)
+	}
 	if finite {
 		sp.SetAttr("mode", "finite")
 	} else {
@@ -519,11 +581,11 @@ func (s *System) query(goal deps.Dependency, opt Options, finite bool) (Answer, 
 	case "ind":
 		a, err = s.queryIND(ci, goal.(deps.IND), opt, sp)
 	case "fd":
-		a, err = s.queryFD(ci, goal.(deps.FD), opt, sp)
+		a, err = s.queryFD(ci, g, opt, sp)
 	case "unary":
 		a, err = s.queryUnary(relevant, goal, opt, finite, sp)
 	default:
-		a, err = s.queryChase(ci, goal, opt, sp)
+		a, err = s.queryChase(ci, g, opt, sp)
 	}
 	if err != nil {
 		// a may carry partial work counters (a cancelled chase or IND
@@ -580,12 +642,13 @@ func (s *System) queryIND(ci *compIndex, goal deps.IND, opt Options, sp *obs.Spa
 	return Answer{Verdict: No, Engine: "ind", Counterexample: ce, INDStats: &res.Stats, DepProfile: res.Profile}, nil
 }
 
-func (s *System) queryFD(ci *compIndex, goal deps.FD, opt Options, sp *obs.Span) (Answer, error) {
+func (s *System) queryFD(ci *compIndex, g Goal, opt Options, sp *obs.Span) (Answer, error) {
+	goal := g.Dep.(deps.FD)
 	psp := sp.StartSpan("fd.prove")
 	p, ok := ci.prover(goal.Rel).Prove(goal, opt.Obs)
 	psp.End()
 	if ok {
-		return Answer{Verdict: Yes, Engine: "fd", Proof: p.String()}, nil
+		return Answer{Verdict: Yes, Engine: "fd", Proof: p.Render(g.text())}, nil
 	}
 	return Answer{Verdict: No, Engine: "fd"}, nil
 }
@@ -612,14 +675,15 @@ func (s *System) queryUnary(relevant []deps.Dependency, goal deps.Dependency, op
 	return Answer{Verdict: No, Engine: "unary"}, nil
 }
 
-func (s *System) queryChase(ci *compIndex, goal deps.Dependency, opt Options, sp *obs.Span) (Answer, error) {
+func (s *System) queryChase(ci *compIndex, g Goal, opt Options, sp *obs.Span) (Answer, error) {
+	goal := g.Dep
 	relevant := ci.members
 	// Fast path: a goal already provable from the same-class fragment of
 	// Σ is implied a fortiori, and those engines produce formal proofs.
-	switch g := goal.(type) {
+	switch dg := goal.(type) {
 	case deps.IND:
 		dsp := sp.StartSpan("ind.decide")
-		res, err := decideIND(opt, s.db, ci.inds, g)
+		res, err := decideIND(opt, s.db, ci.inds, dg)
 		dsp.End()
 		res.Stats.Record(opt.Obs)
 		if err != nil {
@@ -634,16 +698,16 @@ func (s *System) queryChase(ci *compIndex, goal deps.Dependency, opt Options, sp
 		}
 	case deps.FD:
 		psp := sp.StartSpan("fd.prove")
-		p, ok := ci.prover(g.Rel).Prove(g, opt.Obs)
+		p, ok := ci.prover(dg.Rel).Prove(dg, opt.Obs)
 		psp.End()
 		if ok {
-			return Answer{Verdict: Yes, Engine: "fd", Proof: p.String()}, nil
+			return Answer{Verdict: Yes, Engine: "fd", Proof: p.Render(g.text())}, nil
 		}
 	}
 	res, err := chase.Implies(s.db, relevant, goal, chase.Options{
 		MaxTuples: opt.ChaseMaxTuples, Obs: opt.Obs, Span: sp, Ctx: opt.Ctx,
 		Provenance: opt.Provenance, Profile: opt.Profile, Footprint: opt.Footprint,
-		Pool: opt.ChasePool,
+		Pool: opt.ChasePool, PoolKey: s.chasePoolKey(ci),
 	})
 	if err != nil {
 		// A cancelled chase returns the rounds and tuples it managed —
@@ -699,13 +763,14 @@ func (s *System) Satisfies(db *data.Database) (bool, deps.Dependency, error) {
 // answers. The string is empty when the engine has nothing beyond the
 // verdict (chase Yes without provenance, or Unknown).
 func (s *System) Explain(goal deps.Dependency, opt Options, finite bool) (Answer, string, error) {
-	var a Answer
-	var err error
-	if finite {
-		a, err = s.ImpliesFinite(goal, opt)
-	} else {
-		a, err = s.Implies(goal, opt)
-	}
+	return s.ExplainGoal(Goal{Dep: goal}, opt, finite)
+}
+
+// ExplainGoal is Explain for a goal whose text its caller already
+// rendered.
+func (s *System) ExplainGoal(g Goal, opt Options, finite bool) (Answer, string, error) {
+	goal := g.Dep
+	a, err := s.query(g, opt, finite)
 	if err != nil {
 		return a, "", err
 	}

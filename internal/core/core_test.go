@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -394,5 +395,39 @@ func TestUninstrumentedAnswerHasNoSnapshot(t *testing.T) {
 	}
 	if a.INDStats == nil {
 		t.Errorf("INDStats should be surfaced even without a registry")
+	}
+}
+
+// TestNoTraceKeepsCounters: Options.NoTrace builds no span tree, and
+// changes nothing else — the same verdict, proof and engine, and the
+// same fd.*, ind.* and chase.* counters in the registry as a traced
+// query of the same goal, on each of the three engines.
+func TestNoTraceKeepsCounters(t *testing.T) {
+	for _, inst := range keyInstances()[:3] { // the fd chain, the IND chain, Prop 4.1
+		s := NewSystem(inst.db)
+		if err := s.Add(inst.sigma...); err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range inst.goals {
+			traced, untraced := obs.New(), obs.New()
+			want, err := s.Implies(g, Options{Obs: traced})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.ImpliesGoal(Goal{Dep: g, Text: g.String()}, Options{Obs: untraced, NoTrace: true}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Trace == nil || got.Trace != nil {
+				t.Errorf("%s %v: traced tree %v, untraced tree %v; want one and none", inst.name, g, want.Trace != nil, got.Trace != nil)
+			}
+			if got.Verdict != want.Verdict || got.Engine != want.Engine || got.Proof != want.Proof {
+				t.Errorf("%s %v: untraced %v/%s, traced %v/%s", inst.name, g, got.Verdict, got.Engine, want.Verdict, want.Engine)
+			}
+			w, u := traced.Snapshot(), untraced.Snapshot()
+			if len(w.Counters) == 0 || !maps.Equal(w.Counters, u.Counters) {
+				t.Errorf("%s %v: counters differ\ntraced:   %v\nuntraced: %v", inst.name, g, w.Counters, u.Counters)
+			}
+		}
 	}
 }

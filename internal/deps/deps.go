@@ -79,9 +79,16 @@ func NewFD(rel string, x, y []schema.Attribute) FD {
 // Kind returns KindFD.
 func (f FD) Kind() Kind { return KindFD }
 
-// String renders the FD as "R: A,B -> C".
+// String renders the FD as "R: A,B -> C", in one allocation.
 func (f FD) String() string {
-	return f.Rel + ": " + schema.JoinAttrs(f.X) + " -> " + schema.JoinAttrs(f.Y)
+	var b strings.Builder
+	b.Grow(len(f.Rel) + len(": ") + schema.JoinedLen(f.X) + len(" -> ") + schema.JoinedLen(f.Y))
+	b.WriteString(f.Rel)
+	b.WriteString(": ")
+	schema.WriteAttrs(&b, f.X)
+	b.WriteString(" -> ")
+	schema.WriteAttrs(&b, f.Y)
+	return b.String()
 }
 
 // Key returns a canonical key. FD satisfaction depends only on the *sets*
@@ -136,9 +143,19 @@ func (d IND) Kind() Kind { return KindIND }
 // of width at most k "k-ary".
 func (d IND) Width() int { return len(d.X) }
 
-// String renders the IND as "R[A,B] <= S[C,D]".
+// String renders the IND as "R[A,B] <= S[C,D]", in one allocation.
 func (d IND) String() string {
-	return d.LRel + "[" + schema.JoinAttrs(d.X) + "] <= " + d.RRel + "[" + schema.JoinAttrs(d.Y) + "]"
+	var b strings.Builder
+	b.Grow(len(d.LRel) + len("[") + schema.JoinedLen(d.X) + len("] <= ") + len(d.RRel) + len("[") + schema.JoinedLen(d.Y) + len("]"))
+	b.WriteString(d.LRel)
+	b.WriteByte('[')
+	schema.WriteAttrs(&b, d.X)
+	b.WriteString("] <= ")
+	b.WriteString(d.RRel)
+	b.WriteByte('[')
+	schema.WriteAttrs(&b, d.Y)
+	b.WriteByte(']')
+	return b.String()
 }
 
 // Key returns a canonical key. IND satisfaction is invariant under
@@ -233,9 +250,17 @@ func NewRD(rel string, x, y []schema.Attribute) RD {
 // Kind returns KindRD.
 func (r RD) Kind() Kind { return KindRD }
 
-// String renders the RD as "R[A,B == C,D]".
+// String renders the RD as "R[A,B == C,D]", in one allocation.
 func (r RD) String() string {
-	return r.Rel + "[" + schema.JoinAttrs(r.X) + " == " + schema.JoinAttrs(r.Y) + "]"
+	var b strings.Builder
+	b.Grow(len(r.Rel) + len("[") + schema.JoinedLen(r.X) + len(" == ") + schema.JoinedLen(r.Y) + len("]"))
+	b.WriteString(r.Rel)
+	b.WriteByte('[')
+	schema.WriteAttrs(&b, r.X)
+	b.WriteString(" == ")
+	schema.WriteAttrs(&b, r.Y)
+	b.WriteByte(']')
+	return b.String()
 }
 
 // Key returns a canonical key. The RD R[X=Y] is equivalent to the set of

@@ -140,15 +140,17 @@ func stepLine(g deps.FD) string {
 	return " via " + g.String() + " (augmentation + transitivity)\n"
 }
 
-// String renders the proof as a numbered derivation. It runs on the
-// serving hot path (every fd Yes answer carries one), so it writes into
-// one builder sized up front, and a Prover's steps bring their FD
-// already rendered.
-func (p Proof) String() string {
-	goal := p.Goal.String()
-	start := schema.JoinAttrs(p.Goal.X)
+// String renders the proof as a numbered derivation.
+func (p Proof) String() string { return p.Render(p.Goal.String()) }
+
+// Render is String under the goal text goal, which must be
+// p.Goal.String(): a server that renders each goal once for its
+// response hands the same text in here. It runs on the serving hot path
+// (every fd Yes answer carries one), so it writes into one builder
+// sized up front, and a Prover's steps bring their FD already rendered.
+func (p Proof) Render(goal string) string {
 	const stepFixed = len("  . derive ") + 5 // plus up to five digits
-	n := len("goal: \n  start with  (reflexivity)\n  qed") + len(goal) + len(start)
+	n := len("goal: \n  start with  (reflexivity)\n  qed") + len(goal) + schema.JoinedLen(p.Goal.X)
 	for _, s := range p.Steps {
 		n += stepFixed + len(s.Derived) + len(s.line)
 	}
@@ -157,7 +159,7 @@ func (p Proof) String() string {
 	b.WriteString("goal: ")
 	b.WriteString(goal)
 	b.WriteString("\n  start with ")
-	b.WriteString(start)
+	schema.WriteAttrs(&b, p.Goal.X)
 	b.WriteString(" (reflexivity)\n")
 	var num [20]byte
 	for i, s := range p.Steps {

@@ -80,6 +80,10 @@ func NewProver(rel string, sigma []deps.FD) *Prover {
 	return p
 }
 
+// stackAttrs is the attribute count up to which Prove keeps its
+// closure scratch on the stack.
+const stackAttrs = 128
+
 // coversMask reports whether every bit of need is set in have.
 func coversMask(have, need []uint64) bool {
 	for w := range need {
@@ -100,13 +104,23 @@ func (p *Prover) Prove(f deps.FD, reg *obs.Registry) (Proof, bool) {
 	reg.Counter("fd.prove_calls").Inc()
 	cPasses := reg.Counter("fd.closure_passes")
 	cDerived := reg.Counter("fd.attrs_derived")
-	closure := make([]uint64, p.words)
+	// The closure's scratch lives on the stack for up to stackAttrs
+	// attributes: only the proof's steps reach the heap.
+	var closureBuf [stackAttrs / 64]uint64
+	var derivedBuf [stackAttrs]int32
+	var neededBuf [stackAttrs]bool
+	closure, derivedBy, needed := closureBuf[:], derivedBuf[:], neededBuf[:]
+	if len(p.attrs) > stackAttrs {
+		closure = make([]uint64, p.words)
+		derivedBy = make([]int32, len(p.attrs))
+		needed = make([]bool, len(p.attrs))
+	}
+	closure, derivedBy, needed = closure[:p.words], derivedBy[:len(p.attrs)], needed[:len(p.attrs)]
 	for _, a := range f.X {
 		if i, ok := p.idx[a]; ok {
 			closure[i/64] |= 1 << (i % 64)
 		}
 	}
-	derivedBy := make([]int32, len(p.attrs))
 	for i := range derivedBy {
 		derivedBy[i] = -1
 	}
@@ -146,7 +160,6 @@ func (p *Prover) Prove(f deps.FD, reg *obs.Registry) (Proof, bool) {
 	// Walk back from the goal attributes, collecting the needed steps'
 	// attributes in the same post-order as ProveObs, then build the
 	// steps in one allocation.
-	needed := make([]bool, len(p.attrs))
 	var small [32]int32
 	order := small[:0]
 	for _, b := range f.Y {

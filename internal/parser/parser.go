@@ -301,7 +301,10 @@ func parseScheme(s string) (*schema.Scheme, error) {
 	return schema.NewScheme(name, attrs...)
 }
 
-// parseDep parses one dependency.
+// parseDep parses one dependency. Its attribute names are substrings of
+// s, and the FD, IND and RD forms hold both sides in one backing array
+// (parseSides): the serving path parses every goal of every request
+// here.
 func parseDep(s string) (deps.Dependency, error) {
 	// EMVD: "R: X ->> Y | Z" — check before FD since "->>" contains "->".
 	if colon := strings.Index(s, ":"); colon >= 0 && strings.Contains(s, "->>") {
@@ -327,17 +330,20 @@ func parseDep(s string) (deps.Dependency, error) {
 		return deps.NewEMVD(rel, x, y, z), nil
 	}
 	// IND: "R[X] <= S[Y]".
-	if strings.Contains(s, "<=") {
-		parts := strings.SplitN(s, "<=", 2)
-		lrel, x, err := parseBracketed(strings.TrimSpace(parts[0]))
+	if lhs, rhs, ok := strings.Cut(s, "<="); ok {
+		lrel, xs, err := splitBracketed(strings.TrimSpace(lhs))
 		if err != nil {
 			return nil, err
 		}
-		rrel, y, err := parseBracketed(strings.TrimSpace(parts[1]))
+		rrel, ys, err := splitBracketed(strings.TrimSpace(rhs))
 		if err != nil {
 			return nil, err
 		}
-		return deps.NewIND(lrel, x, rrel, y), nil
+		x, y, err := parseSides(xs, ys, false)
+		if err != nil {
+			return nil, err
+		}
+		return deps.IND{LRel: lrel, X: x, RRel: rrel, Y: y}, nil
 	}
 	// RD: "R[X == Y]".
 	if strings.Contains(s, "==") && strings.Contains(s, "[") {
@@ -346,81 +352,96 @@ func parseDep(s string) (deps.Dependency, error) {
 			return nil, fmt.Errorf("parser: malformed RD %q, want R[X == Y]", s)
 		}
 		rel := strings.TrimSpace(s[:open])
-		body := s[open+1 : len(s)-1]
-		sides := strings.SplitN(body, "==", 2)
-		if len(sides) != 2 {
+		xs, ys, ok := strings.Cut(s[open+1:len(s)-1], "==")
+		if !ok {
 			return nil, fmt.Errorf("parser: malformed RD %q", s)
 		}
-		x, err := parseAttrList(sides[0])
+		x, y, err := parseSides(xs, ys, false)
 		if err != nil {
 			return nil, err
 		}
-		y, err := parseAttrList(sides[1])
-		if err != nil {
-			return nil, err
-		}
-		return deps.NewRD(rel, x, y), nil
+		return deps.RD{Rel: rel, X: x, Y: y}, nil
 	}
 	// FD: "R: X -> Y".
 	if colon := strings.Index(s, ":"); colon >= 0 && strings.Contains(s[colon+1:], "->") {
 		rel := strings.TrimSpace(s[:colon])
-		rest := s[colon+1:]
-		arrow := strings.Index(rest, "->")
-		x, err := parseAttrListAllowEmpty(rest[:arrow])
+		xs, ys, _ := strings.Cut(s[colon+1:], "->")
+		x, y, err := parseSides(xs, ys, true)
 		if err != nil {
 			return nil, err
 		}
-		y, err := parseAttrList(rest[arrow+2:])
-		if err != nil {
-			return nil, err
-		}
-		return deps.NewFD(rel, x, y), nil
+		return deps.FD{Rel: rel, X: x, Y: y}, nil
 	}
 	return nil, fmt.Errorf("parser: unrecognized dependency %q", s)
 }
 
-// parseBracketed parses "R[A,B]" into the relation name and attributes.
-func parseBracketed(s string) (string, []schema.Attribute, error) {
+// splitBracketed splits "R[A,B]" into the relation name and the
+// attribute list between the brackets, unparsed.
+func splitBracketed(s string) (string, string, error) {
 	open := strings.Index(s, "[")
 	if open < 0 || !strings.HasSuffix(s, "]") {
-		return "", nil, fmt.Errorf("parser: malformed projection %q, want R[A,B]", s)
+		return "", "", fmt.Errorf("parser: malformed projection %q, want R[A,B]", s)
 	}
-	name := strings.TrimSpace(s[:open])
-	attrs, err := parseAttrList(s[open+1 : len(s)-1])
-	if err != nil {
-		return "", nil, err
-	}
-	return name, attrs, nil
+	return strings.TrimSpace(s[:open]), s[open+1 : len(s)-1], nil
 }
 
-func parseAttrList(s string) ([]schema.Attribute, error) {
-	attrs, err := parseAttrListAllowEmpty(s)
-	if err != nil {
-		return nil, err
+// parseSides parses a dependency's two attribute lists into one backing
+// array, each side capped at its own length so that appending to one
+// never writes into the other. Only an FD's left side may be empty, and
+// an empty side is nil.
+func parseSides(xs, ys string, emptyX bool) (x, y []schema.Attribute, err error) {
+	attrs := make([]schema.Attribute, 0, attrCount(xs)+attrCount(ys))
+	if attrs, err = appendAttrList(attrs, xs, emptyX); err != nil {
+		return nil, nil, err
 	}
-	if len(attrs) == 0 {
+	n := len(attrs)
+	if attrs, err = appendAttrList(attrs, ys, false); err != nil {
+		return nil, nil, err
+	}
+	if n > 0 {
+		x = attrs[:n:n]
+	}
+	return x, attrs[n:], nil
+}
+
+// parseAttrList parses one non-empty attribute list.
+func parseAttrList(s string) ([]schema.Attribute, error) {
+	return appendAttrList(make([]schema.Attribute, 0, attrCount(s)), s, false)
+}
+
+// attrCount is the number of names a comma-separated list holds: none
+// when it is blank.
+func attrCount(s string) int {
+	if strings.TrimSpace(s) == "" {
+		return 0
+	}
+	return strings.Count(s, ",") + 1
+}
+
+// appendAttrList scans a comma-separated attribute list onto dst, each
+// name a substring of s. A blank list appends nothing, and is an error
+// unless allowEmpty.
+func appendAttrList(dst []schema.Attribute, s string, allowEmpty bool) ([]schema.Attribute, error) {
+	list := strings.TrimSpace(s)
+	if list == "" {
+		if allowEmpty {
+			return dst, nil
+		}
 		return nil, fmt.Errorf("parser: empty attribute list")
 	}
-	return attrs, nil
-}
-
-func parseAttrListAllowEmpty(s string) ([]schema.Attribute, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	var out []schema.Attribute
-	for _, part := range strings.Split(s, ",") {
+	for rest := list; ; {
+		part, tail, more := strings.Cut(rest, ",")
 		a := strings.TrimSpace(part)
 		if a == "" {
-			return nil, fmt.Errorf("parser: empty attribute name in %q", s)
+			return nil, fmt.Errorf("parser: empty attribute name in %q", list)
 		}
-		for _, r := range a {
-			if r == '[' || r == ']' || r == '(' || r == ')' || r == ' ' {
-				return nil, fmt.Errorf("parser: bad attribute name %q", a)
-			}
+		if strings.ContainsAny(a, "[]() ") {
+			return nil, fmt.Errorf("parser: bad attribute name %q", a)
 		}
-		out = append(out, schema.Attribute(a))
+		dst = append(dst, schema.Attribute(a))
+		if !more {
+			return dst, nil
+		}
+		rest = tail
 	}
-	return out, nil
 }

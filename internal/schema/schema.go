@@ -259,19 +259,30 @@ func JoinAttrs(seq []Attribute) string {
 	case 1:
 		return string(seq[0])
 	}
-	n := len(seq) - 1
+	var b strings.Builder
+	b.Grow(JoinedLen(seq))
+	WriteAttrs(&b, seq)
+	return b.String()
+}
+
+// JoinedLen is len(JoinAttrs(seq)), for a caller sizing one builder for
+// a text that embeds several sequences.
+func JoinedLen(seq []Attribute) int {
+	n := max(len(seq)-1, 0)
 	for _, a := range seq {
 		n += len(a)
 	}
-	var b strings.Builder
-	b.Grow(n)
+	return n
+}
+
+// WriteAttrs writes JoinAttrs(seq) into b.
+func WriteAttrs(b *strings.Builder, seq []Attribute) {
 	for i, a := range seq {
 		if i > 0 {
 			b.WriteByte(',')
 		}
 		b.WriteString(string(a))
 	}
-	return b.String()
 }
 
 // Concat returns the concatenation of attribute sequences.

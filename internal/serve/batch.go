@@ -12,6 +12,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"strconv"
 	"sync"
@@ -65,8 +66,16 @@ type BatchResponse struct {
 	Error     string            `json:"error,omitempty"`
 }
 
+// batchWire is how a BatchRequest is decoded: its schema and sigma
+// fields stay raw JSON for the compiled-system memo (see impliesWire).
+type batchWire struct {
+	BatchRequest
+	Schema json.RawMessage `json:"schema,omitempty"`
+	Sigma  json.RawMessage `json:"sigma,omitempty"`
+}
+
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
+	var req batchWire
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -120,7 +129,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				// The per-goal recorder is nil: the flight recorder keeps
 				// one record per HTTP request; per-goal telemetry lands in
 				// the digest store (inside solveGoal) instead.
-				ir, status, cache := s.solveGoal(ctx, p, p.goals[i], goalReq, extras,
+				ir, status, cache := s.solveGoal(ctx, p, p.goal(i), goalReq, extras,
 					resp.RequestID, nil, deadline.Milliseconds())
 				resp.Answers[i] = BatchGoalAnswer{ImpliesResponse: ir, Cache: cache, Status: status}
 			}

@@ -284,3 +284,33 @@ func TestImpliesCacheConcurrentClients(t *testing.T) {
 		t.Errorf("no cache hits across %d requests", 32*20)
 	}
 }
+
+// TestCachedCounterexampleText: a counterexample is rendered once, when
+// its answer enters the cache, and every hit serves that text: byte for
+// byte the miss's, for an ind No and a chase No.
+func TestCachedCounterexampleText(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{CacheSize: 64})
+	for _, c := range []struct{ engine, body string }{
+		{"ind", `{"schema": ["MGR(NAME, DEPT)", "EMP(NAME, DEPT, SAL)"],
+			"sigma": ["MGR[NAME,DEPT] <= EMP[NAME,DEPT]"], "goal": "EMP[NAME] <= MGR[NAME]"}`},
+		{"chase", `{"schema": ["R(X, Y)", "S(T, U)"],
+			"sigma": ["R[X,Y] <= S[T,U]", "S: T -> U"], "goal": "S: U -> T"}`},
+	} {
+		var texts [2]string
+		for i, want := range []string{"MISS", "HIT"} {
+			r, b := postJSON(t, ts.URL+"/v1/implies", c.body)
+			var resp ImpliesResponse
+			if err := json.Unmarshal(b, &resp); err != nil || r.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d, %v\n%s", c.engine, r.StatusCode, err, b)
+			}
+			if got := r.Header.Get("X-Cache"); got != want || resp.Verdict != "no" || resp.Engine != c.engine || resp.Counterexample == "" {
+				t.Fatalf("%s: X-Cache %s verdict %s engine %s counterexample %q; want %s no %s with a counterexample",
+					c.engine, got, resp.Verdict, resp.Engine, resp.Counterexample, want, c.engine)
+			}
+			texts[i] = resp.Counterexample
+		}
+		if texts[0] != texts[1] {
+			t.Errorf("%s: hit's counterexample differs from the miss's\nmiss:\n%s\nhit:\n%s", c.engine, texts[0], texts[1])
+		}
+	}
+}

@@ -1,22 +1,25 @@
 // The compiled-system memo. Requests repeat their schema and Σ far more
-// often than they change them, and parsing and compiling the fields
-// (parseSchemaSigma, core.NewSystem, Add) costs more than many answers
-// do. The memo maps a request's raw schema and sigma fields to the
-// compiled *core.System, so a repeat skips all three, whether it is an
-// inline /v1/implies, /v1/explain or /v1/batch request or a PUT
-// /v1/schemas/{name} (compile.hits counts both): a compiled Σ is the
-// same object whether a request inlines it or names it. Goals are not
-// memoized: prepare parses every goal and validates it against the
-// system's scheme on every request. A compiled System is immutable
-// after Add and already shared across goroutines, so one memoized
-// System serves any number of requests.
+// often than they change them, and decoding, parsing and compiling the
+// fields (decodeEntries, parseSchemaSigma, core.NewSystem, Add) costs
+// more than many answers do. The memo maps a request's schema and sigma
+// fields, as the raw JSON bytes it sent, to the compiled *core.System,
+// so a repeat skips all four, whether it is an inline /v1/implies,
+// /v1/explain or /v1/batch request or a PUT /v1/schemas/{name}
+// (compile.hits counts both): a compiled Σ is the same object whether a
+// request inlines it or names it. Equal bytes decode to equal fields,
+// so a hit is exact; a body that spells the same fields differently
+// (other whitespace, other escapes) is a miss and compiles a system of
+// its own. Goals are not memoized: prepare parses every goal and
+// validates it against the system's scheme on every request. A compiled
+// System is immutable after Add and already shared across goroutines,
+// so one memoized System serves any number of requests.
 package serve
 
 import (
 	"container/list"
+	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 
 	"indfd/internal/core"
@@ -33,7 +36,7 @@ const (
 )
 
 // compileMemo is a concurrency-safe LRU of compiled systems, keyed by
-// the request's raw schema and sigma text. A system is stored only once
+// the request's raw schema and sigma bytes. A system is stored only once
 // its whole request proved valid, so a body that gets a 400 is parsed
 // again on every request and never retained. A nil *compileMemo is the
 // memo switched off: compile compiles every time without counting, put
@@ -66,18 +69,21 @@ func newCompileMemo(reg *obs.Registry) *compileMemo {
 	}
 }
 
-// compile returns the system for a request's schema and sigma fields
-// and counts the lookup: on a hit, the system an earlier request
-// compiled from the same text and an empty key; on a miss, a fresh
+// compile returns the system for a request's raw schema and sigma
+// fields and counts the lookup: on a hit, the system an earlier request
+// compiled from the same bytes and an empty key; on a miss, a fresh
 // compile and the key to put it under once its whole request proved
 // valid. A nil memo returns every fresh compile with an empty key.
-func (m *compileMemo) compile(schemaLines, sigma []string) (*core.System, string, error) {
+func (m *compileMemo) compile(schemaRaw, sigmaRaw json.RawMessage) (*core.System, string, error) {
 	var key string
 	if m != nil {
-		key = memoKey(schemaLines, sigma)
+		// The lookup builds its key on the stack; only a miss, whose key
+		// may be retained, copies it into a string.
+		var small [1 << 10]byte
+		kb := appendMemoKey(small[:0], schemaRaw, sigmaRaw)
 		var sys *core.System
 		m.mu.Lock()
-		if el, ok := m.entries[key]; ok {
+		if el, ok := m.entries[string(kb)]; ok {
 			m.lru.MoveToFront(el)
 			sys = el.Value.(*memoEntry).sys
 		}
@@ -87,6 +93,15 @@ func (m *compileMemo) compile(schemaLines, sigma []string) (*core.System, string
 			return sys, "", nil
 		}
 		m.misses.Inc()
+		key = string(kb)
+	}
+	schemaLines, err := decodeEntries("schema", schemaRaw)
+	if err != nil {
+		return nil, "", err
+	}
+	sigma, err := decodeEntries("sigma", sigmaRaw)
+	if err != nil {
+		return nil, "", err
 	}
 	db, members, err := parseSchemaSigma(schemaLines, sigma)
 	if err != nil {
@@ -130,30 +145,13 @@ func (m *compileMemo) len() int {
 	return m.lru.Len()
 }
 
-// memoKey encodes the two fields injectively: each field's entry count,
-// then every entry behind its byte length. Joining entries with a
-// separator would not be injective: ["R: A -> B\nR: B -> C"], one entry
-// with a line break (a 400), would share the key of its valid twin
-// ["R: A -> B", "R: B -> C"].
-func memoKey(schemaLines, sigma []string) string {
-	size := 0
-	for _, field := range [2][]string{schemaLines, sigma} {
-		size += 8
-		for _, e := range field {
-			size += 8 + len(e)
-		}
-	}
-	var b strings.Builder
-	b.Grow(size)
-	var num [20]byte
-	for _, field := range [2][]string{schemaLines, sigma} {
-		b.Write(strconv.AppendInt(num[:0], int64(len(field)), 10))
-		b.WriteByte(';')
-		for _, e := range field {
-			b.Write(strconv.AppendInt(num[:0], int64(len(e)), 10))
-			b.WriteByte(':')
-			b.WriteString(e)
-		}
-	}
-	return b.String()
+// appendMemoKey encodes the two raw fields injectively: the schema
+// field's byte length, a colon, its bytes, then the sigma field's
+// bytes. The length fixes where one field ends, so no two pairs of
+// fields share a key.
+func appendMemoKey(dst []byte, schemaRaw, sigmaRaw json.RawMessage) []byte {
+	dst = strconv.AppendInt(dst, int64(len(schemaRaw)), 10)
+	dst = append(dst, ':')
+	dst = append(dst, schemaRaw...)
+	return append(dst, sigmaRaw...)
 }

@@ -73,13 +73,18 @@ func TestCompileMemoDifferential(t *testing.T) {
 	budget := 200
 	compared := 0
 	for _, label := range labels {
-		body := bodies[label]
-		if rec := serveInProcess(srv.Handler(), http.MethodPost, "/v1/implies", body); rec.Code != http.StatusOK {
-			t.Fatalf("%s: warm-up = %d\n%s", label, rec.Code, rec.Body.String())
-		}
 		var req ImpliesRequest
-		if err := json.Unmarshal([]byte(body), &req); err != nil {
+		if err := json.Unmarshal([]byte(bodies[label]), &req); err != nil {
 			t.Fatalf("%s: %v", label, err)
+		}
+		// The memo keys on the fields' bytes as sent, so the warm-up
+		// sends the spelling json.Marshal gives the varied requests.
+		warm, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := serveInProcess(srv.Handler(), http.MethodPost, "/v1/implies", string(warm)); rec.Code != http.StatusOK {
+			t.Fatalf("%s: warm-up = %d\n%s", label, rec.Code, rec.Body.String())
 		}
 		for _, path := range []string{"/v1/implies", "/v1/explain", "/v1/batch"} {
 			budget++
@@ -402,5 +407,41 @@ func TestCompileMemoRaceHammer(t *testing.T) {
 	}
 	if n := srv.memo.len(); n > memoMaxSystems {
 		t.Errorf("memo holds %d systems, bound %d", n, memoMaxSystems)
+	}
+}
+
+// TestCompileMemoSpellings: the memo keys on the fields' raw bytes, so
+// two spellings of the same schema and sigma (here: the whitespace
+// inside the arrays) compile once each, hit on their own repeats, and
+// answer byte for byte alike apart from request_id and elapsed_us.
+func TestCompileMemoSpellings(t *testing.T) {
+	srv, reg, _ := newTestServer(t, Config{CacheSize: 64})
+	hits, misses := reg.Counter("compile.hits"), reg.Counter("compile.misses")
+	spellings := []string{
+		`{"schema":["R(A, B, C)"],"sigma":["R: A -> B","R: B -> C"],"goal":"R: A -> C"}`,
+		`{"schema": [ "R(A, B, C)" ], "sigma": [ "R: A -> B", "R: B -> C" ], "goal": "R: A -> C"}`,
+	}
+	var answers []string
+	for round := 0; round < 2; round++ {
+		for i, body := range spellings {
+			h, m := hits.Value(), misses.Value()
+			rec := serveInProcess(srv.Handler(), http.MethodPost, "/v1/implies", body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("spelling %d: status %d\n%s", i, rec.Code, rec.Body.String())
+			}
+			if wantHit := round == 1; (hits.Value() == h+1) != wantHit || (misses.Value() == m+1) == wantHit {
+				t.Errorf("round %d spelling %d: compile.hits %d -> %d, misses %d -> %d; want hit=%t",
+					round, i, h, hits.Value(), m, misses.Value(), wantHit)
+			}
+			answers = append(answers, stripVolatile(t, rec.Body.Bytes()))
+		}
+	}
+	if n := srv.memo.len(); n != 2 {
+		t.Errorf("memo holds %d systems, want one per spelling", n)
+	}
+	for i, a := range answers[1:] {
+		if a != answers[0] {
+			t.Errorf("answer %d differs:\n%s\nwant:\n%s", i+1, a, answers[0])
+		}
 	}
 }

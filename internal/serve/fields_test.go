@@ -366,7 +366,7 @@ func TestFieldParseMatchesDocument(t *testing.T) {
 			if name != "" {
 				schemaLines, sigmaLines = nil, nil
 			}
-			p, err := srv.prepare(name, schemaLines, sigmaLines, "goal", []string{req.Goal})
+			p, err := srv.prepare(name, rawField(t, schemaLines), rawField(t, sigmaLines), "goal", []string{req.Goal})
 			if err != nil {
 				t.Fatalf("%s (schema_name %q): prepare: %v", label, name, err)
 			}
@@ -378,6 +378,16 @@ func TestFieldParseMatchesDocument(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rawField is a schema or sigma field as a request body carries it.
+func rawField(t *testing.T, entries []string) json.RawMessage {
+	t.Helper()
+	raw, err := json.Marshal(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // fuzzServer is one in-process server per fuzz target, with the answer

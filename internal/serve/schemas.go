@@ -21,6 +21,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 
 	"indfd/internal/core"
@@ -92,7 +93,12 @@ type AlgebraResponse struct {
 func (s *Server) handleSchemaPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	resp := SchemaResponse{RequestID: RequestID(r.Context()), Name: name}
-	var req SchemaPutRequest
+	// The fields stay raw JSON for the compiled-system memo (see
+	// impliesWire); SchemaPutRequest documents their decoded shape.
+	var req struct {
+		Schema json.RawMessage `json:"schema"`
+		Sigma  json.RawMessage `json:"sigma"`
+	}
 	if !s.decodeBody(w, r, &req) {
 		return
 	}

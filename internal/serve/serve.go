@@ -61,11 +61,15 @@
 // their entry ("sigma[1]: …").
 //
 // While the answer cache is on, a schema and Σ sent as request fields
-// are compiled once: a bounded LRU memo (compile.go) maps the raw
-// schema and sigma fields to the compiled system, so a repeat inline
-// request or a re-PUT of a registered text skips the parse and the
-// compile. Goals are still parsed and validated on every request. Every
-// chase, inline or registered, draws its engine from one pool.
+// are compiled once: a bounded LRU memo (compile.go) maps the schema
+// and sigma fields, as the raw JSON bytes the body carried, to the
+// compiled system, so a repeat inline request or a re-PUT of a
+// registered text skips decoding the fields, the parse and the compile.
+// Goals are still parsed and validated on every request, each once, and
+// each goal's text is rendered once for the response, the cache key,
+// the digest and the proof. Only a request the flight recorder keeps
+// builds a span tree. Every chase, inline or registered, draws its
+// engine from one pool.
 //
 // Every request is stamped with W3C trace context: a valid incoming
 // traceparent's trace ID is honored (so depserve's spans land in the
@@ -431,8 +435,18 @@ type SatisfiesResponse struct {
 
 // --- handlers ---------------------------------------------------------------
 
+// impliesWire is how an ImpliesRequest is decoded: its schema and sigma
+// fields stay raw JSON, shadowing the embedded []string fields, so the
+// compiled-system memo keys on the bytes as sent and decodes them only
+// on a miss (decodeEntries).
+type impliesWire struct {
+	ImpliesRequest
+	Schema json.RawMessage `json:"schema"`
+	Sigma  json.RawMessage `json:"sigma"`
+}
+
 func (s *Server) handleImplies(w http.ResponseWriter, r *http.Request) {
-	var req ImpliesRequest
+	var req impliesWire
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -445,7 +459,7 @@ func (s *Server) handleImplies(w http.ResponseWriter, r *http.Request) {
 // the chase's derivation DAG, the unary engine's cardinality cycle, or
 // a counterexample) alongside the verdict.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req ImpliesRequest
+	var req impliesWire
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
@@ -461,6 +475,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 type prepared struct {
 	sys   *core.System
 	goals []deps.Dependency
+	// texts holds each goal's text, rendered once for the response, the
+	// cache key, the digest, the proof header and the span tree alike.
+	texts []string
 	// schemaName and version identify the registry entry when the
 	// request referenced one ("" / 0 for inline schemas).
 	schemaName string
@@ -469,12 +486,23 @@ type prepared struct {
 
 // prepare resolves a request's schema into a ready system and parses
 // its goals, each validated against that system's schema. With
-// schemaName set the registry entry supplies the compiled system;
-// otherwise the inline schema and Σ come from the compiled-system memo,
-// or are parsed entry by entry and compiled. Goals are parsed on every
-// call (see parseGoals for goalField).
-func (s *Server) prepare(schemaName string, schemaLines, sigma []string, goalField string, goals []string) (*prepared, error) {
+// schemaName set the registry entry supplies the compiled system, and
+// the inline fields must be absent, null or empty; otherwise the raw
+// schema and sigma fields come from the compiled-system memo, or are
+// decoded, parsed entry by entry and compiled. Goals are parsed on
+// every call (see parseGoals for goalField).
+func (s *Server) prepare(schemaName string, schemaRaw, sigmaRaw json.RawMessage, goalField string, goals []string) (*prepared, error) {
+	var p prepared
+	var key string
 	if schemaName != "" {
+		schemaLines, err := decodeEntries("schema", schemaRaw)
+		if err != nil {
+			return nil, err
+		}
+		sigma, err := decodeEntries("sigma", sigmaRaw)
+		if err != nil {
+			return nil, err
+		}
 		if len(schemaLines) > 0 || len(sigma) > 0 {
 			return nil, errors.New("schema_name and inline schema/sigma are mutually exclusive")
 		}
@@ -482,24 +510,41 @@ func (s *Server) prepare(schemaName string, schemaLines, sigma []string, goalFie
 		if !ok {
 			return nil, fmt.Errorf("schema %q is not registered", schemaName)
 		}
-		parsed, err := parseGoals(e.Sys.DB(), goalField, goals)
+		p = prepared{sys: e.Sys, schemaName: e.Name, version: e.Version}
+	} else {
+		sys, k, err := s.memo.compile(schemaRaw, sigmaRaw)
 		if err != nil {
 			return nil, err
 		}
-		return &prepared{sys: e.Sys, goals: parsed, schemaName: e.Name, version: e.Version}, nil
+		p.sys, key = sys, k
 	}
-	sys, key, err := s.memo.compile(schemaLines, sigma)
-	if err != nil {
-		return nil, err
-	}
-	parsed, err := parseGoals(sys.DB(), goalField, goals)
+	parsed, err := parseGoals(p.sys.DB(), goalField, goals)
 	if err != nil {
 		return nil, err
 	}
 	// Retained only now that the whole request proved valid: a body that
 	// gets a 400 never enters the memo.
-	s.memo.put(key, sys)
-	return &prepared{sys: sys, goals: parsed}, nil
+	s.memo.put(key, p.sys)
+	p.goals = parsed
+	p.texts = make([]string, len(parsed))
+	for i, d := range parsed {
+		p.texts[i] = d.String()
+	}
+	return &p, nil
+}
+
+// decodeEntries decodes a raw schema or sigma field into its entries.
+// An absent or null field is none, without calling the decoder; a
+// field that is not an array of strings is an error naming it.
+func decodeEntries(field string, raw json.RawMessage) ([]string, error) {
+	if len(raw) == 0 || string(raw) == "null" {
+		return nil, nil
+	}
+	var entries []string
+	if err := json.Unmarshal(raw, &entries); err != nil {
+		return nil, fmt.Errorf("%s: %w", field, err)
+	}
+	return entries, nil
 }
 
 // parseGoals parses a request's goals, each validated against the
@@ -531,17 +576,24 @@ func parseGoals(db *schema.Database, goalField string, goals []string) ([]deps.D
 	return out, nil
 }
 
+// goal is the i-th goal with its rendered text.
+func (p *prepared) goal(i int) core.Goal {
+	return core.Goal{Dep: p.goals[i], Text: p.texts[i]}
+}
+
 // requestDeadline resolves a request's timeout_ms against the server's
 // default and cap.
 func (s *Server) requestDeadline(timeoutMS int64) time.Duration {
-	deadline := s.cfg.DefaultDeadline
-	if timeoutMS > 0 {
-		deadline = time.Duration(timeoutMS) * time.Millisecond
+	switch {
+	case timeoutMS <= 0:
+		return min(s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
+	case timeoutMS > int64(s.cfg.MaxDeadline/time.Millisecond):
+		// Capped before converting: a large timeout_ms would overflow
+		// time.Duration into a negative deadline.
+		return s.cfg.MaxDeadline
+	default:
+		return time.Duration(timeoutMS) * time.Millisecond
 	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
-	return deadline
 }
 
 // answerLabels is one serve.answers{engine,verdict} series.
@@ -575,9 +627,11 @@ func (s *Server) fingerprintExtras(req ImpliesRequest) []string {
 // the response body, its HTTP status, and the cache disposition ("hit",
 // "miss", or "" when the goal bypassed the cache). Each call observes
 // its own per-goal digest, so /debug/digests aggregates batch traffic
-// per query shape, not per batch envelope.
-func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependency, req ImpliesRequest, extras []string, requestID string, rec *obs.RequestRecord, deadlineMS int64) (ImpliesResponse, int, string) {
-	resp := ImpliesResponse{RequestID: requestID, Goal: goal.String(), Mode: "unrestricted", DeadlineMS: deadlineMS}
+// per query shape, not per batch envelope. A span tree is built only
+// for a goal whose record (rec, nil for batch goals and when nothing
+// records requests) will keep it.
+func (s *Server) solveGoal(ctx context.Context, p *prepared, g core.Goal, req ImpliesRequest, extras []string, requestID string, rec *obs.RequestRecord, deadlineMS int64) (ImpliesResponse, int, string) {
+	resp := ImpliesResponse{RequestID: requestID, Goal: g.Text, Mode: "unrestricted", DeadlineMS: deadlineMS}
 	if req.Finite {
 		resp.Mode = "finite"
 	}
@@ -588,6 +642,7 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 	opt := s.answerOptions(req)
 	opt.Profile = req.Profile
 	opt.Obs = s.reg
+	opt.NoTrace = rec == nil
 	opt.Ctx = ctx
 	opt.ChasePool = s.schemas.Pool()
 
@@ -606,7 +661,7 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 	cacheable := s.cache != nil && !req.IncludeMetrics && !req.Profile
 	cacheStatus := ""
 	if cacheable || s.dig != nil {
-		fingerprint = p.sys.QueryKey(goal, resp.Mode, extras...)
+		fingerprint = p.sys.GoalKey(g, resp.Mode, extras...)
 	}
 	// Only a registered schema can be edited, so only its answers carry
 	// footprint tags for InvalidateMembers, from the chase's capture of
@@ -619,7 +674,7 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 		cacheStatus = "miss"
 		lookup := time.Now()
 		if hit, ok := s.cache.Get(fingerprint); ok {
-			fillAnswer(&resp, hit.Answer)
+			fillRendered(&resp, hit.Answer, hit.Counterexample)
 			resp.Explanation = hit.Explanation
 			resp.ElapsedUS = time.Since(lookup).Microseconds()
 			if rec != nil {
@@ -650,11 +705,9 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 	var why string
 	var err error
 	if req.Explain {
-		a, why, err = p.sys.Explain(goal, opt, req.Finite)
-	} else if req.Finite {
-		a, err = p.sys.ImpliesFinite(goal, opt)
+		a, why, err = p.sys.ExplainGoal(g, opt, req.Finite)
 	} else {
-		a, err = p.sys.Implies(goal, opt)
+		a, err = p.sys.ImpliesGoal(g, opt, req.Finite)
 	}
 	resp.ElapsedUS = time.Since(start).Microseconds()
 	fillAnswer(&resp, a)
@@ -689,9 +742,9 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 		if cacheable && a.Verdict != core.Unknown {
 			var tags []string
 			if tagged {
-				tags = p.sys.AnswerTags(&a, goal)
+				tags = p.sys.AnswerTags(&a, g.Dep)
 			}
-			s.cache.PutTagged(fingerprint, core.CachedAnswer{Answer: a, Explanation: why}, tags)
+			s.cache.PutTagged(fingerprint, core.CachedAnswer{Answer: a, Explanation: why, Counterexample: resp.Counterexample}, tags)
 		}
 		observeDigest(false)
 		s.answers.get(answerLabels{a.Engine, a.Verdict.String()}).Inc()
@@ -713,7 +766,7 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, goal deps.Dependenc
 	}
 }
 
-func (s *Server) answerImplies(w http.ResponseWriter, r *http.Request, req ImpliesRequest) {
+func (s *Server) answerImplies(w http.ResponseWriter, r *http.Request, req impliesWire) {
 	resp := ImpliesResponse{RequestID: RequestID(r.Context())}
 	p, err := s.prepare(req.SchemaName, req.Schema, req.Sigma, "goal", []string{req.Goal})
 	if err != nil {
@@ -726,7 +779,7 @@ func (s *Server) answerImplies(w http.ResponseWriter, r *http.Request, req Impli
 	// The flight-recorder draft (nil when recording is off) gets the
 	// query identity and outcome inside solveGoal; the middleware
 	// retains it when the response is done.
-	resp, status, cacheStatus := s.solveGoal(ctx, p, p.goals[0], req, s.fingerprintExtras(req),
+	resp, status, cacheStatus := s.solveGoal(ctx, p, p.goal(0), req.ImpliesRequest, s.fingerprintExtras(req.ImpliesRequest),
 		resp.RequestID, record(r.Context()), deadline.Milliseconds())
 	switch cacheStatus {
 	case "hit":
@@ -954,14 +1007,22 @@ func parseSchemaSigma(schemaLines, sigma []string) (*schema.Database, []deps.Dep
 }
 
 // fillAnswer copies a core.Answer (possibly partial, on the deadline
-// path) into the response.
+// path) into the response, rendering its counterexample.
 func fillAnswer(resp *ImpliesResponse, a core.Answer) {
+	var counterexample string
+	if a.Counterexample != nil {
+		counterexample = a.Counterexample.String()
+	}
+	fillRendered(resp, a, counterexample)
+}
+
+// fillRendered is fillAnswer with the counterexample already rendered:
+// a cache hit serves the text its miss rendered and stored.
+func fillRendered(resp *ImpliesResponse, a core.Answer, counterexample string) {
 	resp.Verdict = a.Verdict.String()
 	resp.Engine = a.Engine
 	resp.Proof = a.Proof
-	if a.Counterexample != nil {
-		resp.Counterexample = a.Counterexample.String()
-	}
+	resp.Counterexample = counterexample
 	resp.ChaseRounds = a.ChaseRounds
 	resp.ChaseTuples = a.ChaseTuples
 	resp.Derivation = a.Derivation

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -625,4 +627,42 @@ func TestTraceBufferDisabled(t *testing.T) {
 		t.Errorf("disabled recorder trace lookup = %d, want 404", r.StatusCode)
 	}
 	r.Body.Close()
+}
+
+// TestTimeoutMSCappedBeforeConversion: timeout_ms is capped at
+// MaxDeadline before it becomes a time.Duration, so a huge value gets
+// the cap rather than an overflowed, negative deadline (an instant 503
+// "context deadline exceeded" that counted against the error budget).
+// Every value answers the Proposition 4.1 chase goal with deadline_ms =
+// min(v, 60000), on /v1/implies and on a batch goal.
+func TestTimeoutMSCappedBeforeConversion(t *testing.T) {
+	s := New(Config{Reg: obs.New(), Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))})
+	const fields = `"schema": ["R(X, Y)", "S(T, U)"], "sigma": ["R[X,Y] <= S[T,U]", "S: T -> U"]`
+	for _, v := range []int64{1, 60000, 60001, 1e13, math.MaxInt64} {
+		want := min(v, 60000)
+		for _, path := range []string{"/v1/implies", "/v1/batch"} {
+			body := fmt.Sprintf(`{%s, "goal": "R: X -> Y", "timeout_ms": %d}`, fields, v)
+			if path == "/v1/batch" {
+				body = fmt.Sprintf(`{%s, "goals": ["R: X -> Y"], "timeout_ms": %d}`, fields, v)
+			}
+			rec := serveInProcess(s.Handler(), http.MethodPost, path, body)
+			var got ImpliesResponse
+			if path == "/v1/batch" {
+				var resp BatchResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Answers) != 1 {
+					t.Fatalf("%s timeout_ms %d: %v\n%s", path, v, err, rec.Body.String())
+				}
+				got = resp.Answers[0].ImpliesResponse
+				if resp.Answers[0].Status != http.StatusOK {
+					rec.Code = resp.Answers[0].Status
+				}
+			} else if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatalf("%s timeout_ms %d: %v\n%s", path, v, err, rec.Body.String())
+			}
+			if rec.Code != http.StatusOK || got.Verdict != "yes" || got.DeadlineMS != want {
+				t.Errorf("%s timeout_ms %d: status %d verdict %q deadline_ms %d error %q; want 200 yes %d",
+					path, v, rec.Code, got.Verdict, got.DeadlineMS, got.Error, want)
+			}
+		}
+	}
 }
