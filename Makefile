@@ -62,11 +62,13 @@ race-hammer:
 # counterexample search at core's fallback bounds (Domain 3, MaxTuples
 # 3, RandomTrials 300), which runs on its caller's goroutine. The last
 # pins the serving path through the whole handler: a goal of a 64-goal
-# batch against a registered 32-attribute FD chain, within 8
-# allocations when every goal is cached and 10 when none is (each goal
-# parsed and rendered once, no span tree, a pooled key hash), and a
-# repeated inline /v1/implies whose fields hit the compiled-system memo
-# by their raw bytes, within 84. They skip themselves under -race too.
+# batch against a registered 32-attribute FD chain, answered in order
+# as depserve answers every batch, within 8 allocations when every goal
+# is cached and 10 when none is (each goal parsed and rendered once, no
+# span tree, a pooled key hash), and a repeated inline /v1/implies
+# whose fields hit the compiled-system memo by their raw bytes and
+# whose cache hit starts no deadline timer, within 77. They skip
+# themselves under -race too.
 # -count=1 defeats the test cache — an allocation regression must fail
 # here even when no _test.go file changed.
 zeroalloc:

@@ -12,7 +12,7 @@
 //	         [-slow 500ms] [-budget N] [-search]
 //	         [-cache-size 1024] [-cache-ttl 0] [-trace-buf 128]
 //	         [-digest-size 256] [-otlp-file FILE] [-otlp-endpoint URL]
-//	         [-max-batch 256] [-batch-fanout N]
+//	         [-max-batch 256]
 //	         [-ts-resolution 2s] [-ts-retention 15m] [-alert-rules FILE]
 //	         [-stats] [-trace-json FILE] [-pprof ADDR] [-memprofile FILE]
 //
@@ -23,8 +23,8 @@
 //	                     (proof, derivation DAG, or counterexample)
 //	POST /v1/satisfies   satisfaction check of concrete tuples
 //	POST /v1/batch       up to -max-batch goals against one inline or
-//	                     registered Σ, one shared setup, fanned across
-//	                     -batch-fanout workers
+//	                     registered Σ, one shared setup, answered in
+//	                     order on the request's goroutine
 //	PUT/GET/DELETE /v1/schemas/{name}  named-schema registry: versioned
 //	                     (schema, Σ) sets compiled once, through the
 //	                     same memo as inline requests; edits evict only
@@ -99,7 +99,6 @@ func main() {
 	otlpFile := flag.String("otlp-file", "", "append OTLP/JSON telemetry batches to this file (JSONL)")
 	otlpEndpoint := flag.String("otlp-endpoint", "", "POST OTLP/JSON telemetry batches to this URL")
 	maxBatch := flag.Int("max-batch", 256, "cap on the goals in one /v1/batch request")
-	batchFanout := flag.Int("batch-fanout", 0, "workers a batch's goals fan across (0 = GOMAXPROCS)")
 	tsResolution := flag.Duration("ts-resolution", 2*time.Second, "time-series sample interval for /debug/timeseries (0 disables history and alerting)")
 	tsRetention := flag.Duration("ts-retention", 15*time.Minute, "fine-resolution history retained (a coarser tier keeps 8x longer)")
 	alertRules := flag.String("alert-rules", "", "watchdog rules file: threshold and burn-rate SLO rules evaluated every tick")
@@ -112,7 +111,7 @@ func main() {
 	slog.SetDefault(logger)
 	if err := run(logger, *addr, *deadline, *maxDeadline, *slow, *budget, *search,
 		*cacheSize, *cacheTTL, *traceBuf, *digestSize, *otlpFile, *otlpEndpoint,
-		*maxBatch, *batchFanout,
+		*maxBatch,
 		*tsResolution, *tsRetention, *alertRules, obsFlags); err != nil {
 		fmt.Fprintln(os.Stderr, "depserve:", err)
 		os.Exit(1)
@@ -122,7 +121,7 @@ func main() {
 func run(logger *slog.Logger, addr string, deadline, maxDeadline, slow time.Duration,
 	budget int, search bool, cacheSize int, cacheTTL time.Duration,
 	traceBuf, digestSize int, otlpFile, otlpEndpoint string,
-	maxBatch, batchFanout int,
+	maxBatch int,
 	tsResolution, tsRetention time.Duration, alertRules string,
 	obsFlags *cliutil.ObsFlags) error {
 	// The server always runs instrumented — /metrics is its point — so
@@ -197,7 +196,6 @@ func run(logger *slog.Logger, addr string, deadline, maxDeadline, slow time.Dura
 		DigestSize:      digestSize,
 		Exporter:        exporter,
 		MaxBatch:        maxBatch,
-		BatchFanout:     batchFanout,
 		TSDB:            store,
 		Watchdog:        watchdog,
 	})

@@ -170,12 +170,17 @@ func (s *System) GoalKey(g Goal, mode string, extras ...string) string {
 // observability and deadlines, not the answer. Footprint is absent too:
 // like Profile capture it never changes the answer, only whether
 // Answer.Footprint is recorded, and serve strips that from responses.
+// The two flags take their constant spellings, so only the budget is
+// formatted.
 func FingerprintOptions(opt Options) []string {
-	return []string{
-		"budget=" + strconv.Itoa(opt.ChaseMaxTuples),
-		"search=" + strconv.FormatBool(opt.SearchFallback),
-		"provenance=" + strconv.FormatBool(opt.Provenance),
+	search, provenance := "search=false", "provenance=false"
+	if opt.SearchFallback {
+		search = "search=true"
 	}
+	if opt.Provenance {
+		provenance = "provenance=true"
+	}
+	return []string{"budget=" + strconv.Itoa(opt.ChaseMaxTuples), search, provenance}
 }
 
 // CachedAnswer is the unit an AnswerCache stores: a complete Answer plus

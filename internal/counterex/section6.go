@@ -2,8 +2,6 @@ package counterex
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"indfd/internal/data"
 	"indfd/internal/deps"
@@ -202,12 +200,11 @@ func (s *Section6) Verify() (Section6Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		want := gamma.Minus(s.Deltas[j])
-		exact, err := scanExact(universe, d, want)
+		fails, err := exactnessFailures(universe, d, gamma.Minus(s.Deltas[j]))
 		if err != nil {
 			return rep, err
 		}
-		rep.ArmstrongExact = append(rep.ArmstrongExact, exact)
+		rep.ArmstrongExact = append(rep.ArmstrongExact, len(fails) == 0)
 	}
 	return rep, nil
 }
@@ -219,15 +216,20 @@ func (s *Section6) ExactnessFailures(j int) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	gamma := deps.NewSet(s.Gamma()...).Minus(s.Deltas[j])
+	return exactnessFailures(s.Universe(), d, deps.NewSet(s.Gamma()...).Minus(s.Deltas[j]))
+}
+
+// exactnessFailures lists the universe members whose satisfaction in d
+// disagrees with membership in want, checking them one after another.
+func exactnessFailures(universe []deps.Dependency, d *data.Database, want *deps.Set) ([]string, error) {
 	var out []string
-	for _, tau := range s.Universe() {
+	for _, tau := range universe {
 		sat, err := d.Satisfies(tau)
 		if err != nil {
 			return nil, err
 		}
-		if sat != gamma.Contains(tau) {
-			out = append(out, fmt.Sprintf("%v: satisfied=%v inGamma=%v", tau, sat, gamma.Contains(tau)))
+		if in := want.Contains(tau); sat != in {
+			out = append(out, fmt.Sprintf("%v: satisfied=%v inGamma=%v", tau, sat, in))
 		}
 	}
 	return out, nil
@@ -255,54 +257,4 @@ func (s *Section6) ViolatesAllNontrivialMVDs(j int) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// scanExact checks, in parallel, that the database satisfies exactly the
-// members of want within the universe.
-func scanExact(universe []deps.Dependency, d *data.Database, want *deps.Set) (bool, error) {
-	nw := runtime.GOMAXPROCS(0)
-	if nw > 8 {
-		nw = 8
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		exact = true
-		first error
-	)
-	chunk := (len(universe) + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if lo >= len(universe) {
-			break
-		}
-		if hi > len(universe) {
-			hi = len(universe)
-		}
-		wg.Add(1)
-		go func(part []deps.Dependency) {
-			defer wg.Done()
-			for _, tau := range part {
-				sat, err := d.Satisfies(tau)
-				mu.Lock()
-				if err != nil && first == nil {
-					first = err
-				}
-				if sat != want.Contains(tau) {
-					exact = false
-				}
-				stop := !exact || first != nil
-				mu.Unlock()
-				if stop {
-					return
-				}
-			}
-		}(universe[lo:hi])
-	}
-	wg.Wait()
-	return exact && first == nil, first
 }

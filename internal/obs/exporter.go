@@ -52,8 +52,6 @@ type ExporterConfig struct {
 	// periodic metric documents. A nil Reg disables both (spans still
 	// flow).
 	Reg *Registry
-	// Service names the OTLP resource (default "depserve").
-	Service string
 	// FilePath appends one JSON document per line (created 0644).
 	FilePath string
 	// Endpoint receives one POST per document, Content-Type
@@ -82,9 +80,6 @@ func NewExporter(cfg ExporterConfig) (*Exporter, error) {
 	if cfg.FilePath == "" && cfg.Endpoint == "" {
 		return nil, nil
 	}
-	if cfg.Service == "" {
-		cfg.Service = "depserve"
-	}
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 256
 	}
@@ -102,7 +97,7 @@ func NewExporter(cfg ExporterConfig) (*Exporter, error) {
 		done:            make(chan struct{}),
 		exited:          make(chan struct{}),
 		reg:             cfg.Reg,
-		res:             OTLPResourceFor(cfg.Service),
+		res:             OTLPResourceFor(ServiceName),
 		endpoint:        cfg.Endpoint,
 		client:          cfg.Client,
 		batchSize:       cfg.BatchSize,

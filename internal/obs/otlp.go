@@ -185,6 +185,10 @@ func itoa(v int64) string {
 	return string(b)
 }
 
+// ServiceName is the service.name of the resource depserve exports
+// under, at /debug/otlp and through the Exporter alike.
+const ServiceName = "depserve"
+
 // OTLPResourceFor builds the resource block for a service: its name
 // plus the binary identity Build() resolves (service.version, Go
 // toolchain, VCS revision).

@@ -3,19 +3,20 @@
 // name — paying the request's fixed costs once: one JSON decode, one
 // parse/canonicalize/validate pass (or one registry lookup of a
 // pre-compiled entry), one deadline, one fingerprint pass per goal over
-// the already-built system. The goals then fan across a bounded worker
-// group; every goal runs through the same solveGoal path as a lone
-// /v1/implies request, so per-goal answers are byte-identical to what N
-// sequential requests would have returned (verdict, trace,
+// the already-built system. The goals are then answered in order, on the
+// request's goroutine; every goal runs through the same solveGoal path
+// as a lone /v1/implies request, so per-goal answers are byte-identical
+// to what N sequential requests would have returned (verdict, trace,
 // counterexample), with per-goal cache and timing fields attached.
+// Concurrency lives between requests: an FD goal costs microseconds,
+// and a batch's time goes to decode, goal parse and encode, which a
+// worker group per batch does not shorten (DESIGN §5.2).
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -34,9 +35,6 @@ type BatchRequest struct {
 	TimeoutMS  int64    `json:"timeout_ms,omitempty"`
 	Explain    bool     `json:"explain,omitempty"`
 	Provenance bool     `json:"provenance,omitempty"`
-	// Fanout lowers the server's batch worker bound for this request
-	// (0 = use Config.BatchFanout; values above the bound are clamped).
-	Fanout int `json:"fanout,omitempty"`
 }
 
 // BatchGoalAnswer is one goal's answer: the exact ImpliesResponse a
@@ -100,9 +98,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Schema, resp.Version = p.schemaName, p.version
 
-	deadline := s.requestDeadline(req.TimeoutMS)
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
+	dl := s.newDeadline(r.Context(), req.TimeoutMS)
+	defer dl.cancel()
 
 	// Per-goal options are the batch's knobs verbatim; solveGoal treats
 	// them exactly as a lone request's.
@@ -111,35 +108,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Explain: req.Explain, Provenance: req.Provenance,
 	}
 	extras := s.fingerprintExtras(goalReq)
-	fanout := s.cfg.BatchFanout
-	if req.Fanout > 0 && req.Fanout < fanout {
-		fanout = req.Fanout
-	}
-	if fanout > len(p.goals) {
-		fanout = len(p.goals)
-	}
 	resp.Answers = make([]BatchGoalAnswer, len(p.goals))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < fanout; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				// The per-goal recorder is nil: the flight recorder keeps
-				// one record per HTTP request; per-goal telemetry lands in
-				// the digest store (inside solveGoal) instead.
-				ir, status, cache := s.solveGoal(ctx, p, p.goal(i), goalReq, extras,
-					resp.RequestID, nil, deadline.Milliseconds())
-				resp.Answers[i] = BatchGoalAnswer{ImpliesResponse: ir, Cache: cache, Status: status}
-			}
-		}()
-	}
 	for i := range p.goals {
-		next <- i
+		// The per-goal recorder is nil: the flight recorder keeps one
+		// record per HTTP request; per-goal telemetry lands in the digest
+		// store (inside solveGoal) instead.
+		ir, status, cache := s.solveGoal(&dl, p, p.goal(i), goalReq, extras, resp.RequestID, nil)
+		resp.Answers[i] = BatchGoalAnswer{ImpliesResponse: ir, Cache: cache, Status: status}
+		if status != http.StatusOK {
+			s.batch.get("batch.goal_errors").Inc()
+		}
 	}
-	close(next)
-	wg.Wait()
 	resp.ElapsedUS = time.Since(start).Microseconds()
 
 	if rec := record(r.Context()); rec != nil {
@@ -148,10 +127,5 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.batch.get("batch.requests").Inc()
 	s.batch.get("batch.goals").Add(int64(len(p.goals)))
-	for i := range resp.Answers {
-		if resp.Answers[i].Status != http.StatusOK {
-			s.batch.get("batch.goal_errors").Inc()
-		}
-	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

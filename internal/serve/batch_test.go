@@ -87,50 +87,44 @@ func postBatch(t *testing.T, url, body string) (*http.Response, BatchResponse, [
 
 // TestBatchMatchesSequential is the acceptance pin: every per-goal batch
 // answer must be byte-identical (verdict, trace, counterexample, proof)
-// to the answer a lone /v1/implies request returns for the same goal —
-// at any batch-fanout setting. Caching is off on both sides so every
-// answer is computed fresh.
+// to the answer a lone /v1/implies request returns for the same goal.
+// Caching is off on both sides so every answer is computed fresh.
 func TestBatchMatchesSequential(t *testing.T) {
 	mix := map[string]any{
 		"schema": batchIdentitySchema,
 		"sigma":  batchIdentitySigma,
 		"goals":  batchIdentityGoals,
 	}
-	for _, fanout := range []int{1, 4} {
-		t.Run(fmt.Sprintf("fanout=%d", fanout), func(t *testing.T) {
-			_, _, ts := newTestServer(t, Config{})
-			mix["fanout"] = fanout
-			body, _ := json.Marshal(mix)
-			resp, env, answers := postBatch(t, ts.URL+"/v1/batch", string(body))
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("batch status = %d", resp.StatusCode)
-			}
-			if env.Goals != len(batchIdentityGoals) || len(answers) != len(batchIdentityGoals) {
-				t.Fatalf("goals/answers = %d/%d, want %d", env.Goals, len(answers), len(batchIdentityGoals))
-			}
-			for i, goal := range batchIdentityGoals {
-				one, _ := json.Marshal(map[string]any{
-					"schema": batchIdentitySchema,
-					"sigma":  batchIdentitySigma,
-					"goal":   goal,
-				})
-				r, b := postJSON(t, ts.URL+"/v1/implies", string(one))
-				if r.StatusCode != http.StatusOK {
-					t.Fatalf("implies %q = %d\n%s", goal, r.StatusCode, b)
-				}
-				var st struct {
-					Status int `json:"status"`
-				}
-				if err := json.Unmarshal(answers[i], &st); err != nil || st.Status != http.StatusOK {
-					t.Errorf("batch answer %q status = %d, want 200", goal, st.Status)
-				}
-				got := stripGoalVolatile(t, answers[i])
-				want := stripGoalVolatile(t, b)
-				if got != want {
-					t.Errorf("goal %q diverged:\nbatch:      %s\nsequential: %s", goal, got, want)
-				}
-			}
+	_, _, ts := newTestServer(t, Config{})
+	body, _ := json.Marshal(mix)
+	resp, env, answers := postBatch(t, ts.URL+"/v1/batch", string(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d", resp.StatusCode)
+	}
+	if env.Goals != len(batchIdentityGoals) || len(answers) != len(batchIdentityGoals) {
+		t.Fatalf("goals/answers = %d/%d, want %d", env.Goals, len(answers), len(batchIdentityGoals))
+	}
+	for i, goal := range batchIdentityGoals {
+		one, _ := json.Marshal(map[string]any{
+			"schema": batchIdentitySchema,
+			"sigma":  batchIdentitySigma,
+			"goal":   goal,
 		})
+		r, b := postJSON(t, ts.URL+"/v1/implies", string(one))
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("implies %q = %d\n%s", goal, r.StatusCode, b)
+		}
+		var st struct {
+			Status int `json:"status"`
+		}
+		if err := json.Unmarshal(answers[i], &st); err != nil || st.Status != http.StatusOK {
+			t.Errorf("batch answer %q status = %d, want 200", goal, st.Status)
+		}
+		got := stripGoalVolatile(t, answers[i])
+		want := stripGoalVolatile(t, b)
+		if got != want {
+			t.Errorf("goal %q diverged:\nbatch:      %s\nsequential: %s", goal, got, want)
+		}
 	}
 }
 
@@ -238,6 +232,55 @@ func TestBatchValidation(t *testing.T) {
 		resp, b := postJSON(t, ts.URL+"/v1/batch", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400; body %s", name, resp.StatusCode, b)
+		}
+	}
+}
+
+// TestBatchFanoutRejected: a batch answers its goals in order and has
+// no fanout knob, so a body that still sends one is a 400 naming the
+// unknown field, like any other typo.
+func TestBatchFanoutRejected(t *testing.T) {
+	_, _, ts := newTestServer(t, Config{})
+	resp, b := postJSON(t, ts.URL+"/v1/batch",
+		`{"schema": ["R(A, B)"], "sigma": ["R: A -> B"], "goals": ["R: A -> B"], "fanout": 2}`)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), `unknown field \"fanout\"`) {
+		t.Errorf("batch with fanout = %d %s, want 400 naming the field", resp.StatusCode, b)
+	}
+}
+
+// TestBatchDeadlineAfterCachedGoal: a cache hit runs no engine and
+// builds no deadline context, so a batch's first goal served from the
+// cache leaves the context to the goal after it. That goal still runs
+// under the deadline the request fixed: the cached goal answers 200 and
+// the divergent chase behind it 503 (one goal error), both carrying the
+// request's deadline_ms.
+func TestBatchDeadlineAfterCachedGoal(t *testing.T) {
+	_, reg, ts := newTestServer(t, Config{CacheSize: 64})
+	const batch = `{"schema": ["R(A, B, C)"], "sigma": ["R[A,B] <= R[B,C]", "R: A, B -> C"],
+		"goals": [%s], "budget": 1000000, "timeout_ms": 50}`
+	if r, b := postJSON(t, ts.URL+"/v1/batch", fmt.Sprintf(batch, `"R: A -> A"`)); r.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up batch = %d\n%s", r.StatusCode, b)
+	}
+	resp, _, answers := postBatch(t, ts.URL+"/v1/batch", fmt.Sprintf(batch, `"R: A -> A", "R: A -> C"`))
+	if resp.StatusCode != http.StatusOK || len(answers) != 2 {
+		t.Fatalf("batch = %d with %d answers, want 200 with 2", resp.StatusCode, len(answers))
+	}
+	for i, want := range []struct {
+		status int
+		cache  string
+	}{{http.StatusOK, "hit"}, {http.StatusServiceUnavailable, "miss"}} {
+		var a BatchGoalAnswer
+		if err := json.Unmarshal(answers[i], &a); err != nil {
+			t.Fatal(err)
+		}
+		if a.Status != want.status || a.Cache != want.cache || a.DeadlineMS != 50 {
+			t.Errorf("goal %d (%s) = status %d cache %q deadline_ms %d, want %d %q 50",
+				i, a.Goal, a.Status, a.Cache, a.DeadlineMS, want.status, want.cache)
+		}
+	}
+	for _, name := range []string{"serve.deadline_exceeded", "batch.goal_errors"} {
+		if n := reg.Counter(name).Value(); n != 1 {
+			t.Errorf("%s = %d, want 1", name, n)
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // 32-attribute FD chain, every one of the 496 goals Ai -> Aj (i < j)
 // answers yes with exactly the text of fd.ProveObs's proof — which
 // fd.Proof.Verify accepts — both computed (cache misses) and replayed
-// (cache hits), at batch fanout 1 and 4.
+// (cache hits).
 func TestBatchProofsMatchProveObs(t *testing.T) {
 	const n = 32
 	attrs := make([]string, n)
@@ -57,31 +57,29 @@ func TestBatchProofsMatchProveObs(t *testing.T) {
 		"sigma":  sigmaLines,
 	})
 
-	for _, fanout := range []int{1, 4} {
-		_, _, ts := newTestServer(t, Config{CacheSize: 4096, MaxBatch: 512})
-		putSchema(t, ts.URL, "chain", string(schemaBody))
-		batchBody, _ := json.Marshal(BatchRequest{SchemaName: "chain", Goals: goalLines, Fanout: fanout})
-		for pass, cache := range []string{"miss", "hit"} {
-			r, b := postJSON(t, ts.URL+"/v1/batch", string(batchBody))
-			if r.StatusCode != http.StatusOK {
-				t.Fatalf("fanout %d pass %d: status %d\n%s", fanout, pass, r.StatusCode, b)
+	_, _, ts := newTestServer(t, Config{CacheSize: 4096, MaxBatch: 512})
+	putSchema(t, ts.URL, "chain", string(schemaBody))
+	batchBody, _ := json.Marshal(BatchRequest{SchemaName: "chain", Goals: goalLines})
+	for pass, cache := range []string{"miss", "hit"} {
+		r, b := postJSON(t, ts.URL+"/v1/batch", string(batchBody))
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("pass %d: status %d\n%s", pass, r.StatusCode, b)
+		}
+		var resp BatchResponse
+		if err := json.Unmarshal(b, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Answers) != len(goals) {
+			t.Fatalf("pass %d: %d answers, want %d", pass, len(resp.Answers), len(goals))
+		}
+		for i, a := range resp.Answers {
+			if a.Verdict != "yes" || a.Engine != "fd" || a.Cache != cache {
+				t.Fatalf("goal %s: verdict %s engine %s cache %s, want yes fd %s",
+					goalLines[i], a.Verdict, a.Engine, a.Cache, cache)
 			}
-			var resp BatchResponse
-			if err := json.Unmarshal(b, &resp); err != nil {
-				t.Fatal(err)
-			}
-			if len(resp.Answers) != len(goals) {
-				t.Fatalf("fanout %d pass %d: %d answers, want %d", fanout, pass, len(resp.Answers), len(goals))
-			}
-			for i, a := range resp.Answers {
-				if a.Verdict != "yes" || a.Engine != "fd" || a.Cache != cache {
-					t.Fatalf("fanout %d goal %s: verdict %s engine %s cache %s, want yes fd %s",
-						fanout, goalLines[i], a.Verdict, a.Engine, a.Cache, cache)
-				}
-				if a.Proof != want[i] {
-					t.Fatalf("fanout %d goal %s (%s): proof differs from ProveObs\ngot:\n%s\nwant:\n%s",
-						fanout, goalLines[i], cache, a.Proof, want[i])
-				}
+			if a.Proof != want[i] {
+				t.Fatalf("goal %s (%s): proof differs from ProveObs\ngot:\n%s\nwant:\n%s",
+					goalLines[i], cache, a.Proof, want[i])
 			}
 		}
 	}

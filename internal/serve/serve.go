@@ -89,7 +89,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -159,15 +158,14 @@ type Config struct {
 	// non-blocking channel send: a slow collector drops records (counted
 	// in obs.export_dropped), never delays a response.
 	Exporter *obs.Exporter
-	// Service names the OTLP resource served at /debug/otlp (default
-	// "depserve").
-	Service string
 	// MaxBatch caps the number of goals in one POST /v1/batch body
 	// (default 256).
 	MaxBatch int
-	// BatchFanout bounds the worker group a batch's goals fan across
-	// (default GOMAXPROCS). A request's fanout field can lower it per
-	// batch, never raise it.
+	// BatchFanout is not read: a batch answers its goals in order, on
+	// the request's goroutine.
+	//
+	// Deprecated: depbench's in-process replay still sets it; it goes
+	// with that replay.
 	BatchFanout int
 	// TSDB, when non-nil, serves GET /debug/timeseries: the in-process
 	// time-series history the depserve sampler loop feeds (see
@@ -248,14 +246,8 @@ func New(cfg Config) *Server {
 	if cfg.DigestSize == 0 {
 		cfg.DigestSize = 256
 	}
-	if cfg.Service == "" {
-		cfg.Service = "depserve"
-	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 256
-	}
-	if cfg.BatchFanout <= 0 {
-		cfg.BatchFanout = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
 		cfg:           cfg,
@@ -581,18 +573,48 @@ func (p *prepared) goal(i int) core.Goal {
 	return core.Goal{Dep: p.goals[i], Text: p.texts[i]}
 }
 
-// requestDeadline resolves a request's timeout_ms against the server's
-// default and cap.
-func (s *Server) requestDeadline(timeoutMS int64) time.Duration {
+// deadline is a request's engine deadline. Its instant is fixed when the
+// request has been prepared; the context that enforces it is built on
+// the first goal that misses the cache, so a cache hit starts no timer.
+// A batch's later goals share that context: they run in order, on the
+// request's goroutine, so building it needs no lock.
+type deadline struct {
+	parent context.Context
+	at     time.Time
+	ms     int64 // the resolved timeout, echoed as deadline_ms
+	ctx    context.Context
+	stop   context.CancelFunc
+}
+
+// newDeadline starts a request's deadline now, its length timeout_ms
+// resolved against the server's default and cap.
+func (s *Server) newDeadline(parent context.Context, timeoutMS int64) deadline {
+	var d time.Duration
 	switch {
 	case timeoutMS <= 0:
-		return min(s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
+		d = min(s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
 	case timeoutMS > int64(s.cfg.MaxDeadline/time.Millisecond):
 		// Capped before converting: a large timeout_ms would overflow
 		// time.Duration into a negative deadline.
-		return s.cfg.MaxDeadline
+		d = s.cfg.MaxDeadline
 	default:
-		return time.Duration(timeoutMS) * time.Millisecond
+		d = time.Duration(timeoutMS) * time.Millisecond
+	}
+	return deadline{parent: parent, at: time.Now().Add(d), ms: d.Milliseconds()}
+}
+
+// context returns the context enforcing the deadline, built on first use.
+func (d *deadline) context() context.Context {
+	if d.ctx == nil {
+		d.ctx, d.stop = context.WithDeadline(d.parent, d.at)
+	}
+	return d.ctx
+}
+
+// cancel releases the context's timer, if a goal built one.
+func (d *deadline) cancel() {
+	if d.stop != nil {
+		d.stop()
 	}
 }
 
@@ -617,21 +639,26 @@ func (s *Server) answerOptions(req ImpliesRequest) core.Options {
 // fingerprint extras solveGoal keys its goals with. A request builds
 // them once; every goal of a batch shares them.
 func (s *Server) fingerprintExtras(req ImpliesRequest) []string {
-	return append(core.FingerprintOptions(s.answerOptions(req)), "explain="+strconv.FormatBool(req.Explain))
+	explain := "explain=false"
+	if req.Explain {
+		explain = "explain=true"
+	}
+	return append(core.FingerprintOptions(s.answerOptions(req)), explain)
 }
 
 // solveGoal answers one goal against a prepared system — the single
 // engine path behind /v1/implies, /v1/explain and every goal of a
 // /v1/batch, so batch answers are byte-identical to per-request ones by
-// construction. extras are the request's fingerprintExtras. It returns
-// the response body, its HTTP status, and the cache disposition ("hit",
-// "miss", or "" when the goal bypassed the cache). Each call observes
-// its own per-goal digest, so /debug/digests aggregates batch traffic
-// per query shape, not per batch envelope. A span tree is built only
-// for a goal whose record (rec, nil for batch goals and when nothing
-// records requests) will keep it.
-func (s *Server) solveGoal(ctx context.Context, p *prepared, g core.Goal, req ImpliesRequest, extras []string, requestID string, rec *obs.RequestRecord, deadlineMS int64) (ImpliesResponse, int, string) {
-	resp := ImpliesResponse{RequestID: requestID, Goal: g.Text, Mode: "unrestricted", DeadlineMS: deadlineMS}
+// construction. extras are the request's fingerprintExtras, and dl its
+// deadline, whose context only a goal that runs an engine builds. It
+// returns the response body, its HTTP status, and the cache disposition
+// ("hit", "miss", or "" when the goal bypassed the cache). Each call
+// observes its own per-goal digest, so /debug/digests aggregates batch
+// traffic per query shape, not per batch envelope. A span tree is built
+// only for a goal whose record (rec, nil for batch goals and when
+// nothing records requests) will keep it.
+func (s *Server) solveGoal(dl *deadline, p *prepared, g core.Goal, req ImpliesRequest, extras []string, requestID string, rec *obs.RequestRecord) (ImpliesResponse, int, string) {
+	resp := ImpliesResponse{RequestID: requestID, Goal: g.Text, Mode: "unrestricted", DeadlineMS: dl.ms}
 	if req.Finite {
 		resp.Mode = "finite"
 	}
@@ -643,7 +670,6 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, g core.Goal, req Im
 	opt.Profile = req.Profile
 	opt.Obs = s.reg
 	opt.NoTrace = rec == nil
-	opt.Ctx = ctx
 	opt.ChasePool = s.schemas.Pool()
 
 	// Answer cache: the answer is a pure function of (schema,
@@ -694,6 +720,7 @@ func (s *Server) solveGoal(ctx context.Context, p *prepared, g core.Goal, req Im
 		}
 	}
 
+	opt.Ctx = dl.context()
 	if req.IncludeMetrics {
 		// A registry of this request's own holds exactly its engine work
 		// whatever else the server runs; Merge below adds that work to
@@ -773,14 +800,13 @@ func (s *Server) answerImplies(w http.ResponseWriter, r *http.Request, req impli
 		s.badRequest(w, r, resp, err.Error())
 		return
 	}
-	deadline := s.requestDeadline(req.TimeoutMS)
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
-	defer cancel()
+	dl := s.newDeadline(r.Context(), req.TimeoutMS)
+	defer dl.cancel()
 	// The flight-recorder draft (nil when recording is off) gets the
 	// query identity and outcome inside solveGoal; the middleware
 	// retains it when the response is done.
-	resp, status, cacheStatus := s.solveGoal(ctx, p, p.goal(0), req.ImpliesRequest, s.fingerprintExtras(req.ImpliesRequest),
-		resp.RequestID, record(r.Context()), deadline.Milliseconds())
+	resp, status, cacheStatus := s.solveGoal(&dl, p, p.goal(0), req.ImpliesRequest, s.fingerprintExtras(req.ImpliesRequest),
+		resp.RequestID, record(r.Context()))
 	switch cacheStatus {
 	case "hit":
 		w.Header().Set("X-Cache", "HIT")
@@ -901,7 +927,7 @@ func (s *Server) handleObs(w http.ResponseWriter, r *http.Request) {
 // ships — curl it into any OTLP-ingesting backend or jq it locally.
 func (s *Server) handleOTLP(w http.ResponseWriter, r *http.Request) {
 	doc := obs.OTLPExport(s.reg.Snapshot(), s.rec.Recent(0),
-		obs.OTLPResourceFor(s.cfg.Service), time.Now())
+		obs.OTLPResourceFor(obs.ServiceName), time.Now())
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	if err := doc.WriteOTLP(w); err != nil {
 		s.log.Error("otlp exposition failed", "err", err)

@@ -304,7 +304,7 @@ func TestReadyzJSON(t *testing.T) {
 // carry the request's trace ID and whose metrics include the request
 // counter.
 func TestDebugOTLP(t *testing.T) {
-	_, _, ts := newTestServer(t, Config{TraceBuffer: 16, Service: "depserve-test"})
+	_, _, ts := newTestServer(t, Config{TraceBuffer: 16})
 	resp, _ := postJSON(t, ts.URL+"/v1/implies", fastImplies)
 	tid := resp.Header.Get("X-Trace-Id")
 
@@ -326,8 +326,8 @@ func TestDebugOTLP(t *testing.T) {
 			svc = kv.Value.StringValue
 		}
 	}
-	if svc != "depserve-test" {
-		t.Errorf("service.name = %q, want depserve-test", svc)
+	if svc != "depserve" {
+		t.Errorf("service.name = %q, want depserve", svc)
 	}
 	if !strings.Contains(string(body), obs.OTLPTraceID(tid)) {
 		t.Errorf("document does not carry the request's trace ID %s", tid)
