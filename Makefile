@@ -39,9 +39,10 @@ race:
 # invalidation sweeps on one answer cache; and 8 goroutines sharing one
 # engine pool and one registry, whose chase.* totals must equal the sum
 # of the same runs on private registries (each run flushes its counts
-# once, when it ends).
+# once, when it ends). 8 clients of one server also pin the access
+# log's choice of lines, which rides on an atomic sequence number.
 race-hammer:
-	$(GO) test -race -cpu 1,2,8 -run 'TestRegistryRaceHammer|TestCompileMemoRaceHammer|TestTraceTreeRaceHammer' -count=1 ./internal/serve/
+	$(GO) test -race -cpu 1,2,8 -run 'TestRegistryRaceHammer|TestCompileMemoRaceHammer|TestTraceTreeRaceHammer|TestAccessLogSampling' -count=1 ./internal/serve/
 	$(GO) test -race -cpu 1,2,8 -run 'TestAnswerCacheInvalidateRace' -count=1 ./internal/core/
 	$(GO) test -race -cpu 1,2,8 -run 'TestPoolConcurrentCountsExact' -count=1 ./internal/chase/
 
@@ -56,7 +57,9 @@ race-hammer:
 # The next pins an instrumented
 # System.Implies on a warm pool, whose span tree is built once and never
 # copied, and whose goal is rendered once: within 10 allocations on an
-# fd goal and 20 on the Proposition 4.1 chase. The next pins one
+# fd goal and 20 on the Proposition 4.1 chase; and the fingerprint
+# extras, one allocation at the default budget and two at any other.
+# The next pins one
 # ind.Decide call on width-2 IND chains, whose frontier is keyed by
 # int32 relation and attribute IDs, and the next one early-hit
 # counterexample search at core's fallback bounds (Domain 3, MaxTuples
@@ -67,8 +70,10 @@ race-hammer:
 # is cached and 10 when none is (each goal parsed and rendered once, no
 # span tree, a pooled key hash), and a repeated inline /v1/implies
 # whose fields hit the compiled-system memo by their raw bytes and
-# whose cache hit starts no deadline timer, within 77. They skip
-# themselves under -race too.
+# whose cache hit starts no deadline timer, within 56; and the envelope
+# every request pays, GET /healthz through the middleware (one context
+# value, hex-minted trace IDs, canonical header keys, a sampled access
+# log), within 41. They skip themselves under -race too.
 # -count=1 defeats the test cache — an allocation regression must fail
 # here even when no _test.go file changed.
 zeroalloc:
@@ -76,10 +81,10 @@ zeroalloc:
 	$(GO) test -run 'TestPoolWarmRunAllocFree|TestDisabledObsAllocsPinned' -count=1 ./internal/chase/
 	$(GO) test -run TestProverProofAllocs -count=1 ./internal/fd/
 	$(GO) test -run TestDigestAdmissionAllocFree -count=1 ./internal/obs/
-	$(GO) test -run TestImpliesObsAllocs -count=1 ./internal/core/
+	$(GO) test -run 'TestImpliesObsAllocs|TestFingerprintOptions' -count=1 ./internal/core/
 	$(GO) test -run TestDecideAllocs -count=1 ./internal/ind/
 	$(GO) test -run TestSearchAllocs -count=1 ./internal/search/
-	$(GO) test -run 'TestBatchGoalAllocs|TestMemoHitImpliesAllocs' -count=1 ./internal/serve/
+	$(GO) test -run 'TestBatchGoalAllocs|TestMemoHitImpliesAllocs|TestHealthzAllocs' -count=1 ./internal/serve/
 
 # A short native-fuzzing run per input surface (plain `go test` only
 # replays the seed corpora): FuzzParse checks the .dep reader and its

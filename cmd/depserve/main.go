@@ -55,15 +55,18 @@
 //	                     degraded body naming the alert
 //	GET  /debug/pprof/   profiles and execution traces
 //
-// Logs are JSON on stderr, one record per request; requests slower than
-// -slow are logged at Warn with slow_query=true. Every request carries
-// W3C trace context (an incoming traceparent's trace ID is honored),
-// and -otlp-file / -otlp-endpoint stream completed requests plus
-// periodic metric snapshots as OTLP/JSON batches without ever blocking
-// the serve path. On SIGINT/SIGTERM the server drains in-flight
-// requests, flushes the exporter, then writes the -stats / -trace-json
-// / -memprofile end-of-run artifacts like the batch commands do (the
-// metrics only: query span trees are in the flight recorder).
+// Logs are JSON on stderr. A request slower than -slow is logged at
+// Warn with slow_query=true, a response with status 400 or above at
+// Info, and one in 64 of the other requests at Info with sample_rate=64
+// (the line stands for 64 requests); /metrics counts every request.
+// Every request carries W3C trace context (an incoming traceparent's
+// trace ID is honored), and -otlp-file / -otlp-endpoint stream
+// completed requests plus periodic metric snapshots as OTLP/JSON
+// batches without ever blocking the serve path. On SIGINT/SIGTERM the
+// server drains in-flight requests, flushes the exporter, then writes
+// the -stats / -trace-json / -memprofile end-of-run artifacts like the
+// batch commands do (the metrics only: query span trees are in the
+// flight recorder).
 package main
 
 import (

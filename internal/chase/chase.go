@@ -454,7 +454,9 @@ func acquireEngine(db *schema.Database, sigma []deps.Dependency, opt Options) (*
 	return e, nil
 }
 
-// release ends a run: the run's counts are flushed, and a pooled engine
+// release ends a run: the run's counts are flushed, its context is
+// dropped (so an idle pooled engine keeps neither the run's deadline nor
+// the values its caller hung on the context alive), and a pooled engine
 // is structurally reset and returned to its pool — unless the run
 // errored (deadline, cancellation, contradiction, or any other mid-round
 // kill), in which case its state is partial and it is discarded so no
@@ -465,6 +467,7 @@ func acquireEngine(db *schema.Database, sigma []deps.Dependency, opt Options) (*
 // pool.
 func (e *engine) release(err error) {
 	e.flush()
+	e.ctx = nil
 	if e.pool == nil {
 		return
 	}

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"indfd/internal/data"
 	"indfd/internal/deps"
@@ -214,6 +215,47 @@ func TestPoolSurvivesGC(t *testing.T) {
 	if h := reg.Counter("pool.hits").Value(); h != 1 {
 		t.Errorf("pool.hits = %d after a GC, want 1 (the idle engine must survive collection)", h)
 	}
+}
+
+// probeKey keys the value TestPoolIdleEngineDropsContext hangs on a
+// run's context.
+type probeKey struct{}
+
+// TestPoolIdleEngineDropsContext: an idle pooled engine keeps nothing
+// of its last run's context. A value reachable only from that context —
+// in depserve, the request's flight-recorder draft and its span tree —
+// must be collectable once the run has returned, while the engine that
+// ran it sits in the pool.
+func TestPoolIdleEngineDropsContext(t *testing.T) {
+	db, sigma := prop41Fixture()
+	goal := deps.NewFD("R", deps.Attrs("X"), deps.Attrs("Y"))
+	pool := NewEnginePool(obs.New())
+	collected := make(chan struct{})
+	func() {
+		probe := &[64]byte{}
+		runtime.SetFinalizer(probe, func(*[64]byte) { close(collected) })
+		ctx, cancel := context.WithCancel(context.WithValue(context.Background(), probeKey{}, probe))
+		defer cancel()
+		if _, err := ImpliesFD(db, sigma, goal, Options{Pool: pool, Ctx: ctx}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	pool.mu.Lock()
+	idle := pool.idle
+	pool.mu.Unlock()
+	if idle != 1 {
+		t.Fatalf("%d idle engines after the run, want 1", idle)
+	}
+	for range 10 {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(pool)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("a value reachable only from a finished run's context was never collected: the idle engine holds the context")
 }
 
 // shapeFixture is the i-th of a family of distinct (schema, sigma)

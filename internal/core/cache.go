@@ -170,17 +170,25 @@ func (s *System) GoalKey(g Goal, mode string, extras ...string) string {
 // observability and deadlines, not the answer. Footprint is absent too:
 // like Profile capture it never changes the answer, only whether
 // Answer.Footprint is recorded, and serve strips that from responses.
-// The two flags take their constant spellings, so only the budget is
-// formatted.
+// The two flags and the default budget take their constant spellings,
+// and any other budget is formatted in one allocation. The slice is the
+// caller's own, with room for one more field, so appending a caller's
+// extra (serve's explain flag) does not grow it.
 func FingerprintOptions(opt Options) []string {
-	search, provenance := "search=false", "provenance=false"
+	budget, search, provenance := "budget=0", "search=false", "provenance=false"
+	if opt.ChaseMaxTuples != 0 {
+		var buf [32]byte
+		budget = string(strconv.AppendInt(append(buf[:0], "budget="...), int64(opt.ChaseMaxTuples), 10))
+	}
 	if opt.SearchFallback {
 		search = "search=true"
 	}
 	if opt.Provenance {
 		provenance = "provenance=true"
 	}
-	return []string{"budget=" + strconv.Itoa(opt.ChaseMaxTuples), search, provenance}
+	out := make([]string, 3, 4)
+	out[0], out[1], out[2] = budget, search, provenance
+	return out
 }
 
 // CachedAnswer is the unit an AnswerCache stores: a complete Answer plus

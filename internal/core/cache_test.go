@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -62,6 +63,26 @@ func TestFingerprintOptions(t *testing.T) {
 	c := FingerprintOptions(Options{ChaseMaxTuples: 200, SearchFallback: true})
 	if fmt.Sprint(a) == fmt.Sprint(c) {
 		t.Errorf("ChaseMaxTuples not reflected in fingerprint extras")
+	}
+	// Every budget keeps its strconv spelling, and every call returns a
+	// slice of its own: callers append their own field to it.
+	for _, budget := range []int{0, 7, 100, 998, -3, 1 << 40} {
+		got := FingerprintOptions(Options{ChaseMaxTuples: budget})
+		if want := "budget=" + strconv.Itoa(budget); got[0] != want {
+			t.Errorf("budget %d spelled %q, want %q", budget, got[0], want)
+		}
+		if other := FingerprintOptions(Options{ChaseMaxTuples: budget}); &got[0] == &other[0] {
+			t.Errorf("budget %d: two calls share one backing array", budget)
+		}
+	}
+	if raceDetectorEnabled {
+		return
+	}
+	for budget, ceiling := range map[int]float64{0: 1, 500: 2} {
+		opt := Options{ChaseMaxTuples: budget}
+		if n := testing.AllocsPerRun(100, func() { _ = append(FingerprintOptions(opt), "explain=false") }); n > ceiling {
+			t.Errorf("budget %d: %.0f allocations with a caller's field appended, want at most %.0f", budget, n, ceiling)
+		}
 	}
 }
 

@@ -12,19 +12,36 @@ import (
 	"indfd/internal/obs"
 )
 
-// ridKey is the context key under which the per-request ID travels.
-type ridKey struct{}
+// stateKey is the context key under which a request's state travels.
+type stateKey struct{}
+
+// requestState is what the middleware resolves about a request before
+// its handler runs — the request ID, the W3C trace context, and the
+// draft flight-recorder record when the request is recorded — carried
+// as the request context's one value. RequestID, TraceID and record
+// read it. It holds nothing of the response, so a context that
+// outlives its request keeps no writer alive.
+type requestState struct {
+	id  string
+	tc  traceContext
+	rec *obs.RequestRecord
+}
+
+// stateOf returns the request's state, or nil when the context did not
+// pass through the middleware.
+func stateOf(ctx context.Context) *requestState {
+	st, _ := ctx.Value(stateKey{}).(*requestState)
+	return st
+}
 
 // RequestID returns the request ID the middleware assigned, or "" when
 // the context did not pass through the middleware.
 func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(ridKey{}).(string)
-	return id
+	if st := stateOf(ctx); st != nil {
+		return st.id
+	}
+	return ""
 }
-
-// recKey is the context key under which the draft flight-recorder
-// record travels from the middleware into the handler.
-type recKey struct{}
 
 // record returns the request's draft RequestRecord for the handler to
 // enrich (goal, verdict, engine, cache status, span tree), or nil when
@@ -32,8 +49,10 @@ type recKey struct{}
 // middleware finalizes and retains the record after the handler
 // returns.
 func record(ctx context.Context) *obs.RequestRecord {
-	rec, _ := ctx.Value(recKey{}).(*obs.RequestRecord)
-	return rec
+	if st := stateOf(ctx); st != nil {
+		return st.rec
+	}
+	return nil
 }
 
 // statusWriter captures the status code and body size a handler wrote,
@@ -68,9 +87,14 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// accessLogSample is the access log's sampling period: of the requests
+// that are neither slow nor failed, one in accessLogSample gets an Info
+// line, marked as standing for that many.
+const accessLogSample = 64
+
 // instrument wraps a handler with the per-request observability stack:
-// a request ID (assigned, stored in the context, and echoed in the
-// X-Request-ID response header), W3C trace context — an incoming valid
+// a request ID (assigned, carried in the context, and echoed in the
+// X-Request-Id response header), W3C trace context — an incoming valid
 // traceparent's trace ID is honored, a malformed or absent one falls
 // back to a freshly minted ID, and every response carries `traceparent`
 // (with this server's own span ID as parent-id), an echoed
@@ -79,11 +103,17 @@ func (w *statusWriter) Flush() {
 // microseconds with the trace ID as each bucket's exemplar, a
 // per-endpoint-and-status request counter, a flight-recorder record
 // (see obs.Recorder; the handler enriches the draft via record(ctx))
-// that also feeds the OTLP exporter, and one structured log record per
-// request — at Warn with a slow_query marker when the request outran
-// Config.SlowQuery, at Info otherwise. The trace ID in the record, the
-// exemplars, the access log and both response headers is one and the
-// same string, so any of them resolves at /debug/traces/{id}.
+// that also feeds the OTLP exporter, and a structured access log. The
+// log writes a Warn line with a slow_query marker for every request
+// that outran Config.SlowQuery and an Info line for every response
+// with status 400 or above; of the rest, it writes an Info line for one
+// request in accessLogSample — the one whose sequence number (the
+// counter in its request ID) is 1 modulo accessLogSample — with a
+// sample_rate attribute saying how many requests the line stands for.
+// Every request still counts in the metrics, the recorder, the digests
+// and the exporter. The trace ID in the record, the exemplars, the
+// access log and both response headers is one and the same string, so
+// any of them resolves at /debug/traces/{id}.
 //
 // route is the label the metrics carry; it is the registered pattern,
 // not the raw URL path, so label cardinality stays bounded no matter
@@ -102,34 +132,36 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	})
 	recorded := route != "/healthz" && route != "/readyz" && (s.rec != nil || s.exp != nil)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := s.nextRequestID()
-		tc := traceContext{spanID: newSpanID()}
-		if trace, parent, ok := parseTraceparent(r.Header.Get("traceparent")); ok {
-			tc.traceID, tc.parentSpanID, tc.remote = trace, parent, true
+		id, seq := s.nextRequestID()
+		st := &requestState{id: id, tc: traceContext{spanID: newSpanID()}}
+		// Headers are read and written under their canonical keys, which
+		// Header.Get and Header.Set would otherwise rebuild per call.
+		hdr := w.Header()
+		if trace, parent, ok := parseTraceparent(headerValue(r.Header, "Traceparent")); ok {
+			st.tc.traceID, st.tc.parentSpanID = trace, parent
 			s.cTraceHonored.Inc()
-			if state := truncateTracestate(r.Header.Get("tracestate")); state != "" {
-				w.Header().Set("tracestate", state)
+			if state := truncateTracestate(headerValue(r.Header, "Tracestate")); state != "" {
+				hdr["Tracestate"] = []string{state}
 			}
 		} else {
-			tc.traceID = newTraceID()
+			st.tc.traceID = newTraceID()
 			s.cTraceMinted.Inc()
 		}
-		w.Header().Set("X-Request-ID", id)
-		w.Header().Set("X-Trace-Id", tc.traceID)
-		w.Header().Set("traceparent", formatTraceparent(tc.traceID, tc.spanID, recorded))
-		ctx := context.WithValue(r.Context(), ridKey{}, id)
-		ctx = context.WithValue(ctx, traceKey{}, tc)
-		var rec *obs.RequestRecord
+		// One backing array for the three values, capped per key as
+		// Header.Clone does, so an Add to one key cannot overwrite the next.
+		vals := []string{id, st.tc.traceID, formatTraceparent(st.tc.traceID, st.tc.spanID, recorded)}
+		hdr["X-Request-Id"] = vals[0:1:1]
+		hdr["X-Trace-Id"] = vals[1:2:2]
+		hdr["Traceparent"] = vals[2:3:3]
 		if recorded {
-			rec = &obs.RequestRecord{
-				TraceID:      tc.traceID,
-				SpanID:       tc.spanID,
-				ParentSpanID: tc.parentSpanID,
+			st.rec = &obs.RequestRecord{
+				TraceID:      st.tc.traceID,
+				SpanID:       st.tc.spanID,
+				ParentSpanID: st.tc.parentSpanID,
 				Route:        route,
 			}
-			ctx = context.WithValue(ctx, recKey{}, rec)
 		}
-		r = r.WithContext(ctx)
+		r = r.WithContext(context.WithValue(r.Context(), stateKey{}, st))
 
 		s.gInFlight.Add(1)
 		defer s.gInFlight.Add(-1)
@@ -145,7 +177,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			sw.status = http.StatusOK
 		}
 
-		latency.ObserveExemplar(elapsed.Microseconds(), tc.traceID)
+		latency.ObserveExemplar(elapsed.Microseconds(), st.tc.traceID)
 		// The route-agnostic aggregate series feed the tsdb and the
 		// watchdog's selector-less SLO clauses: one latency histogram
 		// (µs) over every route, a total-request counter, and an error
@@ -157,7 +189,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			s.cErrors.Inc()
 		}
 		requests.get(sw.status).Inc()
-		if rec != nil {
+		if rec := st.rec; rec != nil {
 			rec.Status = sw.status
 			rec.Start = start
 			rec.DurationNS = elapsed.Nanoseconds()
@@ -165,9 +197,14 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			s.exp.Export(rec)
 		}
 
+		slow := elapsed >= s.cfg.SlowQuery
+		routine := !slow && sw.status < http.StatusBadRequest
+		if routine && (seq-1)%accessLogSample != 0 {
+			return
+		}
 		attrs := []any{
 			"request_id", id,
-			"trace_id", tc.traceID,
+			"trace_id", st.tc.traceID,
 			"method", r.Method,
 			"path", r.URL.Path,
 			"route", route,
@@ -176,28 +213,41 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			"elapsed_us", elapsed.Microseconds(),
 			"remote", r.RemoteAddr,
 		}
-		if elapsed >= s.cfg.SlowQuery {
+		switch {
+		case slow:
 			s.cSlow.Inc()
 			attrs = append(attrs, "slow_query", true,
 				"threshold_ms", s.cfg.SlowQuery.Milliseconds())
 			s.log.Warn("request", attrs...)
-		} else {
+		case routine:
+			s.log.Info("request", append(attrs, "sample_rate", accessLogSample)...)
+		default:
 			s.log.Info("request", attrs...)
 		}
 	})
 }
 
+// headerValue is Header.Get for a key already in canonical form.
+func headerValue(h http.Header, key string) string {
+	if v := h[key]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
+}
+
 // nextRequestID mints a process-unique request ID: a per-process base
 // (start-time derived, so IDs from different depserve runs differ) plus
-// a monotone counter.
-func (s *Server) nextRequestID() string {
+// a monotone counter, which it also returns as the request's sequence
+// number, counting from 1.
+func (s *Server) nextRequestID() (string, uint64) {
 	var buf, num [32]byte
+	seq := s.nextID.Add(1)
 	id := append(append(buf[:0], s.idBase...), '-')
-	digits := strconv.AppendUint(num[:0], s.nextID.Add(1), 10)
+	digits := strconv.AppendUint(num[:0], seq, 10)
 	for i := len(digits); i < 6; i++ {
 		id = append(id, '0') // zero-padded to six digits
 	}
-	return string(append(id, digits...))
+	return string(append(id, digits...)), seq
 }
 
 // counterSet resolves one labelled counter family once per label key: a

@@ -86,13 +86,15 @@ func TestBatchProofsMatchProveObs(t *testing.T) {
 }
 
 // TestRequestIDFormat pins the request ID spelling: the process base, a
-// dash, and the sequence number zero-padded to six digits.
+// dash, and the sequence number zero-padded to six digits; the number
+// is returned too, for the access log's sampling.
 func TestRequestIDFormat(t *testing.T) {
 	s := New(Config{Reg: obs.New()})
 	for _, n := range []uint64{1, 42, 999999, 1000000, 123456789} {
 		s.nextID.Store(n - 1)
-		if got, want := s.nextRequestID(), fmt.Sprintf("%s-%06d", s.idBase, n); got != want {
-			t.Errorf("request %d: ID %q, want %q", n, got, want)
+		got, seq := s.nextRequestID()
+		if want := fmt.Sprintf("%s-%06d", s.idBase, n); got != want || seq != n {
+			t.Errorf("request %d: ID %q, sequence %d, want %q, %d", n, got, seq, want, n)
 		}
 	}
 }

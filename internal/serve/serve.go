@@ -3,9 +3,10 @@
 // engines deserve — the decision procedures served here are exactly the
 // ones the paper proves can blow up (PSPACE-hard IND implication,
 // divergent FD+IND chases), so every request runs under a deadline, is
-// tagged with a request ID, logged as structured JSON, and measured into
-// a shared obs registry that GET /metrics exposes in the Prometheus text
-// format while the process runs.
+// tagged with a request ID, and is measured into a shared obs registry
+// that GET /metrics exposes in the Prometheus text format while the
+// process runs; slow, failed and sampled requests are logged as
+// structured JSON.
 //
 // Endpoints:
 //
@@ -112,8 +113,9 @@ type Config struct {
 	// /metrics and /debug/obs expose it. It holds instruments only: each
 	// query's span tree goes to the flight recorder with its request.
 	Reg *obs.Registry
-	// Logger receives one structured record per request (plus slow-query
-	// warnings). Defaults to JSON on stderr.
+	// Logger receives the access log — a line for every slow or failed
+	// request and for one in 64 of the rest (see instrument) — and the
+	// server's own errors. Defaults to JSON on stderr.
 	Logger *slog.Logger
 	// DefaultDeadline bounds a request that does not set timeout_ms
 	// (default 10s).

@@ -9,7 +9,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,15 +45,16 @@ func getHdr(t *testing.T, url string, hdr map[string]string) (*http.Response, []
 	return resp, b
 }
 
-// TestTraceparentHonored is the propagation half of the tentpole: a
-// valid incoming traceparent's trace ID must surface in the response
-// headers, the flight-recorder record (with the caller's span ID as
-// parent), the access log, and /debug/traces/{id}; tracestate is
-// echoed verbatim.
+// TestTraceparentHonored: a valid incoming traceparent's trace ID must
+// surface in the response headers, the flight-recorder record (with the
+// caller's span ID as parent), the access log, and /debug/traces/{id};
+// tracestate is echoed verbatim. The server counts every request as
+// slow, so the request's access-log line is written whatever the
+// sampling would choose.
 func TestTraceparentHonored(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
-	_, reg, ts := newTestServer(t, Config{Logger: logger, TraceBuffer: 16})
+	_, reg, ts := newTestServer(t, Config{Logger: logger, TraceBuffer: 16, SlowQuery: time.Nanosecond})
 
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/implies", strings.NewReader(fastImplies))
 	if err != nil {
@@ -106,6 +109,123 @@ func TestTraceparentHonored(t *testing.T) {
 	if !strings.Contains(logBuf.String(), `"trace_id":"`+sampleTrace+`"`) {
 		t.Errorf("access log does not carry trace_id %s:\n%s", sampleTrace, logBuf.String())
 	}
+}
+
+// TestAccessLogSampling pins which requests the access log writes, under
+// concurrent clients (run it at -cpu 1,2,8: the choice rides on the
+// request's atomic sequence number). With no request slow, the 200s
+// yield exactly the Info lines of the sequence numbers 1, 65, 129, …,
+// each marked sample_rate 64; every 4xx and 5xx has an Info line of its
+// own; and http.requests{path,code} counts every request. With every
+// request slow, every request has a Warn line marked slow_query.
+func TestAccessLogSampling(t *testing.T) {
+	kinds := []struct {
+		method, path, body, route string
+		status                    int
+	}{
+		{http.MethodGet, "/healthz", "", "/healthz", http.StatusOK},
+		{http.MethodPost, "/v1/implies", fastImplies, "/v1/implies", http.StatusOK},
+		{http.MethodPost, "/v1/implies", "{", "/v1/implies", http.StatusBadRequest},
+		{http.MethodGet, "/no/such/path", "", "/", http.StatusNotFound},
+		{http.MethodGet, "/readyz", "", "/readyz", http.StatusServiceUnavailable}, // never SetReady
+	}
+	type outcome struct {
+		seq    uint64
+		route  string
+		status int
+	}
+	const clients, perClient = 8, 96
+	run := func(t *testing.T, slowQuery time.Duration) (map[string]outcome, map[string]map[string]any, *obs.Registry) {
+		var logBuf bytes.Buffer
+		reg := obs.New()
+		s := New(Config{Reg: reg, Logger: slog.New(slog.NewJSONHandler(&logBuf, nil)), SlowQuery: slowQuery})
+		byID := map[string]outcome{}
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for c := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range perClient {
+					k := kinds[(c+i)%len(kinds)]
+					rec := serveInProcess(s.Handler(), k.method, k.path, k.body)
+					if rec.Code != k.status {
+						t.Errorf("%s %s = %d, want %d", k.method, k.path, rec.Code, k.status)
+					}
+					id := rec.Header().Get("X-Request-Id")
+					seq, err := strconv.ParseUint(id[strings.LastIndexByte(id, '-')+1:], 10, 64)
+					if err != nil {
+						t.Errorf("request ID %q: %v", id, err)
+					}
+					mu.Lock()
+					byID[id] = outcome{seq: seq, route: k.route, status: rec.Code}
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		lines := map[string]map[string]any{}
+		for _, line := range bytes.Split(bytes.TrimSpace(logBuf.Bytes()), []byte("\n")) {
+			var m map[string]any
+			if err := json.Unmarshal(line, &m); err != nil {
+				t.Fatalf("log line %q: %v", line, err)
+			}
+			id, _ := m["request_id"].(string)
+			if _, known := byID[id]; !known || lines[id] != nil {
+				t.Fatalf("log line for request %q: unknown request or a second line\n%s", id, line)
+			}
+			lines[id] = m
+		}
+		return byID, lines, reg
+	}
+
+	t.Run("fast", func(t *testing.T) {
+		byID, lines, reg := run(t, time.Hour)
+		want := 0
+		counts := map[string]int64{}
+		for id, o := range byID {
+			counts[obs.MetricName("http.requests", "path", o.route, "code", strconv.Itoa(o.status))]++
+			line := lines[id]
+			switch {
+			case o.status >= 400:
+				want++
+				if line == nil || line["level"] != "INFO" || line["status"] != float64(o.status) || line["sample_rate"] != nil {
+					t.Errorf("request %s (%d): line %v, want an unsampled Info line", id, o.status, line)
+				}
+			case (o.seq-1)%accessLogSample == 0:
+				want++
+				if line == nil || line["level"] != "INFO" || line["sample_rate"] != float64(accessLogSample) {
+					t.Errorf("request %s (sequence %d): line %v, want an Info line with sample_rate %d", id, o.seq, line, accessLogSample)
+				}
+			case line != nil:
+				t.Errorf("request %s (sequence %d, %d): logged %v, want no line", id, o.seq, o.status, line)
+			}
+		}
+		if len(lines) != want {
+			t.Errorf("%d log lines, want %d", len(lines), want)
+		}
+		for name, n := range counts {
+			if got := reg.Counter(name).Value(); got != n {
+				t.Errorf("%s = %d, want %d", name, got, n)
+			}
+		}
+		if n := reg.Counter("http.slow_requests").Value(); n != 0 {
+			t.Errorf("http.slow_requests = %d, want 0", n)
+		}
+	})
+
+	t.Run("slow", func(t *testing.T) {
+		byID, lines, reg := run(t, time.Nanosecond)
+		for id, o := range byID {
+			line := lines[id]
+			if line == nil || line["level"] != "WARN" || line["slow_query"] != true || line["sample_rate"] != nil {
+				t.Errorf("request %s (%d): line %v, want a Warn line marked slow_query", id, o.status, line)
+			}
+		}
+		if n := reg.Counter("http.slow_requests").Value(); n != clients*perClient {
+			t.Errorf("http.slow_requests = %d, want %d", n, clients*perClient)
+		}
+	})
 }
 
 // TestTraceparentMalformedFallsBack drives the parser's rejection table

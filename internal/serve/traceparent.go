@@ -2,7 +2,8 @@ package serve
 
 import (
 	"context"
-	"fmt"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand/v2"
 	"strings"
 )
@@ -19,24 +20,22 @@ import (
 // minted trace ID; either way every response carries a valid
 // traceparent plus the legacy X-Trace-Id.
 
-// traceKey is the context key under which the request's trace context
-// travels.
-type traceKey struct{}
-
-// traceContext is the per-request W3C identity the middleware resolves.
+// traceContext is the per-request W3C identity the middleware resolves;
+// it travels in the request's requestState.
 type traceContext struct {
 	traceID      string // 32-hex; incoming when valid, else minted
 	spanID       string // 16-hex; this server's own span, always minted
 	parentSpanID string // 16-hex; the caller's span ID, "" when none
-	remote       bool   // true when traceID was honored from the caller
 }
 
 // TraceID returns the request's W3C trace ID — the value of the
 // response's X-Trace-Id header and traceparent trace-id field — or ""
 // when the context did not pass through the middleware.
 func TraceID(ctx context.Context) string {
-	tc, _ := ctx.Value(traceKey{}).(traceContext)
-	return tc.traceID
+	if st := stateOf(ctx); st != nil {
+		return st.tc.traceID
+	}
+	return ""
 }
 
 // parseTraceparent validates an incoming traceparent header and
@@ -114,12 +113,21 @@ func truncateTracestate(state string) string {
 // low-order OR guarantees the all-zero ID (invalid per spec) is
 // unreachable.
 func newTraceID() string {
-	return fmt.Sprintf("%016x%016x", rand.Uint64(), rand.Uint64()|1)
+	var id [16]byte
+	binary.BigEndian.PutUint64(id[:8], rand.Uint64())
+	binary.BigEndian.PutUint64(id[8:], rand.Uint64()|1)
+	var text [32]byte
+	hex.Encode(text[:], id[:])
+	return string(text[:])
 }
 
 // newSpanID mints a 16-hex W3C span ID.
 func newSpanID() string {
-	return fmt.Sprintf("%016x", rand.Uint64()|1)
+	var id [8]byte
+	binary.BigEndian.PutUint64(id[:], rand.Uint64()|1)
+	var text [16]byte
+	hex.Encode(text[:], id[:])
+	return string(text[:])
 }
 
 // isLowerHex reports whether s is entirely lowercase hex digits.
