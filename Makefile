@@ -70,10 +70,11 @@ race-hammer:
 # is cached and 10 when none is (each goal parsed and rendered once, no
 # span tree, a pooled key hash), and a repeated inline /v1/implies
 # whose fields hit the compiled-system memo by their raw bytes and
-# whose cache hit starts no deadline timer, within 56; and the envelope
+# whose cache hit starts no deadline timer, within 54; and the envelope
 # every request pays, GET /healthz through the middleware (one context
-# value, hex-minted trace IDs, canonical header keys, a sampled access
-# log), within 41. They skip themselves under -race too.
+# value, hex-minted trace IDs, canonical header keys and constant header
+# values, a sampled access log), within 40. They skip themselves under
+# -race too.
 # -count=1 defeats the test cache — an allocation regression must fail
 # here even when no _test.go file changed.
 zeroalloc:

@@ -227,6 +227,13 @@ func TestCaptureMatrixFixtures(t *testing.T) {
 	checkCaptureMatrix(t, "ind chain not-implied", dbChain, sigmaChain, deps.NewIND("T", deps.Attrs("E"), "R", deps.Attrs("A")), Options{})
 	checkCaptureMatrix(t, "divergent", dbDiv, sigmaDiv, goalDiv, Options{MaxTuples: 64})
 	checkCaptureMatrix(t, "divergent tiny", dbDiv, sigmaDiv, goalDiv, Options{MaxTuples: 3})
+	for _, m := range wideFDWidths {
+		db, sigma, goal := wideFDFixture(m)
+		checkCaptureMatrix(t, fmt.Sprintf("wide fd m=%d", m), db, sigma, goal, Options{})
+	}
+	dbYZ, sigmaYZ, goalYZ, notYZ := wideYZFixture(wideYZWidth)
+	checkCaptureMatrix(t, "wide fd X -> Y, Z", dbYZ, sigmaYZ, goalYZ, Options{})
+	checkCaptureMatrix(t, "wide fd X -> Y, Z not-implied", dbYZ, sigmaYZ, notYZ, Options{})
 
 	// The cold member of the trivial-FD fixture scans but never fires: a
 	// footprint keeps it, the derivation's footprint drops it.

@@ -261,8 +261,10 @@ type counts struct {
 // fdState is an FD of sigma compiled for repeated firing: its position
 // at in sigma, resolved attribute positions, a persistent intern table
 // for X-projection group keys (the class labels of the X values), and
-// generation-stamped member lists (reset lazily per pass, so
-// steady-state passes allocate nothing). cleanAt is rels[ri].version+1
+// each group's first tuple in the current pass (first[g], valid while
+// seen[g] == gen; steady-state passes allocate nothing). gen is never
+// reset and wraps, so a group whose key is fresh gets its first tuple
+// directly, not through the seen check. cleanAt is rels[ri].version+1
 // as of the last scan that fired nothing, or 0; the scan is skipped
 // while the version matches.
 type fdState struct {
@@ -271,8 +273,8 @@ type fdState struct {
 	ri      int32
 	xs, ys  []int
 	keys    *intern.Table
-	members [][]int32
-	mgen    []uint32
+	first   []int32
+	seen    []uint32
 	gen     uint32
 	cleanAt uint64
 }
@@ -527,8 +529,8 @@ func (e *engine) reset() {
 	for i := range e.fds {
 		fs := &e.fds[i]
 		fs.keys.Reset()
-		fs.members = fs.members[:0]
-		fs.mgen = fs.mgen[:0]
+		fs.first = fs.first[:0]
+		fs.seen = fs.seen[:0]
 		fs.cleanAt = 0
 	}
 	for i := range e.rds {
@@ -630,7 +632,9 @@ func (e *engine) scanRD(i int) (fired bool, err error) {
 }
 
 // scanFD fires e.fds[i] over its whole relation; the caller has already
-// decided the version gate.
+// decided the version gate. Each tuple is unioned with its X-group's
+// first tuple only: every earlier member already shares each Y-class
+// with it, so the reference's other pairings would fire nothing.
 func (e *engine) scanFD(i int) (fired bool, err error) {
 	fs := &e.fds[i]
 	rel := &e.rels[fs.ri]
@@ -644,29 +648,30 @@ func (e *engine) scanFD(i int) (fired bool, err error) {
 		// representative choice.
 		kid, fresh := fs.keys.Intern(e.labelProjKey(t, fs.xs))
 		if fresh {
-			fs.addGroup()
+			fs.first = append(fs.first, tid)
+			fs.seen = append(fs.seen, fs.gen)
+			continue
 		}
-		if fs.mgen[kid] != fs.gen {
-			fs.mgen[kid] = fs.gen
-			fs.members[kid] = fs.members[kid][:0]
+		if fs.seen[kid] != fs.gen {
+			fs.seen[kid] = fs.gen
+			fs.first[kid] = tid
+			continue
 		}
-		for _, uid := range fs.members[kid] {
-			u := e.tupleVals(uid)
-			for _, y := range fs.ys {
-				ch, err := e.union(t[y], u[y])
-				if err != nil {
-					return fired, err
-				}
-				if ch {
-					fired = true
-					e.n.fdFires++
-					if e.cap.on {
-						e.noteFD(i, tid, uid, t[y], u[y])
-					}
+		uid := fs.first[kid]
+		u := e.tupleVals(uid)
+		for _, y := range fs.ys {
+			ch, err := e.union(t[y], u[y])
+			if err != nil {
+				return fired, err
+			}
+			if ch {
+				fired = true
+				e.n.fdFires++
+				if e.cap.on {
+					e.noteFD(i, tid, uid, t[y], u[y])
 				}
 			}
 		}
-		fs.members[kid] = append(fs.members[kid], tid)
 	}
 	if e.cap.on {
 		e.cap.region(fs.at, len(rel.order), e.cap.since(start))
@@ -677,19 +682,6 @@ func (e *engine) scanFD(i int) (fired bool, err error) {
 		fs.cleanAt = rel.version + 1
 	}
 	return fired, nil
-}
-
-// addGroup appends one group slot to the FD's member lists, reusing a
-// slot left behind by a pool reset when one exists — so a warm pooled
-// run's first scan allocates no fresh inner slices.
-func (fs *fdState) addGroup() {
-	if n := len(fs.members); n < cap(fs.members) {
-		fs.members = fs.members[:n+1]
-		fs.members[n] = fs.members[n][:0]
-	} else {
-		fs.members = append(fs.members, nil)
-	}
-	fs.mgen = append(fs.mgen, 0)
 }
 
 // cancelled reports the context's error, if any: the per-round

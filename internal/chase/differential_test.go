@@ -140,6 +140,65 @@ func TestDifferentialFixtures(t *testing.T) {
 	dbDiv, sigmaDiv, goalDiv := divergentInstance()
 	diffImplies(t, "divergent", dbDiv, sigmaDiv, goalDiv, Options{MaxTuples: 64})
 	diffImplies(t, "divergent tiny", dbDiv, sigmaDiv, goalDiv, Options{MaxTuples: 3})
+
+	// Many-tuple X-groups: the FD pass pairs each member with the
+	// group's first tuple, where the reference pairs it with every
+	// earlier member.
+	for _, m := range wideFDWidths {
+		db, sigma, goal := wideFDFixture(m)
+		diffImplies(t, fmt.Sprintf("wide fd m=%d", m), db, sigma, goal, Options{})
+	}
+	dbYZ, sigmaYZ, goalYZ, notYZ := wideYZFixture(wideYZWidth)
+	diffImplies(t, "wide fd X -> Y, Z", dbYZ, sigmaYZ, goalYZ, Options{})
+	diffImplies(t, "wide fd X -> Y, Z not-implied", dbYZ, sigmaYZ, notYZ, Options{})
+}
+
+// wideFDWidths are the widths at which the fixtures check the wide-FD
+// tableau: the smallest group and the ends of depbench's chase_distinct
+// range.
+var wideFDWidths = []int{2, 20, 120}
+
+// wideFDFixture is the wide-FD tableau of internal/benchws (which
+// imports this package, so WideFDInstance cannot be called here):
+// P[A,B1..Bm], Q[X,Y], one IND P[A,Bi] ⊆ Q[X,Y] per i and the FD
+// Q: X -> Y. The RD goal P[B1 = Bm] pours m tuples into one X-group of
+// Q, and the FD collapses them.
+func wideFDFixture(m int) (*schema.Database, []deps.Dependency, deps.Dependency) {
+	attrs := wideAttrs(m)
+	db := schema.MustDatabase(schema.MustScheme("P", attrs...), schema.MustScheme("Q", "X", "Y"))
+	var sigma []deps.Dependency
+	for _, b := range attrs[1:] {
+		sigma = append(sigma, deps.NewIND("P", []schema.Attribute{"A", b}, "Q", deps.Attrs("X", "Y")))
+	}
+	sigma = append(sigma, deps.NewFD("Q", deps.Attrs("X"), deps.Attrs("Y")))
+	return db, sigma, deps.NewRD("P", attrs[1:2], attrs[m:])
+}
+
+// wideAttrs is the wide fixtures' P scheme: A, B1, ..., Bm.
+func wideAttrs(m int) []schema.Attribute {
+	attrs := []schema.Attribute{"A"}
+	for i := 1; i <= m; i++ {
+		attrs = append(attrs, schema.Attribute(fmt.Sprintf("B%d", i)))
+	}
+	return attrs
+}
+
+// wideYZWidth makes wideYZFixture's X-group 31 tuples wide.
+const wideYZWidth = 32
+
+// wideYZFixture is a wide X-group under an FD with two right-hand
+// columns: P[A,B1..Bm], Q[X,Y,Z], one IND P[A,Bi,Bi+1] ⊆ Q[X,Y,Z] per
+// i < m and the FD Q: X -> Y, Z. The m-1 tuples the INDs pour into Q
+// share X, so the FD equates B1..Bm-1 through Y and B2..Bm through Z,
+// and the RD goal P[B1 = Bm] is implied; P[A = B1] is not.
+func wideYZFixture(m int) (db *schema.Database, sigma []deps.Dependency, goal, notImplied deps.Dependency) {
+	attrs := wideAttrs(m)
+	db = schema.MustDatabase(schema.MustScheme("P", attrs...), schema.MustScheme("Q", "X", "Y", "Z"))
+	for i := 1; i < m; i++ {
+		sigma = append(sigma, deps.NewIND("P", []schema.Attribute{"A", attrs[i], attrs[i+1]}, "Q", deps.Attrs("X", "Y", "Z")))
+	}
+	sigma = append(sigma, deps.NewFD("Q", deps.Attrs("X"), deps.Attrs("Y", "Z")))
+	return db, sigma, deps.NewRD("P", attrs[1:2], attrs[m:]), deps.NewRD("P", attrs[:1], attrs[1:2])
 }
 
 // randomImpliesInstance draws one random implication instance — schema,
@@ -315,6 +374,27 @@ func TestDifferentialComplete(t *testing.T) {
 		t.Fatalf("contradiction error %v, reference %v", gotErr, wantErr)
 	}
 	compareCounters(t, "contradiction", regNew, regRef)
+
+	// A group whose FD fires on its first right-hand column and then
+	// equates the distinct constants c1 and c2 on its second: the IND
+	// adds Q(x, _, c2) after the seed Q(x, y, c1), and the next FD pass
+	// equates y with the null before it meets the constants.
+	dbQ := schema.MustDatabase(schema.MustScheme("G", "A", "C"), schema.MustScheme("Q", "X", "Y", "Z"))
+	seedQ := dataSeed(dbQ, map[string][][]string{"G": {{"x", "c2"}}, "Q": {{"x", "y", "c1"}}})
+	sigmaQ := []deps.Dependency{
+		deps.NewIND("G", deps.Attrs("A", "C"), "Q", deps.Attrs("X", "Z")),
+		deps.NewFD("Q", deps.Attrs("X"), deps.Attrs("Y", "Z")),
+	}
+	regNew, regRef = obs.New(), obs.New()
+	_, gotErr = Complete(seedQ, sigmaQ, Options{Obs: regNew})
+	_, wantErr = ReferenceComplete(seedQ, sigmaQ, Options{Obs: regRef})
+	if gotErr == nil || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("second-column contradiction error %v, reference %v", gotErr, wantErr)
+	}
+	if f := regNew.Counter("chase.fd_applications").Value(); f != 1 {
+		t.Errorf("second-column contradiction after %d FD applications, want 1 (the first column's)", f)
+	}
+	compareCounters(t, "second-column contradiction", regNew, regRef)
 
 	// A context cancelled before the run: both engines count the seeds
 	// and stop before the first round.

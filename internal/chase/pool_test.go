@@ -9,6 +9,7 @@ package chase
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -256,6 +257,47 @@ func TestPoolIdleEngineDropsContext(t *testing.T) {
 		}
 	}
 	t.Error("a value reachable only from a finished run's context was never collected: the idle engine holds the context")
+}
+
+// TestPoolFDGroupGenerationWrap: an FD pass stamps each X-group it
+// meets with the pass's generation, which a pooled engine never resets,
+// so it wraps. A run whose first pass lands on generation 0 must answer
+// exactly as an unpooled run: a group created in that pass must get its
+// own first tuple, not a slot's zero value. With R(A, B, C) and
+// Σ = {R: C -> B}, the goal's two seed tuples fall into two groups, and
+// pairing the second with a stale first tuple would equate their B
+// values and answer R: A -> B implied.
+func TestPoolFDGroupGenerationWrap(t *testing.T) {
+	db := schema.MustDatabase(schema.MustScheme("R", "A", "B", "C"))
+	sigma := []deps.Dependency{deps.NewFD("R", deps.Attrs("C"), deps.Attrs("B"))}
+	goal := deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B"))
+	pool := NewEnginePool(obs.New())
+	if _, err := ImpliesFD(db, sigma, goal, Options{Pool: pool}); err != nil {
+		t.Fatal(err)
+	}
+	pool.mu.Lock()
+	e := pool.newest
+	pool.mu.Unlock()
+	if e == nil || len(e.fds) != 1 {
+		t.Fatal("no idle engine with one FD after the priming run")
+	}
+	e.fds[0].gen = math.MaxUint32
+
+	wantReg, gotReg := obs.New(), obs.New()
+	want, wantErr := ImpliesFD(db, sigma, goal, Options{Trace: true, Obs: wantReg})
+	got, gotErr := ImpliesFD(db, sigma, goal, Options{Pool: pool, Trace: true, Obs: gotReg})
+	if g := e.fds[0].gen; g == math.MaxUint32 || g > 8 {
+		t.Fatalf("the pooled run left the FD's generation at %d: it did not run on the wrapped engine", g)
+	}
+	if got.Verdict != NotImplied {
+		t.Errorf("%v under %v on the wrapped engine: %v, want not implied", goal, sigma, got.Verdict)
+	}
+	compareResults(t, "generation wrap", got, gotErr, want, wantErr)
+	for _, name := range engineCounters {
+		if g, w := gotReg.Counter(name).Value(), wantReg.Counter(name).Value(); g != w {
+			t.Errorf("counter %s = %d on the wrapped engine, %d unpooled", name, g, w)
+		}
+	}
 }
 
 // shapeFixture is the i-th of a family of distinct (schema, sigma)

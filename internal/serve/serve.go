@@ -811,9 +811,9 @@ func (s *Server) answerImplies(w http.ResponseWriter, r *http.Request, req impli
 		resp.RequestID, record(r.Context()))
 	switch cacheStatus {
 	case "hit":
-		w.Header().Set("X-Cache", "HIT")
+		w.Header()["X-Cache"] = xCacheHit
 	case "miss":
-		w.Header().Set("X-Cache", "MISS")
+		w.Header()["X-Cache"] = xCacheMiss
 	}
 	s.writeJSON(w, status, resp)
 }
@@ -1099,8 +1099,18 @@ func (s *Server) badRequestSat(w http.ResponseWriter, resp SatisfiesResponse, ms
 	s.writeJSON(w, http.StatusBadRequest, resp)
 }
 
+// Constant response header values, assigned under their canonical keys:
+// Header.Set would allocate a one-element slice per response. Each has
+// length and capacity 1, so a later Add to its key copies it instead of
+// writing into the shared array.
+var (
+	jsonContentType = []string{"application/json; charset=utf-8"}
+	xCacheHit       = []string{"HIT"}
+	xCacheMiss      = []string{"MISS"}
+)
+
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
