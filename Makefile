@@ -51,12 +51,14 @@ race-hammer:
 # the warm pooled chase must allocate nothing. The second line runs the
 # chase package's own pins without -race (the pool pin skips itself
 # under the race detector, so `make race` never runs it). The next two
-# pin the per-goal path: a compiled fd proof (Prove plus String of a
-# 14-step chain, its closure scratch on the stack) within 3
-# allocations, and a query-digest admission into a full shard at zero.
+# pin the per-goal path: a compiled fd proof (Prove plus Render of a
+# 14-step chain under its goal's text, its closure scratch on the
+# stack, its steps two int32 positions each) within 2 allocations, and
+# a query-digest admission into a full shard at zero.
 # The next pins an instrumented
 # System.Implies on a warm pool, whose span tree is built once and never
-# copied, and whose goal is rendered once: within 10 allocations on an
+# copied, whose goal is rendered once, and whose fd answer keeps its
+# derivation's steps rather than text: within 9 allocations on an
 # fd goal and 20 on the Proposition 4.1 chase; and the fingerprint
 # extras, one allocation at the default budget and two at any other.
 # The next pins one
@@ -66,15 +68,18 @@ race-hammer:
 # 3, RandomTrials 300), which runs on its caller's goroutine. The last
 # pins the serving path through the whole handler: a goal of a 64-goal
 # batch against a registered 32-attribute FD chain, answered in order
-# as depserve answers every batch, within 8 allocations when every goal
-# is cached and 10 when none is (each goal parsed and rendered once, no
-# span tree, a pooled key hash), and a repeated inline /v1/implies
-# whose fields hit the compiled-system memo by their raw bytes and
-# whose cache hit starts no deadline timer, within 54; and the envelope
-# every request pays, GET /healthz through the middleware (one context
-# value, hex-minted trace IDs, canonical header keys and constant header
-# values, a sampled access log), within 40. They skip themselves under
-# -race too.
+# as depserve answers every batch, within 6 allocations when every goal
+# is cached and 7 when none is (each goal unquoted into one string,
+# parsed and rendered once, no span tree, a pooled key hash, its fd
+# proof rendered only into the reply), and a repeated inline
+# /v1/implies whose fields hit the compiled-system memo by their raw
+# bytes and whose cache hit starts no deadline timer, within 52; the
+# envelope every request pays, GET /healthz through the middleware (one
+# context value, hex-minted trace IDs, canonical header keys and
+# constant header values, a sampled access log), within 40; and the
+# reply appender, which appends a 64-goal batch reply, fd proofs and
+# all, into a warm buffer without allocating. They skip themselves
+# under -race too.
 # -count=1 defeats the test cache — an allocation regression must fail
 # here even when no _test.go file changed.
 zeroalloc:
@@ -85,13 +90,16 @@ zeroalloc:
 	$(GO) test -run 'TestImpliesObsAllocs|TestFingerprintOptions' -count=1 ./internal/core/
 	$(GO) test -run TestDecideAllocs -count=1 ./internal/ind/
 	$(GO) test -run TestSearchAllocs -count=1 ./internal/search/
-	$(GO) test -run 'TestBatchGoalAllocs|TestMemoHitImpliesAllocs|TestHealthzAllocs' -count=1 ./internal/serve/
+	$(GO) test -run 'TestBatchGoalAllocs|TestMemoHitImpliesAllocs|TestHealthzAllocs|TestBatchReplyAllocFree' -count=1 ./internal/serve/
 
 # A short native-fuzzing run per input surface (plain `go test` only
 # replays the seed corpora): FuzzParse checks the .dep reader and its
 # single-entry parsers line by line; FuzzImplies and FuzzBatch drive
 # depserve's handlers with arbitrary schema, sigma and goal strings and
-# accept only 200, 400 or 503; FuzzTable checks the int32-tuple interner
+# accept only 200, 400 or 503; FuzzAppendString checks the replies'
+# string escaper (and an fd proof over any attribute name) against
+# encoding/json, and FuzzDecodeGoals the goal and goals decoders on
+# arbitrary JSON documents; FuzzTable checks the int32-tuple interner
 # the chase and the IND frontier key by against a map model, across
 # resets, growth and the epoch wrap. A failing input lands in the
 # package's testdata/fuzz directory for `go test` to replay.
@@ -99,6 +107,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzImplies$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzBatch$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendString$$' -fuzztime 10s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGoals$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s ./internal/intern/
 
 bench:

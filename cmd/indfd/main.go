@@ -184,7 +184,11 @@ func run(in io.Reader, w io.Writer, cfg config) (code int, roots []*obs.Span, er
 		if cfg.stats {
 			printQueryStats(cfg.statsW, q.Goal, a)
 		}
-		if doExplain && why != "" && a.Proof == "" && a.Counterexample == nil {
+		var proof string
+		if doExplain || verbose {
+			proof = a.ProofText(core.Goal{Dep: q.Goal})
+		}
+		if doExplain && why != "" && proof == "" && a.Counterexample == nil {
 			fmt.Fprintf(w, "%s Σ %s %v  [%s]\n%s\n", verdictMark(a.Verdict.String()), mode, q.Goal, a.Engine, indent(why))
 			if a.Verdict == core.Unknown {
 				exit = 2
@@ -196,8 +200,8 @@ func run(in io.Reader, w io.Writer, cfg config) (code int, roots []*obs.Span, er
 			exit = 2
 		}
 		if verbose {
-			if a.Proof != "" {
-				fmt.Fprintf(w, "proof:\n%s\n", indent(a.Proof))
+			if proof != "" {
+				fmt.Fprintf(w, "proof:\n%s\n", indent(proof))
 			}
 			if a.Counterexample != nil {
 				fmt.Fprintf(w, "counterexample:\n%s\n", indent(a.Counterexample.String()))

@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("Σ ⊨ %v?  %v  [engine: %s]\n", goal, a.Verdict, a.Engine)
-	fmt.Println(a.Proof)
+	fmt.Println(a.ProofText(core.Goal{Dep: goal}))
 	fmt.Println()
 
 	// Does a manager's name determine their department? This needs the

@@ -196,6 +196,9 @@ func FingerprintOptions(opt Options) []string {
 // DepProfile are per-query observability, not part of the answer,
 // and are stripped before storage (a cached profile would misreport the
 // hit's cost — scan times are wall-clock measurements of the miss).
+// An fd answer keeps its derivation's steps and the prover they index,
+// not its text or its goal: the key binds the goal as spelled, and a
+// hit renders the proof under the spelling its request carries.
 type CachedAnswer struct {
 	Answer      Answer
 	Explanation string

@@ -64,9 +64,13 @@ type Answer struct {
 	// Engine names the engine that produced the verdict: "ind", "fd",
 	// "unary", or "chase".
 	Engine string
-	// Proof is a human-readable derivation when the verdict is Yes and
-	// the engine produces proofs (ind, fd).
+	// Proof is the ind engine's IND1–IND3 derivation text when it
+	// answered Yes. ProofText renders any engine's proof.
 	Proof string
+	// FDProof is the fd engine's Armstrong derivation when it answered
+	// Yes, kept compact (fd.Derivation): ProofText renders it under the
+	// goal the query asked, which the answer does not hold.
+	FDProof fd.Derivation
 	// Counterexample is a finite database satisfying Σ and violating the
 	// goal, when the engine produces one (Verdict == No, engines ind and
 	// chase; for unary No verdicts under finite semantics no finite
@@ -104,6 +108,17 @@ type Answer struct {
 	// invalidation tags; it is deterministic for a given query, unlike
 	// Trace/DepProfile.
 	Footprint []int
+}
+
+// ProofText is the answer's proof as text: the ind engine's Proof, or
+// the fd engine's derivation rendered under g, the goal this answer
+// was asked for (fd.Proof.String's bytes). It is "" when the answer
+// carries no proof.
+func (a *Answer) ProofText(g Goal) string {
+	if a.FDProof.IsZero() {
+		return a.Proof
+	}
+	return a.FDProof.Render(g.Dep.(deps.FD), g.text())
 }
 
 // Options configures a query.
@@ -159,9 +174,10 @@ type Options struct {
 
 // Goal is an implication goal together with its text, Dep.String(),
 // rendered once by a caller that shows the goal anyway (a response, a
-// log line). GoalKey, ImpliesGoal and ExplainGoal reuse the text for
-// the cache key, the span attribute and an fd proof's header instead
-// of rendering the goal again. An empty Text is rendered on demand.
+// log line). GoalKey, ImpliesGoal, ExplainGoal and Answer.ProofText
+// reuse the text for the cache key, the span attribute and an fd
+// proof's header instead of rendering the goal again. An empty Text is
+// rendered on demand.
 type Goal struct {
 	Dep  deps.Dependency
 	Text string
@@ -563,9 +579,7 @@ func (s *System) query(g Goal, opt Options, finite bool) (Answer, error) {
 		sp = opt.Obs.StartSpan("core.query")
 	}
 	if sp != nil {
-		// Rendered at most once per query: an fd proof's header reuses it.
-		g.Text = g.text()
-		sp.SetAttr("goal", g.Text)
+		sp.SetAttr("goal", g.text())
 	}
 	if finite {
 		sp.SetAttr("mode", "finite")
@@ -648,7 +662,7 @@ func (s *System) queryFD(ci *compIndex, g Goal, opt Options, sp *obs.Span) (Answ
 	p, ok := ci.prover(goal.Rel).Prove(goal, opt.Obs)
 	psp.End()
 	if ok {
-		return Answer{Verdict: Yes, Engine: "fd", Proof: p.Render(g.text())}, nil
+		return Answer{Verdict: Yes, Engine: "fd", FDProof: p}, nil
 	}
 	return Answer{Verdict: No, Engine: "fd"}, nil
 }
@@ -701,7 +715,7 @@ func (s *System) queryChase(ci *compIndex, g Goal, opt Options, sp *obs.Span) (A
 		p, ok := ci.prover(dg.Rel).Prove(dg, opt.Obs)
 		psp.End()
 		if ok {
-			return Answer{Verdict: Yes, Engine: "fd", Proof: p.Render(g.text())}, nil
+			return Answer{Verdict: Yes, Engine: "fd", FDProof: p}, nil
 		}
 	}
 	res, err := chase.Implies(s.db, relevant, goal, chase.Options{
@@ -775,8 +789,8 @@ func (s *System) ExplainGoal(g Goal, opt Options, finite bool) (Answer, string, 
 		return a, "", err
 	}
 	switch {
-	case a.Proof != "":
-		return a, a.Proof, nil
+	case a.Proof != "" || !a.FDProof.IsZero():
+		return a, a.ProofText(g), nil
 	case a.Derivation != nil:
 		return a, a.Derivation.String(), nil
 	case a.Engine == "unary":

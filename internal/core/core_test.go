@@ -57,11 +57,12 @@ func TestFDDispatchWithProof(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.Implies(deps.NewFD("R", deps.Attrs("A"), deps.Attrs("C")), Options{})
+	goal := deps.NewFD("R", deps.Attrs("A"), deps.Attrs("C"))
+	a, err := s.Implies(goal, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Verdict != Yes || a.Engine != "fd" || a.Proof == "" {
+	if a.Verdict != Yes || a.Engine != "fd" || a.Proof != "" || a.ProofText(Goal{Dep: goal}) == "" {
 		t.Errorf("answer = %+v", a)
 	}
 	a, _ = s.Implies(deps.NewFD("R", deps.Attrs("C"), deps.Attrs("A")), Options{})
@@ -421,7 +422,8 @@ func TestNoTraceKeepsCounters(t *testing.T) {
 			if want.Trace == nil || got.Trace != nil {
 				t.Errorf("%s %v: traced tree %v, untraced tree %v; want one and none", inst.name, g, want.Trace != nil, got.Trace != nil)
 			}
-			if got.Verdict != want.Verdict || got.Engine != want.Engine || got.Proof != want.Proof {
+			goal := Goal{Dep: g}
+			if got.Verdict != want.Verdict || got.Engine != want.Engine || got.ProofText(goal) != want.ProofText(goal) {
 				t.Errorf("%s %v: untraced %v/%s, traced %v/%s", inst.name, g, got.Verdict, got.Engine, want.Verdict, want.Engine)
 			}
 			w, u := traced.Snapshot(), untraced.Snapshot()

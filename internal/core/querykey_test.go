@@ -237,9 +237,10 @@ func TestCachedProofValidAcrossSigmaOrder(t *testing.T) {
 		if err != nil || ans.Verdict != Yes || ans.Engine != "fd" {
 			t.Fatalf("Σ %v: verdict %v engine %s err %v; want yes/fd", sigma, ans.Verdict, ans.Engine, err)
 		}
-		p, ok := s.relevantIndex(goal).prover("R").Prove(goal, nil)
-		if !ok || p.String() != ans.Proof {
-			t.Fatalf("Σ %v: prover proof %q, answer proof %q", sigma, p.String(), ans.Proof)
+		d, ok := s.relevantIndex(goal).prover("R").Prove(goal, nil)
+		p := d.Proof(goal)
+		if text := ans.ProofText(Goal{Dep: goal}); !ok || p.String() != text {
+			t.Fatalf("Σ %v: prover proof %q, answer proof %q", sigma, p.String(), text)
 		}
 		keys = append(keys, s.QueryKey(goal, "unrestricted"))
 		proofs = append(proofs, p)

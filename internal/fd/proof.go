@@ -16,9 +16,6 @@ import (
 type Step struct {
 	Derived schema.Attribute
 	Via     deps.FD
-	// line is Via's rendered tail (stepLine) when a Prover derived the
-	// step, compiled once per Prover; "" makes String render Via.
-	line string
 }
 
 // Proof is a derivation that sigma implies Goal: starting from the
@@ -135,44 +132,113 @@ func (p Proof) Verify(sigma []deps.FD) error {
 	return nil
 }
 
-// stepLine renders the tail of a proof line that fires g.
+// stepLine renders the tail of a proof line that fires g, without its
+// newline.
 func stepLine(g deps.FD) string {
-	return " via " + g.String() + " (augmentation + transitivity)\n"
+	return " via " + g.String() + " (augmentation + transitivity)"
 }
 
-// String renders the proof as a numbered derivation.
-func (p Proof) String() string { return p.Render(p.Goal.String()) }
-
-// Render is String under the goal text goal, which must be
-// p.Goal.String(): a server that renders each goal once for its
-// response hands the same text in here. It runs on the serving hot path
-// (every fd Yes answer carries one), so it writes into one builder
-// sized up front, and a Prover's steps bring their FD already rendered.
-func (p Proof) Render(goal string) string {
-	const stepFixed = len("  . derive ") + 5 // plus up to five digits
-	n := len("goal: \n  start with  (reflexivity)\n  qed") + len(goal) + schema.JoinedLen(p.Goal.X)
-	for _, s := range p.Steps {
-		n += stepFixed + len(s.Derived) + len(s.line)
-	}
+// String renders the proof as a numbered derivation. It is the
+// reference text: a Prover's Derivation renders the same bytes from the
+// lines its prover rendered once.
+func (p Proof) String() string {
 	var b strings.Builder
-	b.Grow(n)
+	writeHead(&b, p.Goal.String(), p.Goal.X)
+	for k, s := range p.Steps {
+		writeStep(&b, k, s.Derived, stepLine(s.Via))
+	}
+	b.WriteString(proofEnd)
+	return b.String()
+}
+
+// A proof's text is a header naming the goal and the attributes it
+// starts with, one numbered line per step, and an end line:
+//
+//	goal: R: A -> C
+//	  start with A (reflexivity)
+//	  1. derive B via R: A -> B (augmentation + transitivity)
+//	  2. derive C via R: B -> C (augmentation + transitivity)
+//	  qed
+const proofEnd = "  qed"
+
+// headLen is the length of the header writeHead writes plus the end
+// line.
+func headLen(goal string, x []schema.Attribute) int {
+	return len("goal: \n  start with  (reflexivity)\n") + len(goal) + schema.JoinedLen(x) + len(proofEnd)
+}
+
+func writeHead(b *strings.Builder, goal string, x []schema.Attribute) {
 	b.WriteString("goal: ")
 	b.WriteString(goal)
 	b.WriteString("\n  start with ")
-	schema.WriteAttrs(&b, p.Goal.X)
+	schema.WriteAttrs(b, x)
 	b.WriteString(" (reflexivity)\n")
+}
+
+// stepLen bounds the length of a step line, for up to five-digit step
+// numbers.
+func stepLen(derived schema.Attribute, line string) int {
+	return len("  . derive \n") + 5 + len(derived) + len(line)
+}
+
+// writeStep writes the k-th step (numbered from 1): derived, then its
+// line tail.
+func writeStep(b *strings.Builder, k int, derived schema.Attribute, line string) {
 	var num [20]byte
-	for i, s := range p.Steps {
-		b.WriteString("  ")
-		b.Write(strconv.AppendInt(num[:0], int64(i+1), 10))
-		b.WriteString(". derive ")
-		b.WriteString(string(s.Derived))
-		if s.line != "" {
-			b.WriteString(s.line)
-		} else {
-			b.WriteString(stepLine(s.Via))
-		}
+	b.WriteString("  ")
+	b.Write(strconv.AppendInt(num[:0], int64(k+1), 10))
+	b.WriteString(". derive ")
+	b.WriteString(string(derived))
+	b.WriteString(line)
+	b.WriteByte('\n')
+}
+
+// Render is d.Proof(goal).String() without the expansion, under the
+// goal text its caller rendered: text must be goal.String(), and each
+// step's line is the one its prover rendered. It writes into one
+// builder sized up front.
+func (d Derivation) Render(goal deps.FD, text string) string {
+	n := headLen(text, goal.X)
+	for _, s := range d.steps {
+		n += stepLen(d.p.attrs[s.attr], d.p.lines[s.fd])
 	}
-	b.WriteString("  qed")
+	var b strings.Builder
+	b.Grow(n)
+	writeHead(&b, text, goal.X)
+	for k, s := range d.steps {
+		writeStep(&b, k, d.p.attrs[s.attr], d.p.lines[s.fd])
+	}
+	b.WriteString(proofEnd)
 	return b.String()
+}
+
+// AppendJSON appends Render's text as a JSON string, where x is the
+// goal's left-hand side and text its rendering. escape appends a string
+// as the inside of a JSON string: it takes the goal text, the
+// attributes and each step line its prover did not find plain. A plain
+// line is copied as it is, and the newlines are written as \n.
+func (d Derivation) AppendJSON(b []byte, text string, x []schema.Attribute, escape func([]byte, string) []byte) []byte {
+	b = append(b, `"goal: `...)
+	b = escape(b, text)
+	b = append(b, `\n  start with `...)
+	for i, a := range x {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = escape(b, string(a))
+	}
+	b = append(b, ` (reflexivity)\n`...)
+	for k, s := range d.steps {
+		b = append(b, "  "...)
+		b = strconv.AppendInt(b, int64(k+1), 10)
+		b = append(b, ". derive "...)
+		b = escape(b, string(d.p.attrs[s.attr]))
+		if line := d.p.lines[s.fd]; d.p.plain[s.fd] {
+			b = append(b, line...)
+		} else {
+			b = escape(b, line)
+		}
+		b = append(b, `\n`...)
+	}
+	return append(b, proofEnd+`"`...)
 }

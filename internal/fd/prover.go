@@ -23,8 +23,11 @@ type Prover struct {
 	rel string
 	fds []deps.FD
 	// lines holds each FD's rendered proof-step tail (stepLine), so a
-	// proof renders no FD per goal.
+	// proof renders no FD per goal, and plain marks the lines that are
+	// printable ASCII without a quote or a backslash, which AppendJSON
+	// copies as they are.
 	lines []string
+	plain []bool
 	idx   map[schema.Attribute]int
 	attrs []schema.Attribute
 	words int        // bitset length: ceil(len(attrs)/64)
@@ -72,13 +75,28 @@ func NewProver(rel string, sigma []deps.FD) *Prover {
 	p.x = make([][]uint64, len(p.fds))
 	p.y = make([][]uint64, len(p.fds))
 	p.lines = make([]string, len(p.fds))
+	p.plain = make([]bool, len(p.fds))
 	for i, g := range p.fds {
 		p.x[i] = mask(g.X)
 		p.y[i] = mask(g.Y)
 		p.lines[i] = stepLine(g)
+		p.plain[i] = plainText(p.lines[i])
 	}
 	return p
 }
+
+// plainText reports whether s is printable ASCII without '"' or '\\'.
+func plainText(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// noFDs is the prover a nil *Prover stands for.
+var noFDs = NewProver("", nil)
 
 // stackAttrs is the attribute count up to which Prove keeps its
 // closure scratch on the stack.
@@ -94,18 +112,46 @@ func coversMask(have, need []uint64) bool {
 	return true
 }
 
-// Prove is ProveObs against the compiled FD set: the same derivation
-// (byte-identical Proof), the same fd.* counter increments, no per-call
-// index building. A nil Prover behaves like a compile of zero FDs.
-func (p *Prover) Prove(f deps.FD, reg *obs.Registry) (Proof, bool) {
-	if p == nil {
-		return ProveObs(nil, f, reg)
+// Derivation is a Prover's proof of one goal in compact form: each
+// step is the position of the FD that fired among the prover's FDs and
+// of the attribute it derived among the prover's attributes, 8 bytes a
+// step. It holds no goal, which its caller already has. The positions
+// mean something only in the prover that assigned them (another order
+// of the same FDs compiles other positions), so a Derivation keeps its
+// prover. The zero Derivation is no proof.
+type Derivation struct {
+	p     *Prover
+	steps []derivStep
+}
+
+type derivStep struct{ fd, attr int32 }
+
+// IsZero reports whether d is no proof at all, as opposed to a proof
+// of no steps (a goal by reflexivity).
+func (d Derivation) IsZero() bool { return d.p == nil }
+
+// Len is the number of steps.
+func (d Derivation) Len() int { return len(d.steps) }
+
+// Proof expands the derivation of goal into a Proof, for Verify.
+func (d Derivation) Proof(goal deps.FD) Proof {
+	steps := make([]Step, len(d.steps))
+	for k, s := range d.steps {
+		steps[k] = Step{Derived: d.p.attrs[s.attr], Via: d.p.fds[s.fd]}
 	}
-	reg.Counter("fd.prove_calls").Inc()
-	cPasses := reg.Counter("fd.closure_passes")
-	cDerived := reg.Counter("fd.attrs_derived")
+	return Proof{Goal: goal, Steps: steps}
+}
+
+// Prove is ProveObs against the compiled FD set: the same derivation
+// (d.Proof(f) equals ProveObs's Proof), the same fd.* counter totals, no
+// per-call index building. It counts in locals and adds each counter
+// once. A nil Prover behaves like a compile of zero FDs.
+func (p *Prover) Prove(f deps.FD, reg *obs.Registry) (Derivation, bool) {
+	if p == nil {
+		p = noFDs
+	}
 	// The closure's scratch lives on the stack for up to stackAttrs
-	// attributes: only the proof's steps reach the heap.
+	// attributes: only the derivation's steps reach the heap.
 	var closureBuf [stackAttrs / 64]uint64
 	var derivedBuf [stackAttrs]int32
 	var neededBuf [stackAttrs]bool
@@ -124,9 +170,10 @@ func (p *Prover) Prove(f deps.FD, reg *obs.Registry) (Proof, bool) {
 	for i := range derivedBy {
 		derivedBy[i] = -1
 	}
+	var passes, derived int64
 	for changed := true; changed; {
 		changed = false
-		cPasses.Inc()
+		passes++
 		for gi := range p.fds {
 			if !coversMask(closure, p.x[gi]) {
 				continue
@@ -139,22 +186,27 @@ func (p *Prover) Prove(f deps.FD, reg *obs.Registry) (Proof, bool) {
 				if closure[i/64]&(1<<(i%64)) == 0 {
 					closure[i/64] |= 1 << (i % 64)
 					derivedBy[i] = int32(gi)
-					cDerived.Inc()
+					derived++
 					changed = true
 				}
 			}
 		}
+	}
+	if reg != nil {
+		reg.Counter("fd.prove_calls").Inc()
+		reg.Counter("fd.closure_passes").Add(passes)
+		reg.Counter("fd.attrs_derived").Add(derived)
 	}
 	for _, b := range f.Y {
 		if i, ok := p.idx[b]; ok {
 			if closure[i/64]&(1<<(i%64)) != 0 {
 				continue
 			}
-			return Proof{}, false
+			return Derivation{}, false
 		}
 		// An attribute no FD mentions is derivable only by reflexivity.
 		if !slices.Contains(f.X, b) {
-			return Proof{}, false
+			return Derivation{}, false
 		}
 	}
 	// Walk back from the goal attributes, collecting the needed steps'
@@ -165,12 +217,11 @@ func (p *Prover) Prove(f deps.FD, reg *obs.Registry) (Proof, bool) {
 	for _, b := range f.Y {
 		order = p.walk(b, f.X, derivedBy, needed, order)
 	}
-	steps := make([]Step, len(order))
+	steps := make([]derivStep, len(order))
 	for k, i := range order {
-		gi := derivedBy[i]
-		steps[k] = Step{Derived: p.attrs[i], Via: p.fds[gi], line: p.lines[gi]}
+		steps[k] = derivStep{fd: derivedBy[i], attr: i}
 	}
-	return Proof{Goal: f, Steps: steps}, true
+	return Derivation{p: p, steps: steps}, true
 }
 
 // walk appends the index of every attribute a's derivation needs, each

@@ -2,6 +2,7 @@ package fd
 
 import (
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -11,9 +12,10 @@ import (
 )
 
 // TestProverMatchesProveObs pins the compiled prover to the reference
-// implementation over random FD sets: same verdict, byte-identical
-// proof, and identical fd.* counter increments (pass and derivation
-// counts), goal by goal.
+// implementation over random FD sets: same verdict, the same proof once
+// expanded, byte-identical text rendered from the prover's lines, and
+// identical fd.* counter increments (pass and derivation counts), goal
+// by goal.
 func TestProverMatchesProveObs(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	attrs := []schema.Attribute{"A", "B", "C", "D", "E", "F", "G", "H"}
@@ -47,16 +49,21 @@ func TestProverMatchesProveObs(t *testing.T) {
 			goal := deps.FD{Rel: "R", X: side(), Y: side()}
 			regRef, regCmp := obs.New(), obs.New()
 			refProof, refOK := ProveObs(sigma, goal, regRef)
-			gotProof, gotOK := p.Prove(goal, regCmp)
-			if refOK != gotOK {
-				t.Fatalf("trial %d: sigma=%v goal=%v: ProveObs ok=%v, Prover ok=%v",
-					trial, sigma, goal, refOK, gotOK)
-			}
-			if refOK && refProof.String() != gotProof.String() {
-				t.Fatalf("trial %d: sigma=%v goal=%v:\nProveObs:\n%s\nProver:\n%s",
-					trial, sigma, goal, refProof.String(), gotProof.String())
+			got, gotOK := p.Prove(goal, regCmp)
+			if refOK != gotOK || got.IsZero() == gotOK {
+				t.Fatalf("trial %d: sigma=%v goal=%v: ProveObs ok=%v, Prover ok=%v (zero derivation %v)",
+					trial, sigma, goal, refOK, gotOK, got.IsZero())
 			}
 			if gotOK {
+				gotProof := got.Proof(goal)
+				if len(refProof.Steps) != len(gotProof.Steps) ||
+					len(gotProof.Steps) > 0 && !reflect.DeepEqual(refProof, gotProof) {
+					t.Fatalf("trial %d: sigma=%v goal=%v:\nProveObs:\n%s\nProver:\n%s",
+						trial, sigma, goal, refProof, gotProof)
+				}
+				if text := got.Render(goal, goal.String()); text != refProof.String() {
+					t.Fatalf("trial %d: sigma=%v goal=%v: Render\n%s\nwant\n%s", trial, sigma, goal, text, refProof)
+				}
 				if err := gotProof.Verify(sigma); err != nil {
 					t.Fatalf("trial %d: prover proof fails Verify: %v", trial, err)
 				}
@@ -76,8 +83,10 @@ func TestProverNilAndEmpty(t *testing.T) {
 	goalYes := deps.FD{Rel: "R", X: []schema.Attribute{"A", "B"}, Y: []schema.Attribute{"A"}}
 	goalNo := deps.FD{Rel: "R", X: []schema.Attribute{"A"}, Y: []schema.Attribute{"B"}}
 	for name, p := range map[string]*Prover{"nil": nil, "empty": NewProver("R", nil)} {
-		if proof, ok := p.Prove(goalYes, nil); !ok || len(proof.Steps) != 0 {
-			t.Errorf("%s prover: reflexive goal: ok=%v steps=%d, want ok with no steps", name, ok, len(proof.Steps))
+		if proof, ok := p.Prove(goalYes, nil); !ok || proof.IsZero() || proof.Len() != 0 {
+			t.Errorf("%s prover: reflexive goal: ok=%v steps=%d, want ok with no steps", name, ok, proof.Len())
+		} else if got, want := proof.Render(goalYes, goalYes.String()), proof.Proof(goalYes).String(); got != want {
+			t.Errorf("%s prover: reflexive goal renders %q, want %q", name, got, want)
 		}
 		if _, ok := p.Prove(goalNo, nil); ok {
 			t.Errorf("%s prover: underivable goal answered yes", name)
@@ -96,36 +105,63 @@ func chainProof(n int) (*Prover, deps.FD) {
 	return NewProver("R", sigma), deps.NewFD("R", deps.Attrs("A0"), deps.Attrs("A"+strconv.Itoa(n-1)))
 }
 
+// TestDerivationAppendJSON pins what a reply copies from a derivation:
+// the goal text, the attributes and each step line go through the
+// escaper, except a line its prover found plain (printable ASCII
+// without a quote or a backslash), which is copied as it is.
+func TestDerivationAppendJSON(t *testing.T) {
+	sigma := []deps.FD{
+		deps.NewFD("R", deps.Attrs("A"), deps.Attrs("B")),
+		deps.NewFD("R", deps.Attrs("B"), deps.Attrs(`C"é`)),
+	}
+	goal := deps.NewFD("R", deps.Attrs("A"), deps.Attrs(`C"é`))
+	d, ok := NewProver("R", sigma).Prove(goal, nil)
+	if !ok || d.Len() != 2 {
+		t.Fatalf("ok=%v steps=%d, want a 2-step proof", ok, d.Len())
+	}
+	mark := func(b []byte, s string) []byte { return append(append(append(b, '<'), s...), '>') }
+	got := string(d.AppendJSON(nil, goal.String(), goal.X, mark))
+	want := `"goal: <R: A -> C"é>\n  start with <A> (reflexivity)\n` +
+		`  1. derive <B> via R: A -> B (augmentation + transitivity)\n` +
+		`  2. derive <C"é>< via R: B -> C"é (augmentation + transitivity)>\n  qed"`
+	if got != want {
+		t.Errorf("AppendJSON =\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestProverProofAllocs pins the per-goal cost of a compiled proof: Prove
-// plus String of a 14-step chain proof stays within 3 allocations (the
-// steps, the goal's text and the proof's), because each FD's step line
-// is rendered once by NewProver, the closure's scratch stays on the
-// stack, and the proof text is written into one sized builder.
+// plus Render of a 14-step chain proof, under goal text rendered once as
+// a server renders it, stays within 2 allocations (the steps and the
+// text), because each FD's step line is rendered once by NewProver, the
+// closure's scratch stays on the stack, a step is two int32 positions,
+// and the text is written into one sized builder.
 func TestProverProofAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts are not exact under -race")
 	}
 	p, goal := chainProof(15)
 	proof, ok := p.Prove(goal, nil)
-	if !ok || len(proof.Steps) != 14 {
-		t.Fatalf("chain proof: ok=%v steps=%d, want 14 steps", ok, len(proof.Steps))
+	if !ok || proof.Len() != 14 {
+		t.Fatalf("chain proof: ok=%v steps=%d, want 14 steps", ok, proof.Len())
 	}
+	text := goal.String()
 	allocs := testing.AllocsPerRun(200, func() {
 		proof, _ := p.Prove(goal, nil)
-		_ = proof.String()
+		_ = proof.Render(goal, text)
 	})
-	if allocs > 3 {
-		t.Errorf("Prove+String of a 14-step proof: %.0f allocs, want <= 3", allocs)
+	if allocs > 2 {
+		t.Errorf("Prove+Render of a 14-step proof: %.0f allocs, want <= 2", allocs)
 	}
 }
 
-// BenchmarkProverProof times Prove plus String of the 14-step chain
+// BenchmarkProverProof times Prove plus Render of the 14-step chain
 // proof.
 func BenchmarkProverProof(b *testing.B) {
 	p, goal := chainProof(15)
+	text := goal.String()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		proof, _ := p.Prove(goal, nil)
-		_ = proof.String()
+		_ = proof.Render(goal, text)
 	}
 }

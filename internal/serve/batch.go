@@ -65,11 +65,13 @@ type BatchResponse struct {
 }
 
 // batchWire is how a BatchRequest is decoded: its schema and sigma
-// fields stay raw JSON for the compiled-system memo (see impliesWire).
+// fields stay raw JSON for the compiled-system memo, and each goal is
+// unquoted into one string (see impliesWire).
 type batchWire struct {
 	BatchRequest
 	Schema json.RawMessage `json:"schema,omitempty"`
 	Sigma  json.RawMessage `json:"sigma,omitempty"`
+	Goals  goalList        `json:"goals"`
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -80,7 +82,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp := BatchResponse{RequestID: RequestID(r.Context()), Goals: len(req.Goals)}
 	bad := func(msg string) {
 		resp.Error = msg
-		s.writeJSON(w, http.StatusBadRequest, resp)
+		s.writeBatch(w, http.StatusBadRequest, &resp)
 	}
 	if len(req.Goals) == 0 {
 		bad("missing goals")
@@ -127,5 +129,5 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.batch.get("batch.requests").Inc()
 	s.batch.get("batch.goals").Add(int64(len(p.goals)))
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeBatch(w, http.StatusOK, &resp)
 }

@@ -465,7 +465,9 @@ func TestSchemaEditRoundTrip(t *testing.T) {
 				t.Fatalf("%s: fresh %s: %v", step, goals[i], err)
 			}
 			var want ImpliesResponse
-			fillAnswer(&want, a)
+			g := core.Goal{Dep: goalDeps[i]}
+			fillAnswer(&want, &a, g)
+			want.Proof = a.ProofText(g)
 			if got.Status != http.StatusOK || got.Verdict != want.Verdict || got.Engine != want.Engine ||
 				got.Proof != want.Proof || got.Counterexample != want.Counterexample ||
 				got.ChaseRounds != want.ChaseRounds || got.ChaseTuples != want.ChaseTuples {

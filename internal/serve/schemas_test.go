@@ -116,7 +116,9 @@ func TestSchemaPutCompilesThroughMemo(t *testing.T) {
 				t.Fatalf("fresh %s: %v", goals[i], err)
 			}
 			var want ImpliesResponse
-			fillAnswer(&want, a)
+			g := core.Goal{Dep: goalDeps[i]}
+			fillAnswer(&want, &a, g)
+			want.Proof = a.ProofText(g)
 			if got.Status != http.StatusOK || got.Verdict != want.Verdict || got.Engine != want.Engine ||
 				got.Proof != want.Proof || got.Counterexample != want.Counterexample ||
 				got.ChaseRounds != want.ChaseRounds || got.ChaseTuples != want.ChaseTuples {

@@ -98,6 +98,7 @@ import (
 	"indfd/internal/core"
 	"indfd/internal/data"
 	"indfd/internal/deps"
+	"indfd/internal/fd"
 	"indfd/internal/obs"
 	"indfd/internal/obs/tsdb"
 	"indfd/internal/parser"
@@ -211,6 +212,12 @@ type Server struct {
 	answers       *counterSet[answerLabels]
 	satisfies     *counterSet[bool]   // serve.satisfies{satisfied}
 	batch         *counterSet[string] // batch.requests, batch.goals, batch.goal_errors
+
+	// testReply, when set, receives every implies, explain and batch
+	// reply value before it is appended — the byte-identity
+	// differential's view of what encoding/json would have encoded.
+	// Never set in production.
+	testReply func(any)
 
 	// testDelayNS, when positive, sleeps every instrumented request by
 	// that many nanoseconds before the handler runs — the latency-fault
@@ -408,6 +415,12 @@ type ImpliesResponse struct {
 	DeadlineMS int64           `json:"deadline_ms,omitempty"`
 	Metrics    *obs.Snapshot   `json:"metrics,omitempty"`
 	Error      string          `json:"error,omitempty"`
+
+	// fdProof is an fd yes answer's derivation, which the reply renders
+	// as its proof (Proof stays ""), starting from fdStart, the goal's
+	// left-hand side.
+	fdProof fd.Derivation
+	fdStart []schema.Attribute
 }
 
 // SatisfiesRequest is the POST /v1/satisfies body: a concrete database
@@ -432,11 +445,13 @@ type SatisfiesResponse struct {
 // impliesWire is how an ImpliesRequest is decoded: its schema and sigma
 // fields stay raw JSON, shadowing the embedded []string fields, so the
 // compiled-system memo keys on the bytes as sent and decodes them only
-// on a miss (decodeEntries).
+// on a miss (decodeEntries); its goal is unquoted into one string
+// (goalText).
 type impliesWire struct {
 	ImpliesRequest
 	Schema json.RawMessage `json:"schema"`
 	Sigma  json.RawMessage `json:"sigma"`
+	Goal   goalText        `json:"goal"`
 }
 
 func (s *Server) handleImplies(w http.ResponseWriter, r *http.Request) {
@@ -702,7 +717,7 @@ func (s *Server) solveGoal(dl *deadline, p *prepared, g core.Goal, req ImpliesRe
 		cacheStatus = "miss"
 		lookup := time.Now()
 		if hit, ok := s.cache.Get(fingerprint); ok {
-			fillRendered(&resp, hit.Answer, hit.Counterexample)
+			fillRendered(&resp, &hit.Answer, g, hit.Counterexample)
 			resp.Explanation = hit.Explanation
 			resp.ElapsedUS = time.Since(lookup).Microseconds()
 			if rec != nil {
@@ -739,7 +754,7 @@ func (s *Server) solveGoal(dl *deadline, p *prepared, g core.Goal, req ImpliesRe
 		a, err = p.sys.ImpliesGoal(g, opt, req.Finite)
 	}
 	resp.ElapsedUS = time.Since(start).Microseconds()
-	fillAnswer(&resp, a)
+	fillAnswer(&resp, &a, g)
 	resp.Explanation = why
 	if req.IncludeMetrics {
 		resp.Metrics = opt.Obs.Snapshot()
@@ -797,7 +812,7 @@ func (s *Server) solveGoal(dl *deadline, p *prepared, g core.Goal, req ImpliesRe
 
 func (s *Server) answerImplies(w http.ResponseWriter, r *http.Request, req impliesWire) {
 	resp := ImpliesResponse{RequestID: RequestID(r.Context())}
-	p, err := s.prepare(req.SchemaName, req.Schema, req.Sigma, "goal", []string{req.Goal})
+	p, err := s.prepare(req.SchemaName, req.Schema, req.Sigma, "goal", []string{string(req.Goal)})
 	if err != nil {
 		s.badRequest(w, r, resp, err.Error())
 		return
@@ -815,7 +830,7 @@ func (s *Server) answerImplies(w http.ResponseWriter, r *http.Request, req impli
 	case "miss":
 		w.Header()["X-Cache"] = xCacheMiss
 	}
-	s.writeJSON(w, status, resp)
+	s.writeImplies(w, status, &resp)
 }
 
 func (s *Server) handleSatisfies(w http.ResponseWriter, r *http.Request) {
@@ -1034,22 +1049,26 @@ func parseSchemaSigma(schemaLines, sigma []string) (*schema.Database, []deps.Dep
 	return db, members, nil
 }
 
-// fillAnswer copies a core.Answer (possibly partial, on the deadline
-// path) into the response, rendering its counterexample.
-func fillAnswer(resp *ImpliesResponse, a core.Answer) {
+// fillAnswer copies a core.Answer to goal g (possibly partial, on the
+// deadline path) into the response, rendering its counterexample.
+func fillAnswer(resp *ImpliesResponse, a *core.Answer, g core.Goal) {
 	var counterexample string
 	if a.Counterexample != nil {
 		counterexample = a.Counterexample.String()
 	}
-	fillRendered(resp, a, counterexample)
+	fillRendered(resp, a, g, counterexample)
 }
 
 // fillRendered is fillAnswer with the counterexample already rendered:
-// a cache hit serves the text its miss rendered and stored.
-func fillRendered(resp *ImpliesResponse, a core.Answer, counterexample string) {
+// a cache hit serves the text its miss rendered and stored. An fd
+// proof is not rendered here but into the reply (fd.Derivation.AppendJSON).
+func fillRendered(resp *ImpliesResponse, a *core.Answer, g core.Goal, counterexample string) {
 	resp.Verdict = a.Verdict.String()
 	resp.Engine = a.Engine
 	resp.Proof = a.Proof
+	if !a.FDProof.IsZero() {
+		resp.fdProof, resp.fdStart = a.FDProof, g.Dep.(deps.FD).X
+	}
 	resp.Counterexample = counterexample
 	resp.ChaseRounds = a.ChaseRounds
 	resp.ChaseTuples = a.ChaseTuples
@@ -1091,7 +1110,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bo
 
 func (s *Server) badRequest(w http.ResponseWriter, r *http.Request, resp ImpliesResponse, msg string) {
 	resp.Error = msg
-	s.writeJSON(w, http.StatusBadRequest, resp)
+	s.writeImplies(w, http.StatusBadRequest, &resp)
 }
 
 func (s *Server) badRequestSat(w http.ResponseWriter, resp SatisfiesResponse, msg string) {
@@ -1109,6 +1128,9 @@ var (
 	xCacheMiss      = []string{"MISS"}
 )
 
+// writeJSON writes v as encoding/json encodes it without HTML escaping;
+// the implies, explain and batch replies go through writeImplies and
+// writeBatch (json.go), which write the same bytes without reflection.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
