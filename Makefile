@@ -53,7 +53,8 @@ race-hammer:
 # under the race detector, so `make race` never runs it). The next two
 # pin the per-goal path: a compiled fd proof (Prove plus Render of a
 # 14-step chain under its goal's text, its closure scratch on the
-# stack, its steps two int32 positions each) within 2 allocations, and
+# stack, each step the fired FD's line and the derived attribute's
+# place in it) within 2 allocations, and
 # a query-digest admission into a full shard at zero.
 # The next pins an instrumented
 # System.Implies on a warm pool, whose span tree is built once and never
@@ -68,12 +69,12 @@ race-hammer:
 # 3, RandomTrials 300), which runs on its caller's goroutine. The last
 # pins the serving path through the whole handler: a goal of a 64-goal
 # batch against a registered 32-attribute FD chain, answered in order
-# as depserve answers every batch, within 6 allocations when every goal
-# is cached and 7 when none is (each goal unquoted into one string,
-# parsed and rendered once, no span tree, a pooled key hash, its fd
-# proof rendered only into the reply), and a repeated inline
-# /v1/implies whose fields hit the compiled-system memo by their raw
-# bytes and whose cache hit starts no deadline timer, within 52; the
+# as depserve answers every batch, within 7 allocations when every goal
+# is cached and 8 when none is (each goal parsed and rendered once, no
+# span tree, a pooled key hash, its fd proof rendered only into the
+# reply), and a repeated inline /v1/implies whose fields hit the
+# compiled-system memo by their raw bytes and whose cache hit starts no
+# deadline timer, within 53; the
 # envelope every request pays, GET /healthz through the middleware (one
 # context value, hex-minted trace IDs, canonical header keys and
 # constant header values, a sampled access log), within 40; and the
@@ -98,8 +99,7 @@ zeroalloc:
 # depserve's handlers with arbitrary schema, sigma and goal strings and
 # accept only 200, 400 or 503; FuzzAppendString checks the replies'
 # string escaper (and an fd proof over any attribute name) against
-# encoding/json, and FuzzDecodeGoals the goal and goals decoders on
-# arbitrary JSON documents; FuzzTable checks the int32-tuple interner
+# encoding/json; FuzzTable checks the int32-tuple interner
 # the chase and the IND frontier key by against a map model, across
 # resets, growth and the epoch wrap. A failing input lands in the
 # package's testdata/fuzz directory for `go test` to replay.
@@ -108,7 +108,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzImplies$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzBatch$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendString$$' -fuzztime 10s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGoals$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 10s ./internal/intern/
 
 bench:

@@ -196,9 +196,10 @@ func FingerprintOptions(opt Options) []string {
 // DepProfile are per-query observability, not part of the answer,
 // and are stripped before storage (a cached profile would misreport the
 // hit's cost — scan times are wall-clock measurements of the miss).
-// An fd answer keeps its derivation's steps and the prover they index,
-// not its text or its goal: the key binds the goal as spelled, and a
-// hit renders the proof under the spelling its request carries.
+// An fd answer keeps its derivation's steps, each the line of the FD
+// it fired, not its text, its goal or its prover: the key binds the
+// goal as spelled, a hit renders the proof under the spelling its
+// request carries, and no entry keeps a compiled Σ alive.
 type CachedAnswer struct {
 	Answer      Answer
 	Explanation string

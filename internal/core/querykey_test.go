@@ -238,8 +238,8 @@ func TestCachedProofValidAcrossSigmaOrder(t *testing.T) {
 			t.Fatalf("Σ %v: verdict %v engine %s err %v; want yes/fd", sigma, ans.Verdict, ans.Engine, err)
 		}
 		d, ok := s.relevantIndex(goal).prover("R").Prove(goal, nil)
-		p := d.Proof(goal)
-		if text := ans.ProofText(Goal{Dep: goal}); !ok || p.String() != text {
+		p, err := d.Proof(goal, sigma)
+		if text := ans.ProofText(Goal{Dep: goal}); !ok || err != nil || p.String() != text {
 			t.Fatalf("Σ %v: prover proof %q, answer proof %q", sigma, p.String(), text)
 		}
 		keys = append(keys, s.QueryKey(goal, "unrestricted"))

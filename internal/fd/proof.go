@@ -135,7 +135,23 @@ func (p Proof) Verify(sigma []deps.FD) error {
 // stepLine renders the tail of a proof line that fires g, without its
 // newline.
 func stepLine(g deps.FD) string {
-	return " via " + g.String() + " (augmentation + transitivity)"
+	return " via " + g.String() + stepRule
+}
+
+const stepRule = " (augmentation + transitivity)"
+
+// derivedAt returns where attribute a, a member of y, starts in line,
+// the step line of an FD whose right-hand side is y: its first place in
+// y, counted back from the end of the line.
+func derivedAt(line string, y []schema.Attribute, a schema.Attribute) int {
+	at := len(line) - len(stepRule) - schema.JoinedLen(y)
+	for _, b := range y {
+		if b == a {
+			break
+		}
+		at += len(b) + len(",")
+	}
+	return at
 }
 
 // String renders the proof as a numbered derivation. It is the
@@ -193,20 +209,20 @@ func writeStep(b *strings.Builder, k int, derived schema.Attribute, line string)
 	b.WriteByte('\n')
 }
 
-// Render is d.Proof(goal).String() without the expansion, under the
-// goal text its caller rendered: text must be goal.String(), and each
-// step's line is the one its prover rendered. It writes into one
+// Render is the String of d's expansion without the expansion, under
+// the goal text its caller rendered: text must be goal.String(), and
+// each step's line is the one its prover rendered. It writes into one
 // builder sized up front.
 func (d Derivation) Render(goal deps.FD, text string) string {
 	n := headLen(text, goal.X)
 	for _, s := range d.steps {
-		n += stepLen(d.p.attrs[s.attr], d.p.lines[s.fd])
+		n += stepLen(s.derived(), s.line)
 	}
 	var b strings.Builder
 	b.Grow(n)
 	writeHead(&b, text, goal.X)
 	for k, s := range d.steps {
-		writeStep(&b, k, d.p.attrs[s.attr], d.p.lines[s.fd])
+		writeStep(&b, k, s.derived(), s.line)
 	}
 	b.WriteString(proofEnd)
 	return b.String()
@@ -232,11 +248,11 @@ func (d Derivation) AppendJSON(b []byte, text string, x []schema.Attribute, esca
 		b = append(b, "  "...)
 		b = strconv.AppendInt(b, int64(k+1), 10)
 		b = append(b, ". derive "...)
-		b = escape(b, string(d.p.attrs[s.attr]))
-		if line := d.p.lines[s.fd]; d.p.plain[s.fd] {
-			b = append(b, line...)
+		b = escape(b, string(s.derived()))
+		if s.plain {
+			b = append(b, s.line...)
 		} else {
-			b = escape(b, line)
+			b = escape(b, s.line)
 		}
 		b = append(b, `\n`...)
 	}

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"fmt"
 	"slices"
 
 	"indfd/internal/deps"
@@ -23,9 +24,9 @@ type Prover struct {
 	rel string
 	fds []deps.FD
 	// lines holds each FD's rendered proof-step tail (stepLine), so a
-	// proof renders no FD per goal, and plain marks the lines that are
-	// printable ASCII without a quote or a backslash, which AppendJSON
-	// copies as they are.
+	// proof renders no FD per goal and its steps share one copy of each
+	// line, and plain marks the lines that are printable ASCII without a
+	// quote or a backslash, which AppendJSON copies as they are.
 	lines []string
 	plain []bool
 	idx   map[schema.Attribute]int
@@ -112,38 +113,59 @@ func coversMask(have, need []uint64) bool {
 	return true
 }
 
-// Derivation is a Prover's proof of one goal in compact form: each
-// step is the position of the FD that fired among the prover's FDs and
-// of the attribute it derived among the prover's attributes, 8 bytes a
-// step. It holds no goal, which its caller already has. The positions
-// mean something only in the prover that assigned them (another order
-// of the same FDs compiles other positions), so a Derivation keeps its
-// prover. The zero Derivation is no proof.
+// Derivation is a Prover's proof of one goal in compact form. Each step
+// keeps the rendered line of the FD that fired, which its prover
+// rendered once, and the derived attribute as a substring of that
+// line: a step holds no FD, no position and no prover, so a cached
+// Derivation keeps the lines its proof uses alive and nothing else of
+// the prover or its Σ, and it renders the same text under any other
+// order of that Σ. It holds no goal, which its caller already has. The
+// zero Derivation is no proof.
 type Derivation struct {
-	p     *Prover
-	steps []derivStep
+	steps []derivStep // non-nil for a proof, even one of no steps
 }
 
-type derivStep struct{ fd, attr int32 }
+// derivStep is one step: the line of the FD that fired, the derived
+// attribute at line[at:at+n] on that FD's right-hand side, and whether
+// the line is plain (see Prover.plain).
+type derivStep struct {
+	line  string
+	at, n int32
+	plain bool
+}
+
+func (s derivStep) derived() schema.Attribute { return schema.Attribute(s.line[s.at : s.at+s.n]) }
 
 // IsZero reports whether d is no proof at all, as opposed to a proof
 // of no steps (a goal by reflexivity).
-func (d Derivation) IsZero() bool { return d.p == nil }
+func (d Derivation) IsZero() bool { return d.steps == nil }
 
 // Len is the number of steps.
 func (d Derivation) Len() int { return len(d.steps) }
 
-// Proof expands the derivation of goal into a Proof, for Verify.
-func (d Derivation) Proof(goal deps.FD) Proof {
+// Proof expands the derivation of goal into a Proof for Verify, finding
+// each step's FD among sigma's by the line it renders. It fails when a
+// step's line is no FD of sigma over the goal's relation.
+func (d Derivation) Proof(goal deps.FD, sigma []deps.FD) (Proof, error) {
+	byLine := make(map[string]deps.FD, len(sigma))
+	for _, g := range sigma {
+		if g.Rel == goal.Rel {
+			byLine[stepLine(g)] = g
+		}
+	}
 	steps := make([]Step, len(d.steps))
 	for k, s := range d.steps {
-		steps[k] = Step{Derived: d.p.attrs[s.attr], Via: d.p.fds[s.fd]}
+		g, ok := byLine[s.line]
+		if !ok {
+			return Proof{}, fmt.Errorf("fd: step %d derives %s%s, which is not in sigma", k+1, s.derived(), s.line)
+		}
+		steps[k] = Step{Derived: s.derived(), Via: g}
 	}
-	return Proof{Goal: goal, Steps: steps}
+	return Proof{Goal: goal, Steps: steps}, nil
 }
 
 // Prove is ProveObs against the compiled FD set: the same derivation
-// (d.Proof(f) equals ProveObs's Proof), the same fd.* counter totals, no
+// (d.Proof(f, sigma) equals ProveObs's Proof), the same fd.* counter totals, no
 // per-call index building. It counts in locals and adds each counter
 // once. A nil Prover behaves like a compile of zero FDs.
 func (p *Prover) Prove(f deps.FD, reg *obs.Registry) (Derivation, bool) {
@@ -219,9 +241,11 @@ func (p *Prover) Prove(f deps.FD, reg *obs.Registry) (Derivation, bool) {
 	}
 	steps := make([]derivStep, len(order))
 	for k, i := range order {
-		steps[k] = derivStep{fd: derivedBy[i], attr: i}
+		gi := derivedBy[i]
+		a := p.attrs[i]
+		steps[k] = derivStep{line: p.lines[gi], at: int32(derivedAt(p.lines[gi], p.fds[gi].Y, a)), n: int32(len(a)), plain: p.plain[gi]}
 	}
-	return Derivation{p: p, steps: steps}, true
+	return Derivation{steps: steps}, true
 }
 
 // walk appends the index of every attribute a's derivation needs, each

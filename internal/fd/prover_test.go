@@ -3,8 +3,10 @@ package fd
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"indfd/internal/deps"
 	"indfd/internal/obs"
@@ -55,7 +57,10 @@ func TestProverMatchesProveObs(t *testing.T) {
 					trial, sigma, goal, refOK, gotOK, got.IsZero())
 			}
 			if gotOK {
-				gotProof := got.Proof(goal)
+				gotProof, err := got.Proof(goal, sigma)
+				if err != nil {
+					t.Fatalf("trial %d: sigma=%v goal=%v: %v", trial, sigma, goal, err)
+				}
 				if len(refProof.Steps) != len(gotProof.Steps) ||
 					len(gotProof.Steps) > 0 && !reflect.DeepEqual(refProof, gotProof) {
 					t.Fatalf("trial %d: sigma=%v goal=%v:\nProveObs:\n%s\nProver:\n%s",
@@ -85,7 +90,9 @@ func TestProverNilAndEmpty(t *testing.T) {
 	for name, p := range map[string]*Prover{"nil": nil, "empty": NewProver("R", nil)} {
 		if proof, ok := p.Prove(goalYes, nil); !ok || proof.IsZero() || proof.Len() != 0 {
 			t.Errorf("%s prover: reflexive goal: ok=%v steps=%d, want ok with no steps", name, ok, proof.Len())
-		} else if got, want := proof.Render(goalYes, goalYes.String()), proof.Proof(goalYes).String(); got != want {
+		} else if exp, err := proof.Proof(goalYes, nil); err != nil {
+			t.Errorf("%s prover: reflexive goal does not expand: %v", name, err)
+		} else if got, want := proof.Render(goalYes, goalYes.String()), exp.String(); got != want {
 			t.Errorf("%s prover: reflexive goal renders %q, want %q", name, got, want)
 		}
 		if _, ok := p.Prove(goalNo, nil); ok {
@@ -126,6 +133,52 @@ func TestDerivationAppendJSON(t *testing.T) {
 		`  2. derive <C"é>< via R: B -> C"é (augmentation + transitivity)>\n  qed"`
 	if got != want {
 		t.Errorf("AppendJSON =\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestDerivationProofNeedsSigma: a derivation expands only against a Σ
+// that holds every FD it fired, as a checker holding Σ and the text
+// needs; one missing FD fails the expansion and names its step.
+func TestDerivationProofNeedsSigma(t *testing.T) {
+	p, goal := chainProof(4)
+	d, ok := p.Prove(goal, nil)
+	if !ok || d.Len() != 3 {
+		t.Fatalf("ok=%v steps=%d, want a 3-step proof", ok, d.Len())
+	}
+	if _, err := d.Proof(goal, p.fds); err != nil {
+		t.Fatalf("against its own Σ: %v", err)
+	}
+	without := []deps.FD{p.fds[0], p.fds[2]}
+	want := "fd: step 2 derives A2 via R: A1 -> A2 (augmentation + transitivity), which is not in sigma"
+	if _, err := d.Proof(goal, without); err == nil || err.Error() != want {
+		t.Errorf("against %v: err %v, want %q", without, err, want)
+	}
+}
+
+// TestDerivationOutlivesProver pins that a Derivation keeps no Prover
+// alive: a cached answer holds its derivation for as long as the cache
+// keeps it, and the prover is the whole compiled Σ. The derivation still
+// renders its text once the prover is collected.
+func TestDerivationOutlivesProver(t *testing.T) {
+	p, goal := chainProof(15)
+	collected := make(chan struct{})
+	runtime.SetFinalizer(p, func(*Prover) { close(collected) })
+	d, _ := p.Prove(goal, nil)
+	want := d.Render(goal, goal.String())
+	p = nil
+	deadline := time.After(time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-deadline:
+			t.Fatal("the prover was not collected while its derivation lived")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if got := d.Render(goal, goal.String()); got != want {
+		t.Errorf("after the prover was collected, Render =\n%s\nwant\n%s", got, want)
 	}
 }
 

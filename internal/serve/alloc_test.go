@@ -53,14 +53,12 @@ func chainBatches(t *testing.T, s *Server, batches int) []string {
 // cache, fd prover, digest, encode), amortizing the request's own cost
 // over its 64 goals: every goal a cache hit, and every goal a miss that
 // runs the closure and is put. No tree is built for a batch goal, the
-// goal is unquoted into one string and rendered once, and its fd proof
-// is kept as the derivation's steps and rendered only into the reply,
-// which is appended without reflection. The goals run in order on the
-// request's goroutine, as depserve answers every batch. Measured 5.80
-// and 6.86 allocations per goal (Go 1.24, linux/amd64); rendering the
-// proof text per answer, encoding the reply with encoding/json and
-// unquoting each escaped goal through a scratch buffer made them 6.92
-// and 8.98.
+// goal is rendered once, and its fd proof is kept as the derivation's
+// steps and rendered only into the reply, which is appended without
+// reflection. The goals run in order on the request's goroutine, as
+// depserve answers every batch. Measured 6.89 and 7.95 allocations per
+// goal (Go 1.24, linux/amd64); rendering the proof text per answer and
+// encoding the reply with encoding/json made them 6.92 and 8.98.
 func TestBatchGoalAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts are not exact under -race")
@@ -73,10 +71,10 @@ func TestBatchGoalAllocs(t *testing.T) {
 	}{
 		// 4096 entries hold all 496 goals: after one warm pass every
 		// goal hits.
-		{"cached", 4096, "hit", 6},
+		{"cached", 4096, "hit", 7},
 		// 64 entries in 16 shards of 4, against 496 goals in rotation:
 		// each goal comes back after 495 others and has been evicted.
-		{"uncached", 64, "miss", 7},
+		{"uncached", 64, "miss", 8},
 	} {
 		s := New(Config{Reg: obs.New(), Logger: slog.New(slog.NewJSONHandler(io.Discard, nil)), CacheSize: tc.cacheSize})
 		bodies := chainBatches(t, s, 31) // 31×64 = 4 rotations of 496
@@ -109,7 +107,7 @@ func TestBatchGoalAllocs(t *testing.T) {
 // TestMemoHitImpliesAllocs pins the inline request the compiled-system
 // memo exists for: a repeated /v1/implies body whose schema and sigma
 // hit the memo by their raw bytes, so the fields are never decoded into
-// entries, and whose answer hits the cache. Measured 52 allocations per
+// entries, and whose answer hits the cache. Measured 53 allocations per
 // request (Go 1.24, linux/amd64), most of them the HTTP and JSON
 // plumbing around the lookups; decoding the fields into entries to key
 // the memo made it 96, building the deadline context before the lookup
@@ -137,8 +135,8 @@ func TestMemoHitImpliesAllocs(t *testing.T) {
 		t.Fatal("repeats did not hit the compiled-system memo")
 	}
 	t.Logf("%.1f allocs/request", got)
-	if got > 52 {
-		t.Errorf("%.1f allocs/request, ceiling 52", got)
+	if got > 53 {
+		t.Errorf("%.1f allocs/request, ceiling 53", got)
 	}
 }
 

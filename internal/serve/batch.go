@@ -65,13 +65,11 @@ type BatchResponse struct {
 }
 
 // batchWire is how a BatchRequest is decoded: its schema and sigma
-// fields stay raw JSON for the compiled-system memo, and each goal is
-// unquoted into one string (see impliesWire).
+// fields stay raw JSON for the compiled-system memo (see impliesWire).
 type batchWire struct {
 	BatchRequest
 	Schema json.RawMessage `json:"schema,omitempty"`
 	Sigma  json.RawMessage `json:"sigma,omitempty"`
-	Goals  goalList        `json:"goals"`
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

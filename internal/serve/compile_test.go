@@ -3,7 +3,8 @@ package serve
 // The compiled-system memo: a request whose Σ hits the memo answers as
 // a fresh server answers it; a memo holding a valid twin lets none of
 // the field escapes through; the count and key-text bounds hold, and a
-// 400 is never retained; and a hammer of concurrent inline requests
+// 400 is never retained; the memo's bounds also bound what cached fd
+// answers keep of their systems; and a hammer of concurrent inline requests
 // over shared Σ, with evictions racing the lookups, gets every verdict
 // right (make race-hammer runs it under -race -cpu 1,2,8).
 
@@ -16,6 +17,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -305,6 +307,73 @@ func TestCompileMemoBounds(t *testing.T) {
 		if strings.HasPrefix(name, "compile.") {
 			t.Errorf("CacheSize 0 exports %s", name)
 		}
+	}
+}
+
+// TestCachedFDAnswersKeepNoSigma pins that the memo's bounds also bound
+// what the answer cache keeps of compiled systems: a cached fd answer
+// keeps the lines its proof fired, not its prover or its Σ's text. 96
+// distinct inline Σ of about 30 KiB each ask one implied fd goal: a
+// 200-FD chain whose first three FDs, the ones the proof fires, carry an
+// 8 KiB comment. The memo's key-text bound keeps the last 16 systems.
+// Dropping the answer cache then frees about 1.1 KiB an answer, and
+// the bound is 4 KiB, slack for what other goroutines hold. An
+// answer that kept its prover would free about 90 KiB an answer whose
+// system the memo has evicted, and one whose derived attributes were
+// sliced from their Σ entries would keep the comments.
+func TestCachedFDAnswersKeepNoSigma(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("heap sizes under -race include the detector's shadow")
+	}
+	srv, _, _ := newTestServer(t, Config{CacheSize: 1024})
+	const bodies, chain = 96, 200
+	comment := " # " + strings.Repeat("x", 8<<10)
+	for i := range bodies {
+		attrs := make([]string, chain+1)
+		for k := range attrs {
+			attrs[k] = fmt.Sprintf("B%dx%d", i, k)
+		}
+		sigma := make([]string, chain)
+		for k := range sigma {
+			sigma[k] = "R: " + attrs[k] + " -> " + attrs[k+1]
+			if k < 3 {
+				sigma[k] += comment
+			}
+		}
+		body, err := json.Marshal(ImpliesRequest{
+			Schema: []string{"R(" + strings.Join(attrs, ", ") + ")"},
+			Sigma:  sigma,
+			Goal:   "R: " + attrs[0] + " -> " + attrs[3],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := serveInProcess(srv.Handler(), http.MethodPost, "/v1/implies", string(body))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"engine":"fd","proof":"goal: `) {
+			t.Fatalf("body %d = %d, want an fd proof\n%s", i, rec.Code, rec.Body.String())
+		}
+	}
+	if n := srv.cache.Len(); n != bodies {
+		t.Fatalf("the cache holds %d answers, want %d", n, bodies)
+	}
+	t.Logf("the memo holds %d systems", srv.memo.len())
+	if n := srv.memo.len(); n >= bodies/2 {
+		t.Fatalf("the memo holds %d systems; the test needs it to have evicted most of %d", n, bodies)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second empties sync.Pool's victim cache
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	withCache := heap()
+	srv.cache = nil
+	perAnswer := (withCache - heap()) / bodies
+	runtime.KeepAlive(srv)
+	t.Logf("a cached fd answer retains %d bytes", perAnswer)
+	if perAnswer > 4<<10 {
+		t.Errorf("dropping the answer cache freed %d bytes an answer, want <= 4 KiB", perAnswer)
 	}
 }
 

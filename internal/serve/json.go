@@ -1,209 +1,20 @@
 package serve
 
-// Hand-written JSON for the hot fields of the query endpoints: goals
-// are unquoted straight into their strings, and the implies, explain
-// and batch replies are appended into one pooled buffer with an fd
-// proof rendered straight into it. Both produce exactly the bytes and
-// values encoding/json would (TestReplyBytesMatchEncodingJSON,
-// FuzzAppendString, FuzzDecodeGoals); every other request and reply
-// goes through encoding/json.
+// Hand-written JSON for the replies of the query endpoints: the
+// implies, explain and batch replies are appended into one pooled
+// buffer with an fd proof rendered straight into it, exactly the bytes
+// encoding/json would write (TestReplyBytesMatchEncodingJSON,
+// TestReplyEveryField, FuzzAppendString); every request and every other
+// reply goes through encoding/json.
 
 import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"reflect"
 	"strconv"
 	"sync"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 )
-
-// --- goals --------------------------------------------------------------
-
-// goalText is the goal field of an implies body: a JSON string, or null
-// for none. json.Marshal writes each "->" as "-\u003e", and
-// encoding/json unquotes such a string into a scratch buffer before it
-// copies it into a string; unquote makes the one string directly.
-type goalText string
-
-func (g *goalText) UnmarshalJSON(raw []byte) error {
-	if raw[0] == 'n' {
-		return nil // null leaves a string as it is
-	}
-	s, ok := unquote(raw)
-	if !ok {
-		return typeError(raw, reflect.TypeFor[string]())
-	}
-	*g = goalText(s)
-	return nil
-}
-
-// goalList is the goals field of a batch body, decoded like goalText:
-// an array of strings (null entries are ""), or null for none.
-type goalList []string
-
-func (l *goalList) UnmarshalJSON(raw []byte) error {
-	switch raw[0] {
-	case 'n':
-		*l = nil // null clears a slice
-		return nil
-	case '[':
-	default:
-		return typeError(raw, reflect.TypeFor[[]string]())
-	}
-	// A string entry has two unescaped quotes: the count bounds the
-	// entries unless some are null.
-	out := make([]string, 0, bytes.Count(raw, []byte{'"'})/2)
-	i := skipSpace(raw, 1)
-	if raw[i] == ']' {
-		*l = out
-		return nil
-	}
-	for {
-		var entry string
-		switch raw[i] {
-		case '"':
-			end := stringEnd(raw, i)
-			entry, _ = unquote(raw[i:end])
-			i = end
-		case 'n':
-			i += len("null")
-		default:
-			return typeError(raw[i:], reflect.TypeFor[string]())
-		}
-		out = append(out, entry)
-		i = skipSpace(raw, i)
-		if raw[i] == ']' {
-			*l = out
-			return nil
-		}
-		i = skipSpace(raw, i+1) // past the comma
-	}
-}
-
-// typeError is the error encoding/json reports for a value of the wrong
-// type; the decoder adds the field's name.
-func typeError(raw []byte, t reflect.Type) error {
-	kind := "number"
-	switch raw[0] {
-	case '"':
-		kind = "string"
-	case '[':
-		kind = "array"
-	case '{':
-		kind = "object"
-	case 't', 'f':
-		kind = "bool"
-	}
-	return &json.UnmarshalTypeError{Value: kind, Type: t}
-}
-
-func skipSpace(raw []byte, i int) int {
-	for i < len(raw) && (raw[i] == ' ' || raw[i] == '\t' || raw[i] == '\n' || raw[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-// stringEnd returns the end of the string token starting at raw[i], in
-// an array the decoder has already checked is valid JSON.
-func stringEnd(raw []byte, i int) int {
-	for i++; raw[i] != '"'; i++ {
-		if raw[i] == '\\' {
-			i++
-		}
-	}
-	return i + 1
-}
-
-// unquote decodes a JSON string token into the string encoding/json
-// yields for it, in one allocation: invalid UTF-8 and lone surrogates
-// become U+FFFD, and surrogate pairs are joined. A token without
-// escapes or non-ASCII bytes converts as it is; any other is decoded
-// into a stack buffer first (a heap one past 256 bytes). It reports
-// false when raw is not a string token.
-func unquote(raw []byte) (string, bool) {
-	if len(raw) < 2 || raw[0] != '"' || raw[len(raw)-1] != '"' {
-		return "", false
-	}
-	s := raw[1 : len(raw)-1]
-	i := 0
-	for i < len(s) && s[i] != '\\' && s[i] < utf8.RuneSelf {
-		i++
-	}
-	if i == len(s) {
-		return string(s), true
-	}
-	var small [256]byte
-	b := append(small[:0], s[:i]...)
-	for i < len(s) {
-		switch c := s[i]; {
-		case c == '\\':
-			i++
-			switch c = s[i]; c {
-			case 'b':
-				b = append(b, '\b')
-			case 'f':
-				b = append(b, '\f')
-			case 'n':
-				b = append(b, '\n')
-			case 'r':
-				b = append(b, '\r')
-			case 't':
-				b = append(b, '\t')
-			case 'u':
-				r := hex4(s[i+1:])
-				i += 5
-				if utf16.IsSurrogate(r) {
-					r2 := rune(-1)
-					if i+6 <= len(s) && s[i] == '\\' && s[i+1] == 'u' {
-						r2 = hex4(s[i+2:])
-					}
-					if r = utf16.DecodeRune(r, r2); r != unicode.ReplacementChar {
-						i += 6
-					}
-				}
-				b = utf8.AppendRune(b, r)
-				continue
-			default: // '"', '\\' or '/'
-				b = append(b, c)
-			}
-			i++
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			i++
-		default:
-			r, size := utf8.DecodeRune(s[i:])
-			b = utf8.AppendRune(b, r)
-			i += size
-		}
-	}
-	return string(b), true
-}
-
-// hex4 decodes the four hex digits a \u escape carries, or -1.
-func hex4(s []byte) rune {
-	if len(s) < 4 {
-		return -1
-	}
-	var r rune
-	for _, c := range s[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r<<4 | rune(c)
-	}
-	return r
-}
 
 // --- replies ------------------------------------------------------------
 

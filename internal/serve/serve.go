@@ -445,13 +445,11 @@ type SatisfiesResponse struct {
 // impliesWire is how an ImpliesRequest is decoded: its schema and sigma
 // fields stay raw JSON, shadowing the embedded []string fields, so the
 // compiled-system memo keys on the bytes as sent and decodes them only
-// on a miss (decodeEntries); its goal is unquoted into one string
-// (goalText).
+// on a miss (decodeEntries).
 type impliesWire struct {
 	ImpliesRequest
 	Schema json.RawMessage `json:"schema"`
 	Sigma  json.RawMessage `json:"sigma"`
-	Goal   goalText        `json:"goal"`
 }
 
 func (s *Server) handleImplies(w http.ResponseWriter, r *http.Request) {
@@ -812,7 +810,7 @@ func (s *Server) solveGoal(dl *deadline, p *prepared, g core.Goal, req ImpliesRe
 
 func (s *Server) answerImplies(w http.ResponseWriter, r *http.Request, req impliesWire) {
 	resp := ImpliesResponse{RequestID: RequestID(r.Context())}
-	p, err := s.prepare(req.SchemaName, req.Schema, req.Sigma, "goal", []string{string(req.Goal)})
+	p, err := s.prepare(req.SchemaName, req.Schema, req.Sigma, "goal", []string{req.Goal})
 	if err != nil {
 		s.badRequest(w, r, resp, err.Error())
 		return
